@@ -4,14 +4,15 @@ GO ?= go
 # out shared-runner noise.
 GATE_THRESHOLD ?= 0.15
 
-.PHONY: check lint vet build test race bench benchgate benchsmoke scalebench servesmoke shardsmoke
+.PHONY: check lint vet build test race bench benchgate benchsmoke scalebench servesmoke shardsmoke e2esmoke e2ebench
 
 ## check: the tier-1 gate — vet + cntlint, build, plain tests (the
 ## zero-alloc kernel guards only assert outside -race), race-enabled
 ## tests, a build-only smoke of the sweep benchmark (tiny grid, no
 ## timing assertion: timing under a loaded CI machine is noise), the
-## sweep-service smoke, and the sharded-fleet smoke.
-check: lint build test race benchsmoke servesmoke shardsmoke
+## sweep-service smoke, the sharded-fleet smoke, and the end-to-end
+## benchmark module's race-enabled tests.
+check: lint build test race benchsmoke servesmoke shardsmoke e2esmoke
 
 ## lint: go vet plus the project analyzer suite (cmd/cntlint):
 ## telemetry key registry, context propagation, float comparisons,
@@ -85,3 +86,17 @@ servesmoke:
 ## the cluster.route.* counters and per-replica health gauges.
 shardsmoke:
 	$(GO) run ./cmd/cntshard -selftest
+
+## e2esmoke: the tests of the end-to-end benchmark, a Go module of its
+## own under bench/ that the root ./... does not reach. They run all
+## four workloads in -short form under -race and compare every sampled
+## served answer bit for bit against the oracle — the end-to-end check
+## of the hand-rolled response encoder. No timing is asserted.
+e2esmoke:
+	cd bench && $(GO) test -race ./...
+
+## e2ebench: the end-to-end serving benchmark, all four workloads
+## (about 3.5 min). Pass flags through E2EFLAGS, e.g.
+## make e2ebench E2EFLAGS="-workload iv-point -seconds 15 -trace 0".
+e2ebench:
+	bash bench/run.sh $(E2EFLAGS)

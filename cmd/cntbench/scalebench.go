@@ -119,7 +119,7 @@ func runScaleBench(points, repeats int, workerList, outPath string) error {
 		if _, err := sweep.FamilyParallel(context.Background(), m, vgs, vds, workers); err != nil {
 			return scalePoint{}, err
 		}
-		before := reg.Snapshot().Counters
+		mark := reg.CounterMark(nil)
 		start := time.Now()
 		for i := 0; i < repeats; i++ {
 			if _, err := sweep.FamilyParallel(context.Background(), m, vgs, vds, workers); err != nil {
@@ -127,11 +127,10 @@ func runScaleBench(points, repeats int, workerList, outPath string) error {
 			}
 		}
 		secs := time.Since(start).Seconds()
-		after := reg.Snapshot().Counters
 		pt := scalePoint{
 			Workers:  workers,
 			Seconds:  secs,
-			Counters: counterDelta(before, after),
+			Counters: sweepCounters(reg.CounterDelta(mark)),
 		}
 		if secs > 0 {
 			pt.PointsPerSec = float64(grid) / secs

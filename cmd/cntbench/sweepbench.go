@@ -105,10 +105,12 @@ var sweepCounterKeys = []string{
 	telemetry.KeySweepErrors,
 }
 
-func counterDelta(before, after map[string]int64) map[string]int64 {
+// sweepCounters projects a registry delta onto sweepCounterKeys,
+// zeros included, so every benchmark document has the same schema.
+func sweepCounters(delta map[string]int64) map[string]int64 {
 	d := make(map[string]int64, len(sweepCounterKeys))
 	for _, k := range sweepCounterKeys {
-		d[k] = after[k] - before[k]
+		d[k] = delta[k]
 	}
 	return d
 }
@@ -194,7 +196,7 @@ func runSweepBench(points, repeats, workers int, outPath string, assertFaster bo
 	}
 
 	timePath := func(run func() error) (sweepPathStat, error) {
-		before := reg.Snapshot().Counters
+		mark := reg.CounterMark(nil)
 		start := time.Now()
 		for i := 0; i < repeats; i++ {
 			if err := run(); err != nil {
@@ -202,11 +204,10 @@ func runSweepBench(points, repeats, workers int, outPath string, assertFaster bo
 			}
 		}
 		secs := time.Since(start).Seconds()
-		after := reg.Snapshot().Counters
 		st := sweepPathStat{
 			Seconds:  secs,
 			Workers:  workers,
-			Counters: counterDelta(before, after),
+			Counters: sweepCounters(reg.CounterDelta(mark)),
 		}
 		if secs > 0 {
 			st.PointsPerSec = float64(repeats*len(vgs)*len(vds)) / secs

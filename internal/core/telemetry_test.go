@@ -27,7 +27,7 @@ func TestDispatchCounters(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
 	reg := telemetry.Default()
-	base := reg.Snapshot().Counters
+	mark := reg.CounterMark(nil)
 
 	solves := 0
 	for _, vg := range []float64{0.0, 0.2, 0.4, 0.6} {
@@ -39,19 +39,16 @@ func TestDispatchCounters(t *testing.T) {
 		}
 	}
 
-	s := reg.Snapshot().Counters
-	if got := s["core.solves"] - base["core.solves"]; got != int64(solves) {
+	d := reg.CounterDelta(mark)
+	if got := d["core.solves"]; got != int64(solves) {
 		t.Fatalf("core.solves = %d, want %d", got, solves)
 	}
-	branches := s["core.dispatch.linear"] - base["core.dispatch.linear"] +
-		s["core.dispatch.quadratic"] - base["core.dispatch.quadratic"] +
-		s["core.dispatch.cardano"] - base["core.dispatch.cardano"] +
-		s["core.dispatch.trig"] - base["core.dispatch.trig"] +
-		s["core.dispatch.none"] - base["core.dispatch.none"]
+	branches := d["core.dispatch.linear"] + d["core.dispatch.quadratic"] +
+		d["core.dispatch.cardano"] + d["core.dispatch.trig"] + d["core.dispatch.none"]
 	if branches != int64(solves) {
 		t.Fatalf("dispatch branches sum to %d, want %d", branches, solves)
 	}
-	if got := s["core.fallback_generic"] - base["core.fallback_generic"]; got != 0 {
+	if got := d["core.fallback_generic"]; got != 0 {
 		t.Fatalf("unexpected generic fallbacks: %d", got)
 	}
 }
@@ -61,14 +58,14 @@ func TestDispatchCounters(t *testing.T) {
 func TestDisabledTelemetryCountsNothing(t *testing.T) {
 	m := fitTestModel(t, Model1Spec())
 	telemetry.Disable()
-	base := telemetry.Default().Snapshot().Counters["core.solves"]
+	mark := telemetry.Default().CounterMark(nil)
 	for i := 0; i < 10; i++ {
 		if _, err := m.IDS(fettoy.Bias{VG: 0.5, VD: 0.3}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := telemetry.Default().Snapshot().Counters["core.solves"]; got != base {
-		t.Fatalf("disabled telemetry still counted: %d -> %d", base, got)
+	if got := telemetry.Default().CounterDelta(mark)["core.solves"]; got != 0 {
+		t.Fatalf("disabled telemetry still counted %d solves", got)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"cntfet/internal/device"
@@ -164,6 +165,11 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// markPool recycles the per-job counter marks Run diffs Metrics
+// against, so a job's bookkeeping costs two passes over the counters
+// instead of two whole-registry snapshots.
+var markPool = sync.Pool{New: func() any { return new([]int64) }}
+
 // Run executes one job. It is safe for concurrent use; the models
 // referenced by the request must themselves be safe for concurrent use
 // if shared across jobs (both library models are, after construction).
@@ -176,11 +182,13 @@ func Run(ctx context.Context, req Request) (Result, error) {
 	reg.Counter(telemetry.KeyEngineJobs).Inc()
 	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanEngineJob)
 	span.Set(telemetry.String(telemetry.AttrJobKind, req.Kind.String()))
-	before := reg.Snapshot().Counters
+	mark := markPool.Get().(*[]int64)
+	*mark = reg.CounterMark(*mark)
 	start := time.Now()
 	res, err := dispatch(ctx, req)
 	res.Elapsed = time.Since(start)
-	res.Metrics = counterDelta(before, reg.Snapshot().Counters)
+	res.Metrics = reg.CounterDelta(*mark)
+	markPool.Put(mark)
 	reg.Histogram(telemetry.KeyEngineJobSeconds, telemetry.LatencyBuckets).
 		Observe(res.Elapsed.Seconds())
 	// The per-job counter deltas double as span attributes: the same
@@ -457,15 +465,4 @@ func runNetlist(ctx context.Context, req Request) (Result, error) {
 		out = io.Discard
 	}
 	return Result{}, req.Deck.RunContext(ctx, out)
-}
-
-// counterDelta keeps the non-zero counter movements of one job.
-func counterDelta(before, after map[string]int64) map[string]int64 {
-	d := make(map[string]int64)
-	for k, v := range after {
-		if dv := v - before[k]; dv != 0 {
-			d[k] = dv
-		}
-	}
-	return d
 }

@@ -528,3 +528,31 @@ func TestDefaultRequestRunsParallel(t *testing.T) {
 			workerPts, want, res.Metrics)
 	}
 }
+
+// BenchmarkEngineRunIVPoint measures one served-size job through Run —
+// dispatch, the job span and the per-job counter bookkeeping around a
+// Model 1 bias point — with telemetry on, as a server runs it.
+func BenchmarkEngineRunIVPoint(b *testing.B) {
+	ref, err := fettoy.New(fettoy.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m1, err := core.Model1(ref)
+	if err != nil {
+		b.Fatal(err)
+	}
+	telemetry.Enable()
+	defer telemetry.Disable()
+	ctx := context.Background()
+	req := Request{Kind: IVPoint, Model: m1, Bias: fettoy.Bias{VG: 0.5, VD: 0.4}}
+	if _, err := Run(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -43,15 +43,15 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	dst := m2.EnableTable(smallTableOptions())
 
 	reg := telemetry.Default()
-	base := reg.Snapshot().Counters
+	mark := reg.CounterMark(nil)
 	if err := dst.ReadSnapshot(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	snap := reg.Snapshot().Counters
-	if d := snap[telemetry.KeyFettoyTableBuilds] - base[telemetry.KeyFettoyTableBuilds]; d != 0 {
+	delta := reg.CounterDelta(mark)
+	if d := delta[telemetry.KeyFettoyTableBuilds]; d != 0 {
 		t.Fatalf("loading a snapshot counted %d table builds, want 0", d)
 	}
-	if d := snap[telemetry.KeyFettoyTableSnapshotLoads] - base[telemetry.KeyFettoyTableSnapshotLoads]; d != 1 {
+	if d := delta[telemetry.KeyFettoyTableSnapshotLoads]; d != 1 {
 		t.Fatalf("snapshot_loads moved by %d, want 1", d)
 	}
 

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"cntfet/internal/fettoy"
@@ -94,7 +93,9 @@ func RouteKey(jr JobRequest) string {
 // rather than the decoded JobRequest itself — makes semantically
 // identical spellings (explicit family vs omitted, explicit preset T
 // vs zero, "auto" vs "") coalesce. Stream is deliberately absent:
-// streamed responses never enter the flight group.
+// streamed responses never enter the flight group. The key is the
+// json.Marshal spelling of this struct, built by appendJSON without
+// reflection.
 type canonicalJob struct {
 	Kind      string    `json:"kind"`
 	Model     string    `json:"model"`
@@ -118,6 +119,19 @@ type canonicalJob struct {
 // same engine run: same kind, same resolved model identities, same
 // grids and scheduling parameters.
 func coalesceKey(jr JobRequest) (string, error) {
+	cj := canonicalize(jr)
+	buf := getEncodeBuf()
+	defer putEncodeBuf(buf)
+	var err error
+	if *buf, err = cj.appendJSON((*buf)[:0]); err != nil {
+		return "", fmt.Errorf("server: coalesce key: %w", err)
+	}
+	return string(*buf), nil
+}
+
+// canonicalize applies the wire defaults and resolves both model
+// descriptions to their Key() identities.
+func canonicalize(jr JobRequest) canonicalJob {
 	cj := canonicalJob{
 		Kind:      jr.Kind,
 		Model:     RouteKey(jr),
@@ -140,9 +154,43 @@ func coalesceKey(jr JobRequest) (string, error) {
 	if cj.Strategy == "" {
 		cj.Strategy = "auto"
 	}
-	b, err := json.Marshal(cj)
-	if err != nil {
-		return "", fmt.Errorf("server: coalesce key: %w", err)
+	return cj
+}
+
+// appendJSON appends cj exactly as json.Marshal spells it: field
+// order, omitempty and float spelling included.
+func (cj *canonicalJob) appendJSON(dst []byte) ([]byte, error) {
+	j := jsonBuf{b: dst}
+	j.raw(`{"kind":`)
+	j.str(cj.Kind)
+	j.raw(`,"model":`)
+	j.str(cj.Model)
+	if cj.Ref != "" {
+		j.raw(`,"ref":`)
+		j.str(cj.Ref)
 	}
-	return string(b), nil
+	if len(cj.RefFamily) > 0 {
+		j.raw(`,"ref_family":`)
+		j.curves(cj.RefFamily)
+	}
+	j.omitFloat(`,"vg":`, cj.VG)
+	j.omitFloat(`,"vd":`, cj.VD)
+	if len(cj.Gates) > 0 {
+		j.raw(`,"gates":`)
+		j.floats(cj.Gates)
+	}
+	if len(cj.Drains) > 0 {
+		j.raw(`,"drains":`)
+		j.floats(cj.Drains)
+	}
+	j.raw(`,"strategy":`)
+	j.str(cj.Strategy)
+	j.omitInt(`,"workers":`, int64(cj.Workers))
+	j.omitInt(`,"repeat":`, int64(cj.Repeat))
+	j.omitFloat(`,"ef_sigma":`, cj.EFSigma)
+	j.omitFloat(`,"diameter_sigma":`, cj.DiamSigma)
+	j.omitInt(`,"samples":`, int64(cj.Samples))
+	j.omitInt(`,"seed":`, cj.Seed)
+	j.b = append(j.b, '}')
+	return j.b, j.err
 }

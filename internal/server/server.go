@@ -289,21 +289,27 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if coalesced {
 		telemetry.SpanFrom(ctx).Set(telemetry.Bool(telemetry.AttrCoalesced, true))
 	}
-	status := http.StatusOK
-	if err != nil {
-		var class string
-		status, class = statusOf(err)
-		if status == StatusClientClosedRequest {
-			reg.Counter(telemetry.KeyServerCanceled).Inc()
-		} else {
-			reg.Counter(telemetry.KeyServerErrors).Inc()
+	if err == nil {
+		// The answer is encoded before anything is written, so a result
+		// JSON cannot spell (a NaN current) still gets a status: 422.
+		resp := toWire(jr.Kind, res)
+		buf := getEncodeBuf()
+		defer putEncodeBuf(buf)
+		if *buf, err = appendJobResponse((*buf)[:0], &resp); err == nil {
+			s.logJob(ctx, jr.Kind, meta, http.StatusOK, res)
+			writeBody(w, http.StatusOK, *buf)
+			return
 		}
-		s.logJob(ctx, jr.Kind, meta, status, res)
-		writeError(w, status, class, err)
-		return
+		err = fmt.Errorf("server: encoding %s response: %w", jr.Kind, err)
+	}
+	status, class := statusOf(err)
+	if status == StatusClientClosedRequest {
+		reg.Counter(telemetry.KeyServerCanceled).Inc()
+	} else {
+		reg.Counter(telemetry.KeyServerErrors).Inc()
 	}
 	s.logJob(ctx, jr.Kind, meta, status, res)
-	writeJSON(w, http.StatusOK, toWire(jr.Kind, res))
+	writeError(w, status, class, err)
 }
 
 // runCoalesced routes a buffered job through the flight group. A
@@ -442,13 +448,25 @@ func handleDebugTrace(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
+// writeJSON answers with body encoded by encoding/json. The body is
+// encoded before the header goes out, so an unencodable value answers
+// 500 instead of a bodiless status.
 func writeJSON(w http.ResponseWriter, status int, body any) {
+	b, err := json.Marshal(body)
+	if err != nil {
+		http.Error(w, fmt.Sprintf("server: encoding response: %v", err), http.StatusInternalServerError)
+		return
+	}
+	writeBody(w, status, append(b, '\n'))
+}
+
+// writeBody sends an encoded JSON answer in one Write.
+func writeBody(w http.ResponseWriter, status int, b []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	// Encoding errors past the header are undeliverable (the client is
-	// mid-read or gone); nothing useful remains to be done with them.
-	_ = enc.Encode(body)
+	// Write errors are undeliverable (the client is mid-read or gone);
+	// nothing useful remains to be done with them.
+	_, _ = w.Write(b)
 }
 
 func writeError(w http.ResponseWriter, status int, class string, err error) {

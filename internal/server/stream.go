@@ -22,7 +22,8 @@
 package server
 
 import (
-	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -87,12 +88,13 @@ func mediaTypeIsNDJSON(accept string) bool {
 }
 
 // ndjsonSink adapts the response writer into an engine.Sink: encode
-// one frame per event, flush, count. Emit runs on the job's emitting
-// goroutine; a write or flush failure (client gone) aborts the job
-// through the sink-error path.
+// one frame per event, write it, flush, count. Emit runs on the job's
+// emitting goroutine; a write or flush failure (client gone) aborts the
+// job through the sink-error path.
 type ndjsonSink struct {
-	enc  *json.Encoder
+	w    io.Writer
 	rc   *http.ResponseController
+	j    jsonBuf // frame buffer; its grid memo spans frames
 	rows int64
 }
 
@@ -112,15 +114,42 @@ func (s *ndjsonSink) Emit(ev engine.Event) error {
 	default:
 		return nil
 	}
-	if err := s.enc.Encode(frame); err != nil {
-		return err
-	}
-	if err := s.rc.Flush(); err != nil {
+	if err := s.send(&frame); err != nil {
 		return err
 	}
 	s.rows++
 	telemetry.Default().Counter(telemetry.KeyServerStreamRows).Inc()
 	return nil
+}
+
+// send encodes one frame and flushes it out.
+func (s *ndjsonSink) send(f *StreamFrame) error {
+	if err := s.encode(f); err != nil {
+		return err
+	}
+	return s.flush()
+}
+
+// encode replaces the buffered frame with f. On failure nothing is
+// buffered for flush to send.
+func (s *ndjsonSink) encode(f *StreamFrame) error {
+	s.j.b, s.j.err = s.j.b[:0], nil
+	s.j.streamFrame(f)
+	if s.j.err != nil {
+		s.j.b = s.j.b[:0]
+		return s.j.err
+	}
+	// The next frame reuses the buffer; keep the grid memo's bytes.
+	s.j.ownGrid()
+	return nil
+}
+
+// flush sends the buffered frame in one Write and flushes it out.
+func (s *ndjsonSink) flush() error {
+	if _, err := s.w.Write(s.j.b); err != nil {
+		return err
+	}
+	return s.rc.Flush()
 }
 
 // streamJob runs one job with its results streaming out as NDJSON.
@@ -140,11 +169,37 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jr JobRequest
 	}
 	w.WriteHeader(http.StatusOK)
 
-	sink := &ndjsonSink{enc: json.NewEncoder(w), rc: http.NewResponseController(w)}
+	buf := getEncodeBuf()
+	sink := &ndjsonSink{w: w, rc: http.NewResponseController(w), j: jsonBuf{b: *buf}}
+	defer func() {
+		*buf = sink.j.b
+		putEncodeBuf(buf)
+	}()
 	req.Sink = sink
 	_, span := telemetry.StartSpan(ctx, telemetry.SpanServerStream)
 	res, err := engine.Run(ctx, req)
 	span.Set(telemetry.Int(telemetry.AttrRows, sink.rows))
+	if err == nil {
+		// Rows already streamed; the done frame is summary only. (A
+		// streamed family-sweep Result carries no family anyway — the
+		// engine skips buffering when a sink is set — but rms-compare
+		// buffers both families for the RMS computation, and Monte Carlo
+		// retains its samples for the percentiles.) It is encoded before
+		// the job is logged, so a summary JSON cannot spell (a NaN
+		// statistic) ends the stream with a numerical error frame
+		// instead of no frame at all.
+		done := toWire(jr.Kind, res)
+		done.Family = nil
+		done.RefFamily = nil
+		if done.MC != nil {
+			mc := *done.MC
+			mc.Samples = nil
+			done.MC = &mc
+		}
+		if err = sink.encode(&StreamFrame{Done: &done}); err != nil {
+			err = fmt.Errorf("server: encoding %s done frame: %w", jr.Kind, err)
+		}
+	}
 	if err != nil {
 		status, class := statusOf(err)
 		if status == StatusClientClosedRequest {
@@ -157,25 +212,10 @@ func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, jr JobRequest
 		s.logJob(ctx, jr.Kind, meta, status, res)
 		// The 200 and any rows are already on the wire; the failure
 		// travels in-band. Undeliverable when the client is the reason.
-		_ = sink.enc.Encode(StreamFrame{Error: &ErrorResponse{Error: err.Error(), Class: class}})
-		_ = sink.rc.Flush()
+		_ = sink.send(&StreamFrame{Error: &ErrorResponse{Error: err.Error(), Class: class}})
 		return
 	}
 	span.End()
 	s.logJob(ctx, jr.Kind, meta, http.StatusOK, res)
-	done := toWire(jr.Kind, res)
-	// Rows already streamed; the done frame is summary only. (A
-	// streamed family-sweep Result carries no family anyway — the
-	// engine skips buffering when a sink is set — but rms-compare
-	// buffers both families for the RMS computation, and Monte Carlo
-	// retains its samples for the percentiles.)
-	done.Family = nil
-	done.RefFamily = nil
-	if done.MC != nil {
-		mc := *done.MC
-		mc.Samples = nil
-		done.MC = &mc
-	}
-	_ = sink.enc.Encode(StreamFrame{Done: &done})
-	_ = sink.rc.Flush()
+	_ = sink.flush() // the done frame; undeliverable if the client left
 }

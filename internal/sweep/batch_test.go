@@ -156,17 +156,17 @@ func TestFamilyParallelCountsAllErrors(t *testing.T) {
 		},
 		"legacy": FamilyParallelLegacy,
 	} {
-		base := reg.Snapshot().Counters
+		mark := reg.CounterMark(nil)
 		vds := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6} // 0.2, 0.4, 0.6 fail
 		_, err := run(errEvery{n: 2}, []float64{1, 2}, vds, 3)
 		if err == nil {
 			t.Fatalf("%s: errors swallowed", name)
 		}
-		snap := reg.Snapshot().Counters
-		if got := snap["sweep.errors"] - base["sweep.errors"]; got != 6 {
+		d := reg.CounterDelta(mark)
+		if got := d["sweep.errors"]; got != 6 {
 			t.Fatalf("%s: sweep.errors advanced by %d, want 6", name, got)
 		}
-		if got := snap["sweep.points"] - base["sweep.points"]; got != 6 {
+		if got := d["sweep.points"]; got != 6 {
 			t.Fatalf("%s: sweep.points advanced by %d, want 6 successes", name, got)
 		}
 	}

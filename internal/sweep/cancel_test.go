@@ -77,7 +77,7 @@ func TestFamilySerialCancelBetweenRows(t *testing.T) {
 func TestFamilyParallelCancelCountsConsistently(t *testing.T) {
 	telemetry.Disable()
 	reg := telemetry.Default()
-	base := reg.Snapshot().Counters
+	mark := reg.CounterMark(nil)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -88,8 +88,7 @@ func TestFamilyParallelCancelCountsConsistently(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
 	}
-	snap := reg.Snapshot().Counters
-	got := snap["sweep.points"] - base["sweep.points"]
+	got := reg.CounterDelta(mark)["sweep.points"]
 	if got != int64(m.calls) {
 		t.Fatalf("sweep.points advanced by %d, but %d solves ran", got, m.calls)
 	}

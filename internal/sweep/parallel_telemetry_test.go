@@ -26,7 +26,7 @@ func TestFamilyParallelHammersTelemetry(t *testing.T) {
 	telemetry.Enable()
 	defer telemetry.Disable()
 	reg := telemetry.Default()
-	base := reg.Snapshot().Counters
+	mark := reg.CounterMark(nil)
 
 	const nvg, nvd, workers = 20, 50, 8
 	vgs := make([]float64, nvg)
@@ -46,24 +46,23 @@ func TestFamilyParallelHammersTelemetry(t *testing.T) {
 		t.Fatalf("got %d curves, want %d", len(out), nvg)
 	}
 
-	s := reg.Snapshot().Counters
+	d := reg.CounterDelta(mark)
 	total := int64(nvg * nvd)
-	if got := s["test.noisy.ids"] - base["test.noisy.ids"]; got != total {
+	if got := d["test.noisy.ids"]; got != total {
 		t.Fatalf("model-side counter = %d, want %d", got, total)
 	}
-	if got := s["sweep.points"] - base["sweep.points"]; got != total {
+	if got := d["sweep.points"]; got != total {
 		t.Fatalf("sweep.points = %d, want %d", got, total)
 	}
 	// Per-worker points must partition the total.
 	var perWorker int64
 	for w := 0; w < workers; w++ {
-		perWorker += s[fmt.Sprintf("sweep.worker.%d.points", w)] -
-			base[fmt.Sprintf("sweep.worker.%d.points", w)]
+		perWorker += d[fmt.Sprintf("sweep.worker.%d.points", w)]
 	}
 	if perWorker != total {
 		t.Fatalf("per-worker points sum to %d, want %d", perWorker, total)
 	}
-	if got := s["sweep.errors"] - base["sweep.errors"]; got != 0 {
+	if got := d["sweep.errors"]; got != 0 {
 		t.Fatalf("sweep.errors = %d, want 0", got)
 	}
 }

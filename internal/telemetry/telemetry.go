@@ -218,6 +218,13 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	timers   map[string]*Timer
 	hists    map[string]*Histogram
+
+	// counterList and counterNames hold the counters in creation order —
+	// the index space of CounterMark. Only Counter's create branch
+	// appends, so an index, once handed out, names the same counter for
+	// the registry's lifetime.
+	counterList  []*Counter
+	counterNames []string
 }
 
 // NewRegistry returns an empty registry with the given enabled state.
@@ -268,8 +275,44 @@ func (r *Registry) Counter(name string) *Counter {
 	if c = r.counters[name]; c == nil {
 		c = &Counter{}
 		r.counters[name] = c
+		r.counterList = append(r.counterList, c)
+		r.counterNames = append(r.counterNames, name)
 	}
 	return c
+}
+
+// CounterMark copies every counter's current value into dst[:0], in
+// creation order, and returns the extended slice. It is the cheap
+// "before" half of a per-job counter diff: no maps, no gauges, timers
+// or histograms, and no allocation once dst has the capacity. Pair it
+// with CounterDelta.
+func (r *Registry) CounterMark(dst []int64) []int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	dst = dst[:0]
+	for _, c := range r.counterList {
+		dst = append(dst, c.Value())
+	}
+	return dst
+}
+
+// CounterDelta returns the non-zero counter movements since mark (a
+// CounterMark result), keyed by counter name. A counter created after
+// the mark counts from zero. The map is never nil.
+func (r *Registry) CounterDelta(mark []int64) map[string]int64 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	d := make(map[string]int64)
+	for i, c := range r.counterList {
+		v := c.Value()
+		if i < len(mark) {
+			v -= mark[i]
+		}
+		if v != 0 {
+			d[r.counterNames[i]] = v
+		}
+	}
+	return d
 }
 
 // Gauge returns the named gauge, creating it on first use.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -133,6 +134,110 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got := r.Histogram("h.shared", nil).Count(); got != workers*perWorker {
 		t.Fatalf("hist count = %d, want %d", got, workers*perWorker)
+	}
+}
+
+func TestCounterMarkDelta(t *testing.T) {
+	r := NewRegistry(true)
+	r.Counter("a").Add(3)
+	r.Counter("idle").Add(9)
+	mark := r.CounterMark(nil)
+	r.Counter("a").Add(2)
+	r.Counter("late").Add(4) // created after the mark: counts from 0
+	d := r.CounterDelta(mark)
+	want := map[string]int64{"a": 2, "late": 4}
+	if len(d) != len(want) {
+		t.Fatalf("delta = %v, want %v", d, want)
+	}
+	for k, v := range want {
+		if d[k] != v {
+			t.Fatalf("delta[%q] = %d, want %d (all %v)", k, d[k], v, d)
+		}
+	}
+	if d := r.CounterDelta(r.CounterMark(mark)); d == nil || len(d) != 0 {
+		t.Fatalf("delta with no movement = %v, want empty non-nil map", d)
+	}
+}
+
+// TestCounterMarkConcurrent hammers counter creation against marks and
+// deltas; run with -race. Creators add brand-new counters and bump a
+// shared one while observers diff continuously: no observed movement
+// may be negative, and a delta over the whole run must account for
+// every increment, counters created after the mark included.
+func TestCounterMarkConcurrent(t *testing.T) {
+	r := NewRegistry(true)
+	r.Counter("shared")
+	start := r.CounterMark(nil)
+	const creators, observers, perCreator = 4, 2, 100
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var obs sync.WaitGroup
+	for o := 0; o < observers; o++ {
+		obs.Add(1)
+		go func() {
+			defer obs.Done()
+			var mark []int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mark = r.CounterMark(mark)
+				for k, v := range r.CounterDelta(mark) {
+					if v < 0 {
+						t.Errorf("counter %q moved backwards: %d", k, v)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for w := 0; w < creators; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perCreator; i++ {
+				r.Counter(fmt.Sprintf("c.%d.%d", w, i)).Add(int64(i + 1))
+				r.Counter("shared").Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	obs.Wait()
+	d := r.CounterDelta(start)
+	if got := d["shared"]; got != creators*perCreator {
+		t.Fatalf("shared delta = %d, want %d", got, creators*perCreator)
+	}
+	for w := 0; w < creators; w++ {
+		for i := 0; i < perCreator; i++ {
+			k := fmt.Sprintf("c.%d.%d", w, i)
+			if d[k] != int64(i+1) {
+				t.Fatalf("late counter %q delta = %d, want %d", k, d[k], i+1)
+			}
+		}
+	}
+	if len(d) != creators*perCreator+1 {
+		t.Fatalf("delta has %d entries, want %d", len(d), creators*perCreator+1)
+	}
+}
+
+// TestCounterMarkZeroAlloc pins the per-job mark at zero allocations
+// once the buffer has capacity, with the registry gate on or off.
+func TestCounterMarkZeroAlloc(t *testing.T) {
+	for _, on := range []bool{true, false} {
+		r := NewRegistry(on)
+		for i := 0; i < 40; i++ {
+			r.Counter(fmt.Sprintf("k%d", i)).Inc()
+		}
+		buf := make([]int64, 0, 64)
+		if n := testing.AllocsPerRun(100, func() { buf = r.CounterMark(buf) }); n != 0 {
+			t.Errorf("enabled=%v: CounterMark allocates %.1f times per call, want 0", on, n)
+		}
+		if len(buf) != 40 {
+			t.Fatalf("mark has %d values, want 40", len(buf))
+		}
 	}
 }
 
