@@ -125,24 +125,34 @@ func TestRunSweepBenchJSON(t *testing.T) {
 		t.Fatalf("parallelism metadata missing: %+v", doc)
 	}
 
-	// Gating against the run's own output must pass; a baseline with an
-	// unreachable throughput floor must fail.
-	if err := runSweepBench(13, 1, 2, t.TempDir()+"/gate.json", false, out, 0.60); err != nil {
-		t.Fatalf("self-gate failed: %v", err)
+	// Gating against a baseline deflated ×1e-6 must pass — the pass path
+	// without a timing assertion, which a ~2 ms window cannot carry under
+	// `go test -race ./...` — and a baseline inflated ×1e6 must fail.
+	deflated := doc
+	deflated.Batched.PointsPerSec *= 1e-6
+	deflated.ClosedForm.PointsPerSec *= 1e-6
+	if err := runSweepBench(13, 1, 2, t.TempDir()+"/gate.json", false, writeBaseline(t, deflated), 0.15); err != nil {
+		t.Fatalf("gate failed against a deflated baseline: %v", err)
 	}
 	inflated := doc
 	inflated.Batched.PointsPerSec *= 1e6
-	hot, err := os.CreateTemp(t.TempDir(), "hot*.json")
+	if err := runSweepBench(13, 1, 2, t.TempDir()+"/gate2.json", false, writeBaseline(t, inflated), 0.15); err == nil {
+		t.Fatal("gate passed against an impossible baseline")
+	}
+}
+
+// writeBaseline writes doc as a gate baseline file and returns its path.
+func writeBaseline(t *testing.T, doc sweepBenchDoc) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "baseline*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.NewEncoder(hot).Encode(inflated); err != nil {
+	defer f.Close()
+	if err := json.NewEncoder(f).Encode(doc); err != nil {
 		t.Fatal(err)
 	}
-	hot.Close()
-	if err := runSweepBench(13, 1, 2, t.TempDir()+"/gate2.json", false, hot.Name(), 0.15); err == nil {
-		t.Fatal("gate passed against an impossible baseline")
-	}
+	return f.Name()
 }
 
 // TestRunMetricsJSON checks the acceptance shape of `cntbench -metrics`:

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cntfet/internal/fettoy"
 	"cntfet/internal/optimize"
@@ -121,23 +122,19 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 		return nil, fmt.Errorf("core: bad URange %v", opt.URange)
 	}
 
-	// Sample the theory once. The fitted quantity is q·NS(VSC) =
-	// QS + q·N0/2 rather than QS itself: q·NS is positive and truly
-	// tends to zero above EF/q, so the models' fixed zero tail is
-	// exact in the limit, while the equilibrium constant -q·N0/2 is
-	// carried analytically. For the paper's EF = -0.32 eV the two are
-	// indistinguishable (N0 ~ 1e-6 of the curve scale), but at EF = 0
-	// the constant is what keeps the closed-form solve accurate in the
-	// zero region.
-	qn0Half := 0.5 * units.Q * ref.N0()
+	// Sample the theory once, with the reference model's batch sampler.
+	// The fitted quantity is q·NS(VSC) = QS + q·N0/2 rather than QS
+	// itself: q·NS is positive and truly tends to zero above EF/q, so the
+	// models' fixed zero tail is exact in the limit, while the
+	// equilibrium constant -q·N0/2 is carried analytically. For the
+	// paper's EF = -0.32 eV the two are indistinguishable (N0 ~ 1e-6 of
+	// the curve scale), but at EF = 0 the constant is what keeps the
+	// closed-form solve accurate in the zero region.
 	base := units.Linspace(opt.URange[0], opt.URange[1], opt.Samples)
 	var us, ys []float64
 	if len(opt.TrainTemps) == 0 {
 		us = base
-		ys = make([]float64, len(us))
-		for i, u := range us {
-			ys[i] = ref.QS(u+dev.EF) + qn0Half
-		}
+		ys = sampleQNS(ref, base, nil)
 	} else {
 		// Stack samples from every training temperature (paper: one
 		// model trained over 150-450 K). Each temperature contributes
@@ -150,11 +147,8 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 			if err != nil {
 				return nil, fmt.Errorf("core: training temperature %g K: %w", temp, err)
 			}
-			offT := 0.5 * units.Q * refT.N0()
-			for _, u := range base {
-				us = append(us, u)
-				ys = append(ys, refT.QS(u+devT.EF)+offT)
-			}
+			us = append(us, base...)
+			ys = sampleQNS(refT, base, ys)
 		}
 	}
 
@@ -181,6 +175,20 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 		return nil, err
 	}
 	return newModel(dev, spec, breaks, pw, ref.N0())
+}
+
+// sampleQNS appends q·NS(u + EF) in C/m for every u of us to dst and
+// returns the extended slice: one batch of the reference model's sampler.
+func sampleQNS(ref *fettoy.Model, us, dst []float64) []float64 {
+	n := len(dst)
+	dst = slices.Grow(dst, len(us))[:n+len(us)]
+	seg := dst[n:]
+	ef := ref.Device().EF
+	for i, u := range us {
+		seg[i] = u + ef
+	}
+	ref.SampleNS(seg, seg)
+	return dst
 }
 
 // fitU runs the constrained least squares in u-space.
@@ -272,13 +280,15 @@ func Quality(ref *fettoy.Model, m *Model, opt FitOptions) FitQuality {
 	dev := ref.Device()
 	opt.fill(dev, m.Spec())
 	us := units.Linspace(opt.URange[0], opt.URange[1], opt.Samples)
+	qns := sampleQNS(ref, us, nil)
+	qn0Half := 0.5 * units.Q * ref.N0()
 	var q FitQuality
 	sum, mean := 0.0, 0.0
-	for _, u := range us {
-		vsc := u + dev.EF
-		d := m.QS(vsc) - ref.QS(vsc)
+	for i, u := range us {
+		theory := qns[i] - qn0Half // QS = q·NS − q·N0/2
+		d := m.QS(u+dev.EF) - theory
 		sum += d * d
-		mean += math.Abs(ref.QS(vsc))
+		mean += math.Abs(theory)
 	}
 	n := float64(len(us))
 	q.RMS = math.Sqrt(sum / n)

@@ -140,7 +140,7 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 
 	pw := Piecewise{Breaks: breaks} // for PieceIndex routing only
 
-	// Design matrix and target.
+	// Usable samples (those in free pieces) are the design rows.
 	var rows int
 	for _, x := range xs {
 		if specs[pw.PieceIndex(x)].Fixed == nil {
@@ -149,29 +149,6 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 	}
 	if rows < nUnknown {
 		return Piecewise{}, fmt.Errorf("poly: %d usable samples cannot determine %d coefficients", rows, nUnknown)
-	}
-	a := linalg.NewMatrix(rows, nUnknown)
-	y := make([]float64, rows)
-	r := 0
-	for k, x := range xs {
-		pi := pw.PieceIndex(x)
-		if specs[pi].Fixed != nil {
-			continue
-		}
-		w := 1.0
-		if weights != nil {
-			if weights[k] < 0 {
-				return Piecewise{}, fmt.Errorf("poly: negative weight at sample %d", k)
-			}
-			w = math.Sqrt(weights[k])
-		}
-		v := w
-		for j := 0; j <= specs[pi].Degree; j++ {
-			a.Set(r, offset[pi]+j, v)
-			v *= x
-		}
-		y[r] = w * ys[k]
-		r++
 	}
 
 	// Constraint rows: for each break b between pieces i, i+1 and each
@@ -212,19 +189,19 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 		}
 	}
 
-	// Assemble and solve the KKT system.
+	// Assemble and solve the KKT system: 2·AᵀA and 2·Aᵀy first.
 	nc := len(cons)
 	n := nUnknown + nc
 	kkt := linalg.NewMatrix(n, n)
 	rhs := make([]float64, n)
-	// 2*A^T*A block and 2*A^T*y.
-	ata := a.T().Mul(a)
-	aty := a.T().MulVec(y)
+	if err := normalEquations(kkt, rhs, pw, specs, offset, xs, ys, weights); err != nil {
+		return Piecewise{}, err
+	}
 	for i := 0; i < nUnknown; i++ {
 		for j := 0; j < nUnknown; j++ {
-			kkt.Set(i, j, 2*ata.At(i, j))
+			kkt.Set(i, j, 2*kkt.At(i, j))
 		}
-		rhs[i] = 2 * aty[i]
+		rhs[i] *= 2
 	}
 	for ci, c := range cons {
 		for k, col := range c.cols {
@@ -249,6 +226,47 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 		pieces[i] = New(coef...)
 	}
 	return NewPiecewise(breaks, pieces)
+}
+
+// normalEquations adds AᵀA to the top-left unknowns block of kkt and
+// Aᵀy to the head of rhs, where A is the weighted block Vandermonde
+// design matrix (row r = √w·[1, x, x², …] in the columns of the piece
+// containing sample x, zero elsewhere) and y the weighted targets. It
+// accumulates one design row at a time instead of materialising A and
+// its transpose, visiting only the row's own piece. Every (i, j) entry
+// still sums its row products in sample order, and rows whose A[r][i] is
+// exactly zero are skipped for AᵀA, so the result is bit-identical to
+// A.T().Mul(A) and A.T().MulVec(y).
+func normalEquations(kkt *linalg.Matrix, rhs []float64, pw Piecewise, specs []PieceSpec, offset []int, xs, ys, weights []float64) error {
+	for k, x := range xs {
+		pi := pw.PieceIndex(x)
+		s := specs[pi]
+		if s.Fixed != nil {
+			continue
+		}
+		w := 1.0
+		if weights != nil {
+			if weights[k] < 0 {
+				return fmt.Errorf("poly: negative weight at sample %d", k)
+			}
+			w = math.Sqrt(weights[k])
+		}
+		yr := w * ys[k]
+		off := offset[pi]
+		ai := w // A[r][off+i] = w·x^i
+		for i := 0; i <= s.Degree; i++ {
+			rhs[off+i] += ai * yr
+			if ai != 0 { //lint:allow floatcmp mirrors Matrix.Mul's exact-zero skip
+				aj := w
+				for j := 0; j <= s.Degree; j++ {
+					kkt.Add(off+i, off+j, ai*aj)
+					aj *= x
+				}
+			}
+			ai *= x
+		}
+	}
+	return nil
 }
 
 // derivMonomial returns d^ord/dx^ord [x^j] evaluated at x.
