@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"cntfet/internal/server"
@@ -55,13 +56,7 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Routing needs only the model identity; schema enforcement stays
-	// the backend's job. A body that does not even decode still routes
-	// deterministically (by the zero request's key) and comes back as
-	// the backend's 400.
-	var jr server.JobRequest
-	_ = json.Unmarshal(body, &jr)
-	key := server.RouteKey(jr)
+	key := routeKey(body)
 
 	order := rt.rank(key)
 	home := order[0]
@@ -95,6 +90,23 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 		Error: fmt.Sprintf("cluster: no replica answered for key %s (%d tried)", key, attempts),
 		Class: "unavailable",
 	})
+}
+
+// routeKey is server.RouteKey of the body's JobRequest, decoding only
+// the two fields the key reads: a sweep's grids and curves are the
+// replica's to decode, not the router's. Schema enforcement stays the
+// backend's job. A body that does not even decode still routes
+// deterministically (by the zero request's key) and comes back as the
+// backend's 400. The fields carry JobRequest's names and types, so
+// encoding/json fills them exactly as a full decode would
+// (FuzzRouteKey).
+func routeKey(body []byte) string {
+	var jr struct {
+		Kind  string            `json:"kind"`
+		Model *server.ModelSpec `json:"model"`
+	}
+	_ = json.Unmarshal(body, &jr)
+	return server.RouteKey(server.JobRequest{Kind: jr.Kind, Model: jr.Model})
 }
 
 // healthyFirst reorders a rendezvous ranking so in-rotation replicas
@@ -179,11 +191,16 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, rep *replica, bo
 	return true, false
 }
 
+// relayBufs recycles flushCopy's relay buffers across requests.
+var relayBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
 // flushCopy copies upstream bytes to the client, flushing after every
 // chunk.
 func flushCopy(w http.ResponseWriter, src io.Reader) {
 	rc := http.NewResponseController(w)
-	buf := make([]byte, 32<<10)
+	bp := relayBufs.Get().(*[32 << 10]byte)
+	defer relayBufs.Put(bp)
+	buf := bp[:]
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {

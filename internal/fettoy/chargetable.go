@@ -54,7 +54,7 @@ func (o TableOptions) withDefaults(ef float64) TableOptions {
 }
 
 // tableData is the immutable, atomically published result of one build:
-// node positions with the exact N and N' values at each node. Between
+// node positions with the sampled N and N' values at each node. Between
 // nodes the table interpolates with the C¹ cubic Hermite spline those
 // values define.
 type tableData struct {
@@ -119,8 +119,8 @@ func (m *Model) Table() *ChargeTable { return m.table }
 func (t *ChargeTable) Build() { t.tab() }
 
 // BuildContext is Build under a cancellable context: the adaptive
-// refinement checks ctx between quadrature evaluations (each costs
-// ~10 µs, so cancellation lands promptly) and returns an error
+// refinement checks ctx before every batch of at most 64 samples (each
+// costs tens of µs, so cancellation lands promptly) and returns an error
 // wrapping the context's cause when aborted. A canceled build leaves
 // the table unbuilt; retrying later — with this method, Build, or a
 // plain lookup — starts over.
@@ -220,90 +220,125 @@ func (t *ChargeTable) eval(u float64) (n, nprime float64, ok bool) {
 	return n, nprime, true
 }
 
-// build samples the exact integrals on a uniform grid, then bisects any
-// interval whose Hermite midpoint error exceeds the accuracy bound.
-// Refinement recursion is bounded both by depth (12 halvings of the
-// initial spacing) and by the MaxNodes budget. ctx is checked before
-// every exact-integral evaluation (the unit of real work).
+// tableDepth bounds refinement: 12 halvings of the initial spacing.
+const tableDepth = 12
+
+// build samples N and N' on a uniform grid, then refines breadth-first:
+// each level bisects every still-open interval whose cubic Hermite
+// prediction misses the accuracy bound at its midpoint or, failing that
+// check's blind spot, at its left quarter point. A level samples all
+// its midpoints as one batch and all the quarter points it needs as
+// another (sampleN), so the whole level shares one quadrature rule per
+// chunk. Refinement stops after tableDepth levels or when the MaxNodes
+// budget is spent, splitting in ascending u within the level that
+// spends it. ctx is checked before every sampleN chunk (the unit of
+// real work).
 func (t *ChargeTable) build(ctx context.Context) (*tableData, error) {
 	opt := t.opt
 	m := t.m
-	done := ctx.Done()
-	canceled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
+	// sample fills n (and np when non-nil) at the ascending us.
+	sample := func(us, n, np []float64) error {
+		for lo := 0; lo < len(us); lo += tableChunk {
+			if ctx.Err() != nil {
+				return fmt.Errorf("fettoy: table build canceled: %w", context.Cause(ctx))
+			}
+			hi := min(lo+tableChunk, len(us))
+			var npc []float64
+			if np != nil {
+				npc = np[lo:hi]
+			}
+			m.sampleN(us[lo:hi], n[lo:hi], npc)
 		}
+		return nil
 	}
 
-	type node struct{ u, n, np float64 }
-	at := func(u float64) node { return node{u, m.N(u), m.NPrime(u)} }
-
-	init := make([]node, opt.InitIntervals+1)
+	nodes := opt.InitIntervals + 1
+	u, n, np := make([]float64, nodes), make([]float64, nodes), make([]float64, nodes)
+	for i := range u {
+		u[i] = opt.UMin + (opt.UMax-opt.UMin)*float64(i)/float64(opt.InitIntervals)
+	}
+	if err := sample(u, n, np); err != nil {
+		return nil, err
+	}
 	scale := 0.0
-	for i := range init {
-		if canceled() {
-			return nil, fmt.Errorf("fettoy: table build canceled: %w", context.Cause(ctx))
-		}
-		u := opt.UMin + (opt.UMax-opt.UMin)*float64(i)/float64(opt.InitIntervals)
-		init[i] = at(u)
-		if a := math.Abs(init[i].n); a > scale {
-			scale = a
-		}
+	for _, v := range n {
+		scale = max(scale, math.Abs(v))
 	}
 	floor := 1e-9 * scale
+	within := func(pred, sampled float64) bool {
+		return math.Abs(pred-sampled) <= opt.RelTol*(math.Abs(sampled)+floor)
+	}
 
-	out := make([]node, 0, 4*len(init))
-	budget := opt.MaxNodes - len(init)
-	var refine func(a, b node, depth int)
-	refine = func(a, b node, depth int) {
-		if depth <= 0 || budget <= 0 || canceled() {
-			return
+	// open lists the left nodes of the intervals still refining.
+	open := make([]int, opt.InitIntervals)
+	for i := range open {
+		open[i] = i
+	}
+	budget := opt.MaxNodes - nodes
+	for level := 0; level < tableDepth && len(open) > 0 && budget > 0; level++ {
+		mu, mn, mnp := make([]float64, len(open)), make([]float64, len(open)), make([]float64, len(open))
+		for j, i := range open {
+			mu[j] = 0.5 * (u[i] + u[i+1])
 		}
-		um := 0.5 * (a.u + b.u)
-		nm := m.N(um)
-		// Hermite prediction at the midpoint (t = 1/2).
-		h := b.u - a.u
-		m0, m1 := a.np*h, b.np*h
-		pred := 0.5*(a.n+b.n) + 0.125*(m0-m1)
-		if math.Abs(pred-nm) <= opt.RelTol*(math.Abs(nm)+floor) {
-			// The midpoint alone under-detects asymmetric error (the
-			// exponential tail at low T peaks off-centre); confirm with
-			// the quarter point before accepting the interval.
-			uq := a.u + 0.25*h
-			nq := m.N(uq)
-			predQ := 0.84375*a.n + 0.140625*m0 + 0.15625*b.n - 0.046875*m1
-			if math.Abs(predQ-nq) <= opt.RelTol*(math.Abs(nq)+floor) {
-				return
+		if err := sample(mu, mn, mnp); err != nil {
+			return nil, err
+		}
+		// split[j] reports whether open interval j is bisected. The
+		// midpoint alone under-detects asymmetric error (the exponential
+		// tail at low T peaks off-centre), so an interval passing it is
+		// confirmed at its quarter point, also as one batch.
+		split := make([]bool, len(open))
+		var quarter []int // open intervals whose quarter point qu samples
+		var qu []float64
+		for j, i := range open {
+			h := u[i+1] - u[i]
+			m0, m1 := np[i]*h, np[i+1]*h
+			if pred := 0.5*(n[i]+n[i+1]) + 0.125*(m0-m1); within(pred, mn[j]) {
+				quarter = append(quarter, j)
+				qu = append(qu, u[i]+0.25*h)
+			} else {
+				split[j] = true
 			}
 		}
-		mid := node{um, nm, m.NPrime(um)}
-		budget--
-		refine(a, mid, depth-1)
-		out = append(out, mid)
-		refine(mid, b, depth-1)
-	}
-	for i := 0; i+1 < len(init); i++ {
-		out = append(out, init[i])
-		refine(init[i], init[i+1], 12)
-	}
-	out = append(out, init[len(init)-1])
-	if canceled() {
-		return nil, fmt.Errorf("fettoy: table build canceled: %w", context.Cause(ctx))
-	}
+		qn := make([]float64, len(qu))
+		if err := sample(qu, qn, nil); err != nil {
+			return nil, err
+		}
+		for k, j := range quarter {
+			i := open[j]
+			h := u[i+1] - u[i]
+			m0, m1 := np[i]*h, np[i+1]*h
+			predQ := 0.84375*n[i] + 0.140625*m0 + 0.15625*n[i+1] - 0.046875*m1
+			split[j] = !within(predQ, qn[k])
+		}
 
-	d := &tableData{
-		u:     make([]float64, len(out)),
-		n:     make([]float64, len(out)),
-		np:    make([]float64, len(out)),
-		scale: scale,
+		// Insert the accepted midpoints; both halves of a split interval
+		// stay open for the next level.
+		splits := 0
+		for j := range split {
+			if split[j] && splits < budget {
+				splits++
+			} else {
+				split[j] = false
+			}
+		}
+		budget -= splits
+		nu := make([]float64, 0, len(u)+splits)
+		nn := make([]float64, 0, len(u)+splits)
+		nnp := make([]float64, 0, len(u)+splits)
+		next := make([]int, 0, 2*splits)
+		j := 0
+		for i := range u {
+			nu, nn, nnp = append(nu, u[i]), append(nn, n[i]), append(nnp, np[i])
+			if j < len(open) && open[j] == i {
+				if split[j] {
+					next = append(next, len(nu)-1, len(nu))
+					nu, nn, nnp = append(nu, mu[j]), append(nn, mn[j]), append(nnp, mnp[j])
+				}
+				j++
+			}
+		}
+		u, n, np, open = nu, nn, nnp, next
 	}
-	for i, nd := range out {
-		d.u[i] = nd.u
-		d.n[i] = nd.n
-		d.np[i] = nd.np
-	}
-	return d, nil
+	return &tableData{u: u, n: n, np: np, scale: scale}, nil
 }

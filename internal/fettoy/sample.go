@@ -34,6 +34,10 @@ const (
 	sampleExpMax = 700
 	// sampleChunk bounds the per-sample scratch kept on the stack.
 	sampleChunk = 256
+	// tableChunk is the most samples sampleN takes at once. Each batch
+	// builds its rule around its own highest level, so a short batch of
+	// ascending samples low on the axis gets a coarser, shorter rule.
+	tableChunk = 64
 )
 
 // SampleNS writes q·NS(vsc) in C/m for every self-consistent voltage of
@@ -120,11 +124,114 @@ func (m *Model) SampleNS(vscs, out []float64) {
 	metrics.quadPoints.Add(points * grid)
 }
 
+// sampleN writes N(u) into n and, when np is non-nil, N′(u) = dN/du
+// into np for every Fermi level u of us (in eV, finite; at most
+// tableChunk of them, ascending for the tightest rule). It is the charge
+// table's batch form of N and NPrime: all samples share SampleNS's rule,
+// built around the batch's highest level, so the inner loops run no exp
+// and no sqrt. With ab = a_k·b_i = exp((ε_k − u_i)/kT) the Fermi factor
+// is 1/(1 + ab) and its derivative in u is 1/(kT·(2 + ab + 1/ab)),
+// which is finite for every ab in [0, +Inf]. A sample more than 600 kT
+// below the top level, and every sample of a batch whose top is 600 kT
+// above the first subband, goes through N and NPrime. Each quantity
+// counts fettoy.integral_evals and fettoy.quad_points as a call of N or
+// NPrime would.
+func (m *Model) sampleN(us, n, np []float64) {
+	if len(us) == 0 {
+		return
+	}
+	kT := m.kT
+	uTop := us[0]
+	for _, u := range us[1:] {
+		uTop = max(uTop, u)
+	}
+	shared := uTop/kT <= sampleMaxKT
+	var bbuf [tableChunk]float64
+	bs := bbuf[:len(us)]
+	n = n[:len(us)]
+	for i, u := range us {
+		// b_i = exp((uTop − u_i)/kT) ∈ [1, e^600]; a sample the shared
+		// rule does not serve gets +Inf, so every node adds exactly 0.
+		if t := (uTop - u) / kT; shared && t <= sampleMaxKT {
+			bs[i] = math.Exp(t)
+		} else {
+			bs[i] = math.Inf(1)
+		}
+		n[i] = 0
+	}
+	if np != nil {
+		np = np[:len(us)]
+		clear(np)
+	}
+	var points int64
+	if shared {
+		for _, band := range m.bands {
+			r := m.thetaRule(band, uTop, 1)
+			points += int64(r.nodes)
+			for k := 0; k < r.nodes; k++ {
+				w, a := r.node(k)
+				for i, b := range bs {
+					n[i] += w / (1 + a*b)
+				}
+				if np != nil {
+					wp := w / kT
+					for i, b := range bs {
+						ab := a * b
+						np[i] += wp / (2 + ab + 1/ab)
+					}
+				}
+			}
+		}
+	}
+	var grid int64
+	for i, u := range us {
+		if !math.IsInf(bs[i], 1) {
+			grid++
+			continue
+		}
+		n[i] = m.N(u) // counts itself
+		if np != nil {
+			np[i] = m.NPrime(u)
+		}
+	}
+	if np != nil {
+		grid *= 2
+	}
+	metrics.integralEvals.Add(grid)
+	m.localIntegrals.Add(grid)
+	metrics.quadPoints.Add(points * grid)
+}
+
 // sampleBand adds one subband's share of q·NS to acc[i] for every
 // sample i with Fermi factor 1/(1 + a_k·bs[i]) and returns the number of
 // nodes it used. The nodes stream through with k as the outer loop, so
 // the rule needs no storage of its own.
 func (m *Model) sampleBand(band bandstruct.Subband, uTop float64, bs, acc []float64) int64 {
+	r := m.thetaRule(band, uTop, 0.5*units.Q) // q·NS = ½·q·N
+	acc = acc[:len(bs)]
+	for k := 0; k < r.nodes; k++ {
+		w, a := r.node(k)
+		for i, b := range bs {
+			acc[i] += w / (1 + a*b)
+		}
+	}
+	return int64(r.nodes)
+}
+
+// thetaRule is one subband's trapezoidal rule in θ after E = Ep·cosh θ,
+// built around a reference Fermi level uTop: the step, the node count
+// and, per node, the weight and the Fermi exponential. SampleNS and
+// sampleN both derive their nodes from it, so the two samplers share
+// one accuracy argument (DESIGN §5).
+type thetaRule struct {
+	ep, e1, uTop, kT float64
+	h, scale         float64 // step and the weight of cosh θ_k
+	nodes            int
+}
+
+// thetaRule builds the rule for band around uTop; every node weight
+// carries the factor pre (0.5·q for q·NS, 1 for N).
+func (m *Model) thetaRule(band bandstruct.Subband, uTop, pre float64) thetaRule {
 	kT := m.kT
 	ep := band.EMin + m.e1 // minimum from mid-gap
 	x0 := uTop + m.e1      // highest Fermi level on the same axis
@@ -133,30 +240,31 @@ func (m *Model) sampleBand(band bandstruct.Subband, uTop float64, bs, acc []floa
 	d := imag(cmplx.Acosh(complex(x0, math.Pi*kT) / complex(ep, 0)))
 	h := min(d/samplePoleSteps, sampleEdgeStep*math.Sqrt(kT/ep))
 	thetaMax := math.Acosh((max(x0, ep) + sampleCutKT*kT) / ep)
-	nodes := int(math.Ceil(thetaMax/h)) + 1
-
-	// ½·q·deg·Ep·h·cosh θ_k is the node weight of q·NS = ½·q·N.
+	// deg·Ep·h·cosh θ_k is the node weight of N.
 	deg := float64(band.Degeneracy) / 2 * bandstruct.D0()
-	scale := 0.5 * units.Q * deg * ep * h
-	acc = acc[:len(bs)]
-	for k := 0; k < nodes; k++ {
-		c := math.Cosh(float64(k) * h)
-		w := scale * c
-		if k == 0 {
-			w *= 0.5 // the even integrand's trapezoid on [0, ∞)
-		}
-		// a_k = exp((ε_k − uTop)/kT) with the exponent clamped to
-		// ±700, so a_k is finite and non-zero and a_k·b_i is never 0·Inf:
-		// no NaN can arise. Overflow of the product to +Inf gives F = 0,
-		// the correct limit. The clamp never changes a served F: above
-		// +700 both the true and the clamped factor are below e^-700,
-		// and below -700 both exponents stay under -100 (b_i ≤ e^600),
-		// where F rounds to 1.
-		s := (ep*c - m.e1 - uTop) / kT
-		a := math.Exp(max(-sampleExpMax, min(s, sampleExpMax)))
-		for i, b := range bs {
-			acc[i] += w / (1 + a*b)
-		}
+	return thetaRule{
+		ep: ep, e1: m.e1, uTop: uTop, kT: kT,
+		h:     h,
+		scale: pre * deg * ep * h,
+		nodes: int(math.Ceil(thetaMax/h)) + 1,
 	}
-	return int64(nodes)
+}
+
+// node returns node k's weight w and a = exp((ε_k − uTop)/kT). A
+// sample at Fermi level u with b = exp((uTop − u)/kT) has Fermi factor
+// 1/(1 + a·b) at the node.
+func (r *thetaRule) node(k int) (w, a float64) {
+	c := math.Cosh(float64(k) * r.h)
+	w = r.scale * c
+	if k == 0 {
+		w *= 0.5 // the even integrand's trapezoid on [0, ∞)
+	}
+	// The exponent is clamped to ±700, so a is finite and non-zero and
+	// a·b is never 0·Inf: no NaN can arise. Overflow of the product to
+	// +Inf gives F = 0, the correct limit. The clamp never changes a
+	// served F: above +700 both the true and the clamped factor are
+	// below e^-700, and below -700 both exponents stay under -100
+	// (b ≤ e^600), where F rounds to 1.
+	s := (r.ep*c - r.e1 - r.uTop) / r.kT
+	return w, math.Exp(max(-sampleExpMax, min(s, sampleExpMax)))
 }

@@ -186,3 +186,63 @@ func BenchmarkSampleNS(b *testing.B) {
 		m.SampleNS(vscs, out)
 	}
 }
+
+func TestSampleNAccuracy(t *testing.T) {
+	temps := []float64{150, 300, 450}
+	if testing.Short() {
+		temps = []float64{150}
+	}
+	// |Δ| ≤ 1e-12·D0 for N; N′ peaks at ~D0/kT, so its bound adds
+	// 1e-11 relative.
+	bound := 1e-12 * bandstruct.D0()
+	worst, worstP := 0.0, 0.0
+	for name, base := range sampleDevices() {
+		for _, temp := range temps {
+			dev := base
+			dev.T = temp
+			m, err := New(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := preciseModel(t, dev)
+			// One chunk spanning the table's default window, and one short
+			// chunk low on the axis with its own coarser rule.
+			for _, us := range [][]float64{
+				units.Linspace(dev.EF-1.3, dev.EF+1.4, tableChunk),
+				units.Linspace(dev.EF-1.3, dev.EF-0.9, 5),
+			} {
+				n, np := make([]float64, len(us)), make([]float64, len(us))
+				m.sampleN(us, n, np)
+				nOnly := make([]float64, len(us))
+				m.sampleN(us, nOnly, nil)
+				for i, u := range us {
+					if nOnly[i] != n[i] {
+						t.Fatalf("%s T=%g: N(%g) %.17g alone, %.17g beside N′", name, temp, u, nOnly[i], n[i])
+					}
+					wantP := ref.NPrime(u)
+					d, dp := math.Abs(n[i]-ref.N(u)), math.Abs(np[i]-wantP)
+					worst, worstP = math.Max(worst, d), math.Max(worstP, dp)
+					if !(d <= bound && dp <= bound+1e-11*math.Abs(wantP)) {
+						t.Fatalf("%s T=%g: u=%g: N %.17g vs %.17g, N′ %.17g vs %.17g",
+							name, temp, u, n[i], ref.N(u), np[i], ref.NPrime(u))
+					}
+				}
+			}
+		}
+	}
+	t.Logf("worst |Δ| N %.3g·D0, N′ %.3g·D0/eV", worst/bandstruct.D0(), worstP/bandstruct.D0())
+
+	// At 150 K, 600 kT ≈ 7.8 eV: a level 9 eV below the batch's top
+	// drops out of the shared rule and is integrated by N and NPrime.
+	cold := Default()
+	cold.T = 150
+	mc, err := New(cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, np := make([]float64, 2), make([]float64, 2)
+	mc.sampleN([]float64{-9, 0}, n, np)
+	if n[0] != mc.N(-9) || np[0] != mc.NPrime(-9) {
+		t.Fatalf("out-of-span sample (%.17g, %.17g), N and NPrime give (%.17g, %.17g)", n[0], np[0], mc.N(-9), mc.NPrime(-9))
+	}
+}

@@ -18,7 +18,7 @@ import (
 // Layout, all little-endian:
 //
 //	offset  size  field
-//	0       8     magic "CNTTABv1"
+//	0       8     magic "CNTTABv2"
 //	8       ...   snapshotHeader (fixed-size struct, binary.Write)
 //	...     8*n   u nodes (float64 × Nodes)
 //	...     8*n   N values
@@ -29,11 +29,17 @@ import (
 // parameter and every TableOption — and ReadSnapshot refuses a
 // snapshot whose identity differs from the receiving table's, so a
 // stale file can degrade a replica to a rebuild but never to wrong
-// physics. The version lives in the magic: an incompatible layout
-// gets a new magic, and old readers reject it outright.
+// physics. The version lives in the magic: an incompatible layout or
+// a different grid builder gets a new magic, and old readers reject it
+// outright. Version 2 has version 1's layout; its grids come from the
+// breadth-first builder on the shared θ-rule (DESIGN §7). Version 1
+// grids were refined against the adaptive N, whose band-edge error they
+// carry, so they are refused by their magic and rebuilt rather than
+// served: replicas that rebuild and replicas that load then hold the
+// same grid bit for bit.
 
-// snapshotMagic identifies format version 1.
-const snapshotMagic = "CNTTABv1"
+// snapshotMagic identifies format version 2.
+const snapshotMagic = "CNTTABv2"
 
 // snapshotHeader is the fixed-size identity-and-shape block. All
 // fields are exported for encoding/binary; the struct itself stays

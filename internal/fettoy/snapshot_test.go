@@ -164,8 +164,12 @@ func TestSnapshotEdgeCases(t *testing.T) {
 	if _, err := ReadSnapshotInfo(bytes.NewReader(buf.Bytes()[:buf.Len()/2])); err == nil {
 		t.Fatal("truncated snapshot accepted")
 	}
-	bad := append([]byte("NOTATBLE"), buf.Bytes()[8:]...)
-	if _, err := ReadSnapshotInfo(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Fatalf("bad magic accepted: %v", err)
+	// A version-1 table, from the adaptive builder, is refused like any
+	// foreign magic.
+	for _, magic := range []string{"NOTATBLE", "CNTTABv1"} {
+		bad := append([]byte(magic), buf.Bytes()[8:]...)
+		if _, err := ReadSnapshotInfo(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "magic") {
+			t.Fatalf("magic %q accepted: %v", magic, err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package server
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,6 +79,53 @@ func TestSnapshotIdentityMismatchRebuilds(t *testing.T) {
 	// Two builds: the clean server's and the snapshot server's rebuild.
 	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 2 {
 		t.Fatalf("table builds delta = %d, want 2 (clean + rebuild)", d)
+	}
+}
+
+// TestSnapshotV1FormatRebuilds pins the format bump: a CNTTABv1 table,
+// written by the adaptive builder, must be refused by its magic even
+// when its checksum and identity are valid, counted as a
+// server.snapshot.errors, and rebuilt into exactly the grid a fresh
+// build makes — answer and re-persisted CNTTABv2 file byte for byte —
+// so replicas that load and replicas that build never disagree.
+func TestSnapshotV1FormatRebuilds(t *testing.T) {
+	reg := telemetry.Default()
+	freshDir, v1Dir := t.TempDir(), t.TempDir()
+
+	clean := decodeJob(t, post(t, New(Config{SnapshotDir: freshDir}).Handler(), refBody))
+	fresh, err := os.ReadFile(refSnapshotPath(t, freshDir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(fresh, []byte("CNTTABv2")) {
+		t.Fatalf("fresh snapshot starts %q, want CNTTABv2", fresh[:8])
+	}
+	// Only the version is wrong: same grid, checksum fixed up.
+	v1 := append([]byte("CNTTABv1"), fresh[8:len(fresh)-4]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	path := refSnapshotPath(t, v1Dir)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	errsBefore := reg.Counter(telemetry.KeyServerSnapshotErrors).Value()
+	buildsBefore := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
+	loadsBefore := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value()
+	got := decodeJob(t, post(t, New(Config{SnapshotDir: v1Dir}).Handler(), refBody))
+	if got.IDS != clean.IDS { //lint:allow floatcmp a refused snapshot must end in a bit-identical rebuild
+		t.Fatalf("v1 snapshot changed the answer: %g, want %g", got.IDS, clean.IDS)
+	}
+	if d := reg.Counter(telemetry.KeyServerSnapshotErrors).Value() - errsBefore; d != 1 {
+		t.Fatalf("server.snapshot.errors delta = %d, want 1", d)
+	}
+	if d := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value() - loadsBefore; d != 0 {
+		t.Fatalf("v1 snapshot was loaded: loads delta = %d, want 0", d)
+	}
+	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 1 {
+		t.Fatalf("table builds delta = %d, want 1", d)
+	}
+	if rebuilt, err := os.ReadFile(path); err != nil || !bytes.Equal(rebuilt, fresh) {
+		t.Fatalf("rebuild re-persisted %d bytes differing from the fresh build's %d (err %v)", len(rebuilt), len(fresh), err)
 	}
 }
 

@@ -66,8 +66,14 @@ func specCacheKey(spec ModelSpec, dev fettoy.Device) cacheKey {
 func (m ModelSpec) Key() string {
 	dev, err := m.device()
 	if err != nil {
-		return fmt.Sprintf("%s/%s/T=%g/EF=%v",
-			familyOrDefault(m.Family), presetOrDefault(m.Device), m.T, m.EF)
+		// Render the EF override's value, not its pointer: the key must
+		// be the same string for every decode of the same body.
+		ef := "preset"
+		if m.EF != nil {
+			ef = fmt.Sprintf("%g", *m.EF)
+		}
+		return fmt.Sprintf("%s/%s/T=%g/EF=%s",
+			familyOrDefault(m.Family), presetOrDefault(m.Device), m.T, ef)
 	}
 	return specCacheKey(m, dev).String()
 }
