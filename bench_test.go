@@ -71,7 +71,7 @@ func paperFamily(b *testing.B, m Transistor) {
 	vds := units.Linspace(0, 0.6, 61)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Family(m, vgs, vds); err != nil {
+		if _, err := Family(context.Background(), m, vgs, vds, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -131,7 +131,7 @@ func benchAccuracyCell(b *testing.B, ef, temp float64, spec Spec) {
 	}
 	vgs := sweep.TableGates()
 	vds := units.Linspace(0, 0.6, 31)
-	famRef, err := Family(ref, vgs, vds)
+	famRef, err := Family(context.Background(), ref, vgs, vds, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func benchAccuracyCell(b *testing.B, ef, temp float64, spec Spec) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fam, err := Family(m, vgs, vds)
+		fam, err := Family(context.Background(), m, vgs, vds, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func benchFigureFamily(b *testing.B, temp, ef float64, vgs []float64, spec Spec)
 	vds := units.Linspace(0, 0.6, 61)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Family(m, vgs, vds); err != nil {
+		if _, err := Family(context.Background(), m, vgs, vds, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -305,7 +305,7 @@ func BenchmarkFig10_JaveyFamily_Model1(b *testing.B) {
 	vds := expdata.PaperVDS(41)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Family(m, expdata.PaperGates(), vds); err != nil {
+		if _, err := Family(context.Background(), m, expdata.PaperGates(), vds, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -323,7 +323,7 @@ func BenchmarkFig11_JaveyFamily_Model2(b *testing.B) {
 	vds := expdata.PaperVDS(41)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Family(m, expdata.PaperGates(), vds); err != nil {
+		if _, err := Family(context.Background(), m, expdata.PaperGates(), vds, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -379,7 +379,7 @@ func ablationRMS(b *testing.B, spec Spec, opt FitOptions) {
 	s := getShared(b)
 	vgs := sweep.TableGates()
 	vds := units.Linspace(0, 0.6, 31)
-	famRef, err := Family(s.ref, vgs, vds)
+	famRef, err := Family(context.Background(), s.ref, vgs, vds, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -390,7 +390,7 @@ func ablationRMS(b *testing.B, spec Spec, opt FitOptions) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		fam, err := Family(m, vgs, vds)
+		fam, err := Family(context.Background(), m, vgs, vds, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -440,15 +440,17 @@ func BenchmarkAblation_Model2_MultiTemp(b *testing.B) {
 	ablationRMS(b, Model2Spec(), FitOptions{TrainTemps: []float64{150, 300, 450}})
 }
 
-// Serial vs parallel reference sweeps (the piecewise models do not
-// benefit — scheduling costs more than the solve).
+// One worker vs the default worker count on the reference model (the
+// piecewise models barely benefit — scheduling costs about as much as
+// the solve). cntbench -sweepbench times the legacy point-per-task
+// scheduler against these.
 func BenchmarkFamilyParallel_FETToy(b *testing.B) {
 	s := getShared(b)
 	vgs := sweep.PaperGates()
 	vds := units.Linspace(0, 0.6, 31)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FamilyParallel(s.ref, vgs, vds, 0); err != nil {
+		if _, err := Family(context.Background(), s.ref, vgs, vds, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -460,35 +462,7 @@ func BenchmarkFamilySerial_FETToy(b *testing.B) {
 	vds := units.Linspace(0, 0.6, 31)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Family(s.ref, vgs, vds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Legacy point-per-task scheduler vs the chunked warm-starting one, on
-// the same direct-quadrature reference (isolates scheduling +
-// continuation from tabulation; cntbench -sweepbench measures the
-// combined engine).
-func BenchmarkFamilyParallel_Legacy(b *testing.B) {
-	s := getShared(b)
-	vgs := sweep.PaperGates()
-	vds := units.Linspace(0, 0.6, 31)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sweep.FamilyParallelLegacy(s.ref, vgs, vds, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFamilyParallel_Chunked(b *testing.B) {
-	s := getShared(b)
-	vgs := sweep.PaperGates()
-	vds := units.Linspace(0, 0.6, 31)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sweep.FamilyParallel(context.Background(), s.ref, vgs, vds, 0); err != nil {
+		if _, err := Family(context.Background(), s.ref, vgs, vds, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"cntfet"
-	"cntfet/internal/engine"
 	"cntfet/internal/report"
 	"cntfet/internal/sweep"
 	"cntfet/internal/telemetry"
@@ -85,7 +84,7 @@ func main() {
 	}
 	if err := run(ctx, counts, *points, options{metrics: *metrics, traceFile: *traceFile}); err != nil {
 		fmt.Fprintln(os.Stderr, "cntbench:", err)
-		if errors.Is(err, engine.ErrCanceled) {
+		if errors.Is(err, context.Canceled) {
 			os.Exit(130)
 		}
 		os.Exit(1)
@@ -154,23 +153,23 @@ func run(ctx context.Context, counts []int, points int, opt options) error {
 		vds[i] = 0.6 * float64(i) / float64(points-1)
 	}
 
-	// One engine job per (model, loop count): Repeat re-runs the family
-	// inside the job, Strategy Serial preserves the paper's Table I
-	// protocol (plain row-by-row evaluation, no batching or workers),
-	// and Result.Elapsed is the measured wall time.
+	// The paper's Table I protocol: n plain evaluations of the family,
+	// one independent solve per bias point (sweep.Trace per gate, no
+	// batching, warm starts or workers), timed as a whole. The context
+	// is checked between curves.
 	timeLoops := func(m cntfet.Transistor, n int) (time.Duration, error) {
-		res, err := engine.Run(ctx, engine.Request{
-			Kind:     engine.FamilySweep,
-			Model:    m,
-			Gates:    vgs,
-			Drains:   vds,
-			Strategy: engine.Serial,
-			Repeat:   n,
-		})
-		if err != nil {
-			return 0, err
+		start := time.Now()
+		for i := 0; i < n; i++ {
+			for _, vg := range vgs {
+				if err := context.Cause(ctx); err != nil {
+					return 0, fmt.Errorf("table I: %w", err)
+				}
+				if _, err := sweep.Trace(m, vg, vds); err != nil {
+					return 0, err
+				}
+			}
 		}
-		return res.Elapsed, nil
+		return time.Since(start), nil
 	}
 
 	var rows []row

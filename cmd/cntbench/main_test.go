@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -209,14 +211,16 @@ func TestRunMetricsJSON(t *testing.T) {
 
 // TestRunScaleBenchJSON checks the BENCH_scale.json schema: one curve
 // per family over the requested worker ladder, sane efficiency
-// normalisation, and the expected per-family work fingerprints.
+// normalisation, oversubscribed points marked, and the expected
+// per-family work fingerprints.
 func TestRunScaleBenchJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing run")
 	}
 	defer telemetry.Disable()
 	out := t.TempDir() + "/BENCH_scale.json"
-	if err := runScaleBench(13, 1, "1,2", out); err != nil {
+	over := runtime.GOMAXPROCS(0) + 1 // the ladder's second point is always oversubscribed
+	if err := runScaleBench(13, 1, fmt.Sprintf("1,%d", over), out); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(out)
@@ -230,7 +234,7 @@ func TestRunScaleBenchJSON(t *testing.T) {
 	if doc.Gates != 7 || doc.Points != 13 || doc.GOMAXPROCS <= 0 {
 		t.Fatalf("grid metadata: %+v", doc)
 	}
-	if len(doc.WorkerCounts) != 2 || doc.WorkerCounts[0] != 1 || doc.WorkerCounts[1] != 2 {
+	if len(doc.WorkerCounts) != 2 || doc.WorkerCounts[0] != 1 || doc.WorkerCounts[1] != over {
 		t.Fatalf("worker ladder: %v", doc.WorkerCounts)
 	}
 	if len(doc.Families) != 2 || doc.Families[0].Family != "reference" || doc.Families[1].Family != "model1" {
@@ -251,6 +255,9 @@ func TestRunScaleBenchJSON(t *testing.T) {
 			}
 			if pt.Efficiency <= 0 {
 				t.Fatalf("%s[%d]: efficiency not normalised: %+v", curve.Family, i, pt)
+			}
+			if want := pt.Workers > doc.GOMAXPROCS; pt.Oversubscribed != want {
+				t.Fatalf("%s[%d]: oversubscribed = %v at %d workers, GOMAXPROCS %d", curve.Family, i, pt.Oversubscribed, pt.Workers, doc.GOMAXPROCS)
 			}
 		}
 		if e := curve.Points[0].Efficiency; e != 1 {

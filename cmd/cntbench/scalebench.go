@@ -19,10 +19,10 @@ import (
 // worker counts, once per model family (the table-backed reference and
 // the closed-form Model 1), producing BENCH_scale.json. Efficiency is
 // normalised against the same family's single-worker throughput, so
-// the curve reads as "what does the Nth worker buy" — on a
-// GOMAXPROCS=1 machine the ladder still includes oversubscribed
-// counts, which measure scheduling overhead rather than speedup, and
-// the recorded gomaxprocs disambiguates that.
+// the curve reads as "what does the Nth worker buy". The ladder may
+// include oversubscribed counts (workers > GOMAXPROCS), which measure
+// scheduling overhead rather than speedup; each such point is marked
+// oversubscribed in the JSON and the text output.
 
 // scalePoint is one (family, workers) measurement.
 type scalePoint struct {
@@ -33,8 +33,11 @@ type scalePoint struct {
 	PerWorkerPointsPerSec float64 `json:"per_worker_points_per_sec"`
 	// Efficiency is PointsPerSec / (Workers * single-worker
 	// PointsPerSec) for the same family: 1.0 is perfect linear scaling.
-	Efficiency float64          `json:"efficiency"`
-	Counters   map[string]int64 `json:"counters"`
+	Efficiency float64 `json:"efficiency"`
+	// Oversubscribed marks Workers > GOMAXPROCS: more workers than
+	// the Go scheduler runs at once.
+	Oversubscribed bool             `json:"oversubscribed,omitempty"`
+	Counters       map[string]int64 `json:"counters"`
 }
 
 // scaleFamilyCurve is one model family's scaling curve.
@@ -116,21 +119,22 @@ func runScaleBench(points, repeats int, workerList, outPath string) error {
 
 	measure := func(m cntfet.Transistor, workers int) (scalePoint, error) {
 		// Untimed warm-up settles one-time lazy state and the scheduler.
-		if _, err := sweep.FamilyParallel(context.Background(), m, vgs, vds, workers); err != nil {
+		if _, err := cntfet.Family(context.Background(), m, vgs, vds, workers); err != nil {
 			return scalePoint{}, err
 		}
 		mark := reg.CounterMark(nil)
 		start := time.Now()
 		for i := 0; i < repeats; i++ {
-			if _, err := sweep.FamilyParallel(context.Background(), m, vgs, vds, workers); err != nil {
+			if _, err := cntfet.Family(context.Background(), m, vgs, vds, workers); err != nil {
 				return scalePoint{}, err
 			}
 		}
 		secs := time.Since(start).Seconds()
 		pt := scalePoint{
-			Workers:  workers,
-			Seconds:  secs,
-			Counters: sweepCounters(reg.CounterDelta(mark)),
+			Workers:        workers,
+			Seconds:        secs,
+			Oversubscribed: workers > runtime.GOMAXPROCS(0),
+			Counters:       sweepCounters(reg.CounterDelta(mark)),
 		}
 		if secs > 0 {
 			pt.PointsPerSec = float64(grid) / secs
@@ -191,8 +195,12 @@ func runScaleBench(points, repeats int, workerList, outPath string) error {
 		for _, curve := range doc.Families {
 			fmt.Printf("  %s:\n", curve.Family)
 			for _, pt := range curve.Points {
-				fmt.Printf("    %2d workers: %.3g points/s (%.0f%% efficiency)\n",
-					pt.Workers, pt.PointsPerSec, pt.Efficiency*100)
+				mark := ""
+				if pt.Oversubscribed {
+					mark = " [oversubscribed]"
+				}
+				fmt.Printf("    %2d workers: %.3g points/s (%.0f%% efficiency)%s\n",
+					pt.Workers, pt.PointsPerSec, pt.Efficiency*100, mark)
 			}
 		}
 	}

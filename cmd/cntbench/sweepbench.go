@@ -174,15 +174,15 @@ func runSweepBench(points, repeats, workers int, outPath string, assertFaster bo
 
 	// Untimed warm-up of all paths; the results double as the accuracy
 	// cross-checks (engine-vs-engine and model-vs-reference).
-	famLegacy, err := sweep.FamilyParallelLegacy(refLegacy, vgs, vds, workers)
+	famLegacy, err := familyLegacy(refLegacy, vgs, vds, workers)
 	if err != nil {
 		return err
 	}
-	famBatched, err := sweep.FamilyParallel(context.Background(), refBatched, vgs, vds, workers)
+	famBatched, err := cntfet.Family(context.Background(), refBatched, vgs, vds, workers)
 	if err != nil {
 		return err
 	}
-	famClosed, err := sweep.FamilyParallel(context.Background(), m1, vgs, vds, workers)
+	famClosed, err := cntfet.Family(context.Background(), m1, vgs, vds, workers)
 	if err != nil {
 		return err
 	}
@@ -228,21 +228,21 @@ func runSweepBench(points, repeats, workers int, outPath string, assertFaster bo
 		TableNodes:              int64(tbl.Nodes()),
 	}
 	doc.Legacy, err = timePath(func() error {
-		_, err := sweep.FamilyParallelLegacy(refLegacy, vgs, vds, workers)
+		_, err := familyLegacy(refLegacy, vgs, vds, workers)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	doc.Batched, err = timePath(func() error {
-		_, err := sweep.FamilyParallel(context.Background(), refBatched, vgs, vds, workers)
+		_, err := cntfet.Family(context.Background(), refBatched, vgs, vds, workers)
 		return err
 	})
 	if err != nil {
 		return err
 	}
 	doc.ClosedForm, err = timePath(func() error {
-		_, err := sweep.FamilyParallel(context.Background(), m1, vgs, vds, workers)
+		_, err := cntfet.Family(context.Background(), m1, vgs, vds, workers)
 		return err
 	})
 	if err != nil {

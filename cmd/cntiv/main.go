@@ -164,15 +164,15 @@ func family(ctx context.Context, dev cntfet.Device, vgs, vds []float64, modelNo 
 		return err
 	}
 	// One RMS-compare job sweeps both models on the shared grid and
-	// scores the disagreement; Serial keeps the historical row-by-row
-	// evaluation order.
+	// scores the disagreement; one worker sweeps whole rows, so the
+	// output does not depend on the machine's core count.
 	res, err := engine.Run(ctx, engine.Request{
-		Kind:     engine.RMSCompare,
-		Model:    fast,
-		Ref:      ref,
-		Gates:    vgs,
-		Drains:   vds,
-		Strategy: engine.Serial,
+		Kind:    engine.RMSCompare,
+		Model:   fast,
+		Ref:     ref,
+		Gates:   vgs,
+		Drains:  vds,
+		Workers: 1,
 	})
 	if err != nil {
 		return err
@@ -214,12 +214,12 @@ func experimental(ctx context.Context, modelNo, points int, plot bool) error {
 	// Theory and piecewise model swept on the experimental grid; one
 	// RMS-compare job produces both families.
 	res, err := engine.Run(ctx, engine.Request{
-		Kind:     engine.RMSCompare,
-		Model:    fast,
-		Ref:      ref,
-		Gates:    ds.VG,
-		Drains:   ds.VDS,
-		Strategy: engine.Serial,
+		Kind:    engine.RMSCompare,
+		Model:   fast,
+		Ref:     ref,
+		Gates:   ds.VG,
+		Drains:  ds.VDS,
+		Workers: 1,
 	})
 	if err != nil {
 		return err

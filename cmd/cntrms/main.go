@@ -79,11 +79,11 @@ func accuracyTable(ctx context.Context, ef float64, title string, optimize bool)
 		// The reference family is swept once per temperature and reused
 		// as the precomputed RefFamily of both models' compare jobs.
 		refJob, err := engine.Run(ctx, engine.Request{
-			Kind:     engine.FamilySweep,
-			Model:    ref,
-			Gates:    vgs,
-			Drains:   vds,
-			Strategy: engine.Serial,
+			Kind:    engine.FamilySweep,
+			Model:   ref,
+			Gates:   vgs,
+			Drains:  vds,
+			Workers: 1,
 		})
 		if err != nil {
 			return err
@@ -100,7 +100,7 @@ func accuracyTable(ctx context.Context, ef float64, title string, optimize bool)
 				RefFamily: refJob.Family,
 				Gates:     vgs,
 				Drains:    vds,
-				Strategy:  engine.Serial,
+				Workers:   1,
 			})
 			if err != nil {
 				return err
@@ -170,7 +170,7 @@ func experimentTable(ctx context.Context, optimize bool) error {
 			RefFamily: expFam,
 			Gates:     vgs,
 			Drains:    vds,
-			Strategy:  engine.Serial,
+			Workers:   1,
 		})
 		if err != nil {
 			return err

@@ -166,50 +166,17 @@ func Trace(m Transistor, vg float64, vds []float64) (Curve, error) {
 	return sweep.Trace(m, vg, vds)
 }
 
-// FamilyContext sweeps one curve per gate voltage on a shared VDS
-// grid; both the vgs and vds grids are in volts (V). The context
-// cancels the sweep between points.
-func FamilyContext(ctx context.Context, m Transistor, vgs, vds []float64) ([]Curve, error) {
-	return sweep.Family(ctx, m, vgs, vds)
-}
-
-// Family is FamilyContext with a background context; the vgs and vds
-// grids are in volts (V). Kept as the convenience entry point for
-// non-cancellable callers.
-func Family(m Transistor, vgs, vds []float64) ([]Curve, error) {
-	return FamilyContext(context.Background(), m, vgs, vds) //lint:allow ctxpropagate documented non-cancellable convenience shim
-}
-
-// FamilyParallelContext is FamilyContext with worker goroutines and
-// chunked row scheduling — worthwhile for the reference model
-// (~100 µs per point on direct quadrature, ~1 µs tabulated); the
-// piecewise models are faster serially than the scheduling overhead
-// (use FamilyBatch). Workers thread warm-start continuation along
-// each VDS row. The vgs and vds grids are in volts (V); workers <= 0
-// uses GOMAXPROCS.
-func FamilyParallelContext(ctx context.Context, m Transistor, vgs, vds []float64, workers int) ([]Curve, error) {
-	return sweep.FamilyParallel(ctx, m, vgs, vds, workers)
-}
-
-// FamilyParallel is FamilyParallelContext with a background context;
-// the vgs and vds grids are in volts (V).
-func FamilyParallel(m Transistor, vgs, vds []float64, workers int) ([]Curve, error) {
-	return FamilyParallelContext(context.Background(), m, vgs, vds, workers) //lint:allow ctxpropagate documented non-cancellable convenience shim
-}
-
-// FamilyBatchContext is FamilyContext through the models' batched
-// evaluation path: each VDS row is one IDSBatch call, which amortises
-// per-point call overhead for the piecewise models and threads
-// warm-start continuation for the reference model. The vgs and vds
-// grids are in volts (V).
-func FamilyBatchContext(ctx context.Context, m Transistor, vgs, vds []float64) ([]Curve, error) {
-	return sweep.FamilyBatch(ctx, m, vgs, vds)
-}
-
-// FamilyBatch is FamilyBatchContext with a background context; the
-// vgs and vds grids are in volts (V).
-func FamilyBatch(m Transistor, vgs, vds []float64) ([]Curve, error) {
-	return FamilyBatchContext(context.Background(), m, vgs, vds) //lint:allow ctxpropagate documented non-cancellable convenience shim
+// Family sweeps one curve per gate voltage on a shared VDS grid; both
+// the vgs and vds grids are in volts (V). workers <= 0 uses GOMAXPROCS;
+// workers == 1 sweeps each VDS row as one batch on a single goroutine,
+// which keeps the reference model's warm-start continuation unbroken
+// along every row. The context cancels the sweep between chunks.
+func Family(ctx context.Context, m Transistor, vgs, vds []float64, workers int) ([]Curve, error) {
+	fam := make([]Curve, 0, len(vgs))
+	if err := sweep.FamilyParallelTo(ctx, m, vgs, vds, workers, sweep.Collect(&fam)); err != nil {
+		return nil, err
+	}
+	return fam, nil
 }
 
 // RMSPercent computes the paper's per-curve error metric

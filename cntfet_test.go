@@ -1,6 +1,7 @@
 package cntfet
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -57,11 +58,11 @@ func TestFamilyAndMetricsEndToEnd(t *testing.T) {
 	}
 	vgs := []float64{0.4, 0.6}
 	vds := []float64{0, 0.2, 0.4, 0.6}
-	famRef, err := Family(ref, vgs, vds)
+	famRef, err := Family(context.Background(), ref, vgs, vds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	famFast, err := Family(m2, vgs, vds)
+	famFast, err := Family(context.Background(), m2, vgs, vds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

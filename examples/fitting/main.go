@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -49,7 +50,7 @@ func main() {
 	}
 	vgs := sweep.TableGates()
 	vds := units.Linspace(0, 0.6, 31)
-	famTheory, err := cntfet.Family(theory, vgs, vds)
+	famTheory, err := cntfet.Family(context.Background(), theory, vgs, vds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func main() {
 		}
 		fitTime := time.Since(t0)
 
-		fam, err := cntfet.Family(m, vgs, vds)
+		fam, err := cntfet.Family(context.Background(), m, vgs, vds, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

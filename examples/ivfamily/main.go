@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -31,11 +32,11 @@ func main() {
 	vgs := sweep.PaperGates()
 	vds := units.Linspace(0, 0.6, 31)
 
-	famTheory, err := cntfet.Family(theory, vgs, vds)
+	famTheory, err := cntfet.Family(context.Background(), theory, vgs, vds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	famFast, err := cntfet.Family(fast, vgs, vds)
+	famFast, err := cntfet.Family(context.Background(), fast, vgs, vds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

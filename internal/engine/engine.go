@@ -2,7 +2,7 @@
 // and every front-end: one request/response job API over the unified
 // capability interfaces of internal/device. CLIs and the sweep-service
 // front-end (internal/server) build a Request, call Run with a context, and
-// print from the Result — model selection, sweep-strategy dispatch,
+// print from the Result — model selection, sweep scheduling,
 // cancellation, error classification and request-scoped telemetry all
 // live here instead of being re-implemented per front-end.
 //
@@ -14,9 +14,9 @@
 //	        └─ on failure: *JobError{Kind, Class, Err}  (see errors.go)
 //
 // Cancellation is cooperative and prompt: the context threads through
-// the sweep worker loops (checked per point), the batched row loop,
-// the Monte Carlo sample loop, the netlist analysis loop and the
-// adaptive charge-table build.
+// the sweep scheduler (checked per chunk, or per point for models
+// without a batch kernel), the Monte Carlo sample loop, the netlist
+// analysis loop and the adaptive charge-table build.
 package engine
 
 import (
@@ -73,27 +73,6 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Strategy selects how a family sweep is scheduled.
-type Strategy int
-
-// Sweep strategies.
-const (
-	// Auto picks Batch when Workers == 1 and Parallel otherwise —
-	// including the zero default, which FamilyParallel expands to
-	// GOMAXPROCS. A default request therefore saturates the machine;
-	// only an explicit Workers: 1 opts into the single-threaded batch
-	// path (which the reference model's warm-start continuation still
-	// prefers for strictly serial rows).
-	Auto Strategy = iota
-	// Serial forces the plain row-by-row Family loop (the paper's
-	// Table I benchmark protocol).
-	Serial
-	// Batch forces the device.BatchSolver path with serial fallback.
-	Batch
-	// Parallel forces the chunked worker scheduler.
-	Parallel
-)
-
 // Request describes one job. Kind selects which fields matter; the
 // per-kind validation rejects missing ones with ErrInvalidRequest.
 type Request struct {
@@ -114,9 +93,11 @@ type Request struct {
 	Bias fettoy.Bias
 	// Gates and Drains define the sweep grid (FamilySweep, RMSCompare).
 	Gates, Drains []float64
-	// Strategy and Workers steer sweep scheduling; see Strategy.
-	Strategy Strategy
-	Workers  int
+	// Workers steers sweep scheduling (sweep.FamilyParallelTo): 0
+	// means GOMAXPROCS, 1 sweeps whole rows on one goroutine — the
+	// reference model's warm-start chain then runs unbroken along each
+	// row.
+	Workers int
 	// Repeat re-runs a FamilySweep (benchmark loops). 0 means once.
 	Repeat int
 
@@ -269,45 +250,6 @@ func prebuild(ctx context.Context, m device.Solver) error {
 	return nil
 }
 
-// resolveStrategy maps Auto onto a concrete scheduler. Workers == 0
-// means "use GOMAXPROCS" to FamilyParallel, so the zero-value request
-// resolves to the parallel scheduler; only an explicit Workers: 1
-// keeps the serial batch path.
-func resolveStrategy(st Strategy, workers int) Strategy {
-	if st != Auto {
-		return st
-	}
-	if workers == 1 {
-		return Batch
-	}
-	return Parallel
-}
-
-// familyOnceTo runs one family sweep under the resolved strategy,
-// handing rows to emit in gate order as they complete.
-func familyOnceTo(ctx context.Context, req Request, m device.Solver, emit func(int, sweep.Curve) error) error {
-	switch resolveStrategy(req.Strategy, req.Workers) {
-	case Serial:
-		return sweep.FamilyTo(ctx, m, req.Gates, req.Drains, emit)
-	case Parallel:
-		return sweep.FamilyParallelTo(ctx, m, req.Gates, req.Drains, req.Workers, emit)
-	default:
-		return sweep.FamilyBatchTo(ctx, m, req.Gates, req.Drains, emit)
-	}
-}
-
-// familyOnce is the collecting wrapper over familyOnceTo.
-func familyOnce(ctx context.Context, req Request, m device.Solver) ([]sweep.Curve, error) {
-	out := make([]sweep.Curve, 0, len(req.Gates))
-	if err := familyOnceTo(ctx, req, m, func(_ int, c sweep.Curve) error {
-		out = append(out, c)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func validateGrid(req Request) error {
 	if req.Model == nil {
 		return invalidf("engine: %s needs Model", req.Kind)
@@ -333,18 +275,18 @@ func runFamily(ctx context.Context, req Request) (Result, error) {
 	for i := 0; i < repeat; i++ {
 		if req.Sink != nil && i == repeat-1 {
 			// Streaming iteration: rows leave through the sink as they
-			// complete and are not buffered — a million-point sweep
-			// holds one row at a time (batch path) instead of the whole
+			// complete and are not buffered — a million-point sweep at
+			// Workers: 1 holds one row at a time instead of the whole
 			// family. Earlier Repeat iterations (benchmark loops) run
-			// buffered and are discarded, as before.
-			if err := familyOnceTo(ctx, req, req.Model, rowEmit(req.Sink, false)); err != nil {
+			// buffered and are discarded.
+			if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, rowEmit(req.Sink, false)); err != nil {
 				return Result{}, err
 			}
 			res.Family = nil
 			continue
 		}
-		fam, err := familyOnce(ctx, req, req.Model)
-		if err != nil {
+		fam := make([]sweep.Curve, 0, len(req.Gates))
+		if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, sweep.Collect(&fam)); err != nil {
 			return Result{}, err
 		}
 		res.Family = fam
@@ -388,7 +330,7 @@ func runRMSCompare(ctx context.Context, req Request) (Result, error) {
 			}
 			return nil
 		}
-		if err := familyOnceTo(ctx, req, req.Ref, collect); err != nil {
+		if err := sweep.FamilyParallelTo(ctx, req.Ref, req.Gates, req.Drains, req.Workers, collect); err != nil {
 			return Result{}, err
 		}
 	} else if req.Sink != nil {
@@ -411,7 +353,7 @@ func runRMSCompare(ctx context.Context, req Request) (Result, error) {
 		}
 		return nil
 	}
-	if err := familyOnceTo(ctx, req, req.Model, collect); err != nil {
+	if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, collect); err != nil {
 		return Result{}, err
 	}
 	rms, err := sweep.CompareFamilies(fam, refFam)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cntfet/internal/core"
+	"cntfet/internal/device"
 	"cntfet/internal/fettoy"
 	"cntfet/internal/rootfind"
 	"cntfet/internal/sweep"
@@ -53,9 +54,20 @@ func sameFamilies(t *testing.T, label string, got, want []sweep.Curve) {
 	}
 }
 
+// directFamily runs the sweep scheduler straight into a Collect sink.
+func directFamily(t *testing.T, m device.Solver, vgs, vds []float64, workers int) []sweep.Curve {
+	t.Helper()
+	var fam []sweep.Curve
+	if err := sweep.FamilyParallelTo(context.Background(), m, vgs, vds, workers, sweep.Collect(&fam)); err != nil {
+		t.Fatal(err)
+	}
+	return fam
+}
+
 // TestFamilyGoldenEquivalence is the engine/direct equivalence gate:
 // for both model families and the three table temperatures, a
-// FamilySweep job must reproduce the direct sweep paths bit for bit.
+// FamilySweep job must reproduce the direct sweep bit for bit, at one
+// worker and at several.
 func TestFamilyGoldenEquivalence(t *testing.T) {
 	vgs := []float64{0.3, 0.45, 0.6}
 	vds := units.Linspace(0, 0.6, 13)
@@ -65,42 +77,23 @@ func TestFamilyGoldenEquivalence(t *testing.T) {
 		ref, fast := buildPair(t, dev)
 		for _, tc := range []struct {
 			name  string
-			model interface {
-				IDS(fettoy.Bias) (float64, error)
-			}
+			model device.Solver
 		}{{"reference", ref}, {"piecewise", fast}} {
-			label := fmt.Sprintf("T=%g/%s", temp, tc.name)
-			direct, err := sweep.FamilyBatch(context.Background(), tc.model, vgs, vds)
-			if err != nil {
-				t.Fatalf("%s: direct: %v", label, err)
+			for _, workers := range []int{1, 3} {
+				label := fmt.Sprintf("T=%g/%s/workers=%d", temp, tc.name, workers)
+				direct := directFamily(t, tc.model, vgs, vds, workers)
+				res, err := Run(context.Background(), Request{
+					Kind:    FamilySweep,
+					Model:   tc.model,
+					Gates:   vgs,
+					Drains:  vds,
+					Workers: workers,
+				})
+				if err != nil {
+					t.Fatalf("%s: engine: %v", label, err)
+				}
+				sameFamilies(t, label, res.Family, direct)
 			}
-			res, err := Run(context.Background(), Request{
-				Kind:     FamilySweep,
-				Model:    tc.model,
-				Gates:    vgs,
-				Drains:   vds,
-				Strategy: Batch,
-			})
-			if err != nil {
-				t.Fatalf("%s: engine: %v", label, err)
-			}
-			sameFamilies(t, label+"/batch", res.Family, direct)
-
-			directSerial, err := sweep.Family(context.Background(), tc.model, vgs, vds)
-			if err != nil {
-				t.Fatalf("%s: direct serial: %v", label, err)
-			}
-			resSerial, err := Run(context.Background(), Request{
-				Kind:     FamilySweep,
-				Model:    tc.model,
-				Gates:    vgs,
-				Drains:   vds,
-				Strategy: Serial,
-			})
-			if err != nil {
-				t.Fatalf("%s: engine serial: %v", label, err)
-			}
-			sameFamilies(t, label+"/serial", resSerial.Family, directSerial)
 		}
 	}
 }
@@ -137,24 +130,18 @@ func TestRMSCompareGoldenEquivalence(t *testing.T) {
 	ref, fast := buildPair(t, fettoy.Default())
 	vgs := []float64{0.4, 0.6}
 	vds := units.Linspace(0, 0.6, 9)
-	famRef, err := sweep.FamilyBatch(context.Background(), ref, vgs, vds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	famFast, err := sweep.FamilyBatch(context.Background(), fast, vgs, vds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	famRef := directFamily(t, ref, vgs, vds, 1)
+	famFast := directFamily(t, fast, vgs, vds, 1)
 	want, err := sweep.CompareFamilies(famFast, famRef)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Strategy pinned to Batch: the golden composition above is the
-	// batched path, and Auto now resolves to the parallel scheduler
-	// (whose chunked warm-start chains differ at float precision).
+	// Workers pinned to 1: the golden composition above runs whole
+	// rows, and the default worker count splits the reference model's
+	// warm-start chains differently (equal only at float precision).
 	res, err := Run(context.Background(), Request{
 		Kind: RMSCompare, Model: fast, Ref: ref, Gates: vgs, Drains: vds,
-		Strategy: Batch,
+		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +157,7 @@ func TestRMSCompareGoldenEquivalence(t *testing.T) {
 	// The precomputed-reference form must agree too.
 	res2, err := Run(context.Background(), Request{
 		Kind: RMSCompare, Model: fast, RefFamily: famRef, Gates: vgs, Drains: vds,
-		Strategy: Batch,
+		Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -318,12 +305,11 @@ func TestCancelMidSweep(t *testing.T) {
 	vgs := units.Linspace(0.1, 0.6, 8)
 	vds := units.Linspace(0, 0.6, 50) // 400 points x 2ms >> the 25ms budget
 	for _, tc := range []struct {
-		name     string
-		strategy Strategy
-		workers  int
+		name    string
+		workers int
 	}{
-		{"parallel", Parallel, 4},
-		{"serial-fallback", Batch, 0}, // slowSolver has no IDSBatch: row loop path
+		{"parallel", 4},
+		{"serial-fallback", 1}, // slowSolver has no IDSBatch: the per-point path
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()
@@ -332,12 +318,11 @@ func TestCancelMidSweep(t *testing.T) {
 			defer cancel()
 			start := time.Now()
 			res, err := Run(ctx, Request{
-				Kind:     FamilySweep,
-				Model:    m,
-				Gates:    vgs,
-				Drains:   vds,
-				Strategy: tc.strategy,
-				Workers:  tc.workers,
+				Kind:    FamilySweep,
+				Model:   m,
+				Gates:   vgs,
+				Drains:  vds,
+				Workers: tc.workers,
 			})
 			elapsed := time.Since(start)
 			if !errors.Is(err, ErrCanceled) {
@@ -471,37 +456,39 @@ func TestPrebuildCancellation(t *testing.T) {
 	}
 }
 
-// TestResolveStrategy pins the Auto mapping: the zero-value request
-// (Workers == 0, meaning GOMAXPROCS to FamilyParallel) must land on
-// the parallel scheduler; only an explicit Workers: 1 keeps the
-// single-threaded batch path. Explicit strategies pass through.
-func TestResolveStrategy(t *testing.T) {
-	cases := []struct {
-		st      Strategy
-		workers int
-		want    Strategy
-	}{
-		{Auto, 0, Parallel},
-		{Auto, 1, Batch},
-		{Auto, 2, Parallel},
-		{Auto, 16, Parallel},
-		{Serial, 0, Serial},
-		{Batch, 0, Batch},
-		{Parallel, 1, Parallel},
+// concurrencyProbe is a slow per-point model that records the most
+// callers it ever saw at once.
+type concurrencyProbe struct{ cur, max atomic.Int64 }
+
+func (p *concurrencyProbe) IDS(b fettoy.Bias) (float64, error) {
+	n := p.cur.Add(1)
+	for m := p.max.Load(); n > m && !p.max.CompareAndSwap(m, n); m = p.max.Load() {
 	}
-	for _, c := range cases {
-		if got := resolveStrategy(c.st, c.workers); got != c.want {
-			t.Errorf("resolveStrategy(%d, %d) = %d, want %d", c.st, c.workers, got, c.want)
-		}
-	}
+	time.Sleep(time.Millisecond)
+	p.cur.Add(-1)
+	return b.VG * b.VD, nil
 }
 
-// TestDefaultRequestRunsParallel is the regression test for the Auto
-// bug where Workers == 0 silently fell back to the single-threaded
-// batch path: a default FamilySweep request must leave per-worker
-// accounting (sweep.worker.*.points), which only the chunked parallel
-// scheduler records, and the per-worker totals must cover the grid.
+// TestDefaultRequestRunsParallel is the regression test for the bug
+// where Workers == 0 silently fell back to a single-threaded sweep: a
+// default FamilySweep request must solve on more than one goroutine
+// when GOMAXPROCS allows it, and its per-worker accounting
+// (sweep.worker.*.points) must cover the grid.
 func TestDefaultRequestRunsParallel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) > 1 {
+		probe := &concurrencyProbe{}
+		if _, err := Run(context.Background(), Request{
+			Kind:   FamilySweep,
+			Model:  probe,
+			Gates:  units.Linspace(0.2, 0.6, 4),
+			Drains: units.Linspace(0, 0.6, 8),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := probe.max.Load(); got < 2 {
+			t.Fatalf("default request solved on %d goroutine(s) at once, want >= 2 (GOMAXPROCS %d)", got, runtime.GOMAXPROCS(0))
+		}
+	}
 	telemetry.Enable()
 	defer telemetry.Disable()
 	_, fast := buildPair(t, fettoy.Default())
@@ -524,7 +511,7 @@ func TestDefaultRequestRunsParallel(t *testing.T) {
 	}
 	want := int64(len(gates) * len(drains))
 	if workerPts != want {
-		t.Fatalf("per-worker points = %d, want %d (default request did not run the parallel scheduler; metrics: %v)",
+		t.Fatalf("per-worker points = %d, want %d (metrics: %v)",
 			workerPts, want, res.Metrics)
 	}
 }

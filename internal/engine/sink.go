@@ -16,15 +16,18 @@ import (
 // Contract:
 //   - Events arrive in result order (rows by ascending gate index,
 //     reference rows before model rows in an RMSCompare; Monte Carlo
-//     partials by ascending Done) regardless of sweep strategy — the
-//     parallel scheduler reorders internally before emitting.
+//     partials by ascending Done) at any Workers — the scheduler
+//     reorders internally before emitting.
 //   - The rows streamed for a FamilySweep are bit-for-bit the curves
-//     the buffered Result.Family would hold; to keep the job's memory
-//     bounded by one row, Result.Family stays nil when a Sink is set
-//     (RMSCompare still buffers both families — the RMS comparison
-//     needs them — and Repeat > 1 streams only the final iteration).
-//   - Emit is called from the job's goroutines (a parallel sweep calls
-//     it under an internal lock, never concurrently) and blocks the
+//     the buffered Result.Family would hold. Result.Family stays nil
+//     when a Sink is set and emitted rows are released, so the job
+//     holds only rows not yet emitted: one row at Workers: 1 (rows are
+//     allocated on their first chunk there), a shrinking tail of the
+//     family otherwise (RMSCompare still buffers both families — the
+//     RMS comparison needs them — and Repeat > 1 streams only the
+//     final iteration).
+//   - Emit is called from the job's goroutines (the sweep scheduler
+//     calls it under an internal lock, never concurrently) and blocks the
 //     emitting worker: a slow consumer is backpressure, not a buffer.
 //   - A non-nil error from Emit aborts the job promptly; Run returns a
 //     JobError classified as ErrCanceled whose chain carries

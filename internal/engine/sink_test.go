@@ -33,19 +33,29 @@ func (s *collectSink) Emit(ev Event) error {
 }
 
 // TestSinkFamilyBitForBit is the tentpole equivalence check at the
-// engine layer: for every strategy, the rows a sink receives are
-// bit-identical, in the same order, to the buffered Result.Family —
-// and the streamed Result carries no family (bounded memory).
+// engine layer: at one worker and at several, the rows a sink receives
+// are bit-identical, in the same order, to the buffered Result.Family
+// and to the per-point sweep.Trace family — and the streamed Result
+// carries no family (bounded memory).
 func TestSinkFamilyBitForBit(t *testing.T) {
 	_, fast := buildPair(t, fettoy.Default())
 	vgs := units.Linspace(0.3, 0.6, 7)
 	vds := units.Linspace(0, 0.6, 31)
-	for _, st := range []Strategy{Serial, Batch, Parallel} {
-		base := Request{Kind: FamilySweep, Model: fast, Gates: vgs, Drains: vds, Strategy: st, Workers: 3}
+	traced := make([]sweep.Curve, len(vgs))
+	for i, vg := range vgs {
+		c, err := sweep.Trace(fast, vg, vds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced[i] = c
+	}
+	for _, workers := range []int{1, 3} {
+		base := Request{Kind: FamilySweep, Model: fast, Gates: vgs, Drains: vds, Workers: workers}
 		buffered, err := Run(context.Background(), base)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sameFamilies(t, "buffered", buffered.Family, traced)
 		sink := &collectSink{}
 		streamReq := base
 		streamReq.Sink = sink
@@ -54,22 +64,22 @@ func TestSinkFamilyBitForBit(t *testing.T) {
 			t.Fatal(err)
 		}
 		if streamed.Family != nil {
-			t.Fatalf("strategy %d: streamed Result still buffers %d curves", st, len(streamed.Family))
+			t.Fatalf("workers %d: streamed Result still buffers %d curves", workers, len(streamed.Family))
 		}
 		if len(sink.rows) != len(buffered.Family) {
-			t.Fatalf("strategy %d: %d rows streamed, want %d", st, len(sink.rows), len(buffered.Family))
+			t.Fatalf("workers %d: %d rows streamed, want %d", workers, len(sink.rows), len(buffered.Family))
 		}
 		for i, ev := range sink.rows {
 			if ev.Index != i || ev.Ref {
-				t.Fatalf("strategy %d: row %d arrived as %+v", st, i, ev)
+				t.Fatalf("workers %d: row %d arrived as %+v", workers, i, ev)
 			}
 			want := buffered.Family[i]
 			if ev.Curve.VG != want.VG { //lint:allow floatcmp bit-for-bit equivalence is the contract
-				t.Fatalf("strategy %d row %d: VG %g vs %g", st, i, ev.Curve.VG, want.VG)
+				t.Fatalf("workers %d row %d: VG %g vs %g", workers, i, ev.Curve.VG, want.VG)
 			}
 			for j := range want.IDS {
 				if ev.Curve.IDS[j] != want.IDS[j] { //lint:allow floatcmp bit-for-bit equivalence is the contract
-					t.Fatalf("strategy %d row %d point %d: %g vs %g", st, i, j, ev.Curve.IDS[j], want.IDS[j])
+					t.Fatalf("workers %d row %d point %d: %g vs %g", workers, i, j, ev.Curve.IDS[j], want.IDS[j])
 				}
 			}
 		}
@@ -111,7 +121,7 @@ func TestSinkRMSCompare(t *testing.T) {
 	sink := &collectSink{}
 	res, err := Run(context.Background(), Request{
 		Kind: RMSCompare, Model: fast, Ref: ref,
-		Gates: vgs, Drains: vds, Strategy: Batch, Sink: sink,
+		Gates: vgs, Drains: vds, Workers: 1, Sink: sink,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +143,7 @@ func TestSinkRMSCompare(t *testing.T) {
 	sink2 := &collectSink{}
 	res2, err := Run(context.Background(), Request{
 		Kind: RMSCompare, Model: fast, RefFamily: res.RefFamily,
-		Gates: vgs, Drains: vds, Strategy: Batch, Sink: sink2,
+		Gates: vgs, Drains: vds, Workers: 1, Sink: sink2,
 	})
 	if err != nil {
 		t.Fatal(err)

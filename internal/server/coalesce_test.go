@@ -40,8 +40,7 @@ func TestCoalesceKeyCanonical(t *testing.T) {
 		"explicit default device":   {Kind: base.Kind, Model: &ModelSpec{Device: DeviceDefault}, Gates: base.Gates, Drains: base.Drains},
 		"explicit preset T":         {Kind: base.Kind, Model: &ModelSpec{T: dev.T}, Gates: base.Gates, Drains: base.Drains},
 		"explicit preset EF":        {Kind: base.Kind, Model: &ModelSpec{EF: &dev.EF}, Gates: base.Gates, Drains: base.Drains},
-		"explicit auto strategy":    {Kind: base.Kind, Model: &ModelSpec{}, Gates: base.Gates, Drains: base.Drains, Strategy: "auto"},
-		"every default spelled out": {Kind: base.Kind, Model: &ModelSpec{Family: FamilyModel1, Device: DeviceDefault, T: dev.T, EF: &dev.EF}, Gates: base.Gates, Drains: base.Drains, Strategy: "auto"},
+		"every default spelled out": {Kind: base.Kind, Model: &ModelSpec{Family: FamilyModel1, Device: DeviceDefault, T: dev.T, EF: &dev.EF}, Gates: base.Gates, Drains: base.Drains},
 	}
 	for name, jr := range same {
 		if got := key(jr); got != want {
@@ -51,12 +50,12 @@ func TestCoalesceKeyCanonical(t *testing.T) {
 
 	otherEF := dev.EF + 0.1
 	different := map[string]JobRequest{
-		"other family":    {Kind: base.Kind, Model: &ModelSpec{Family: FamilyModel2}, Gates: base.Gates, Drains: base.Drains},
-		"other T":         {Kind: base.Kind, Model: &ModelSpec{T: dev.T + 50}, Gates: base.Gates, Drains: base.Drains},
-		"other EF":        {Kind: base.Kind, Model: &ModelSpec{EF: &otherEF}, Gates: base.Gates, Drains: base.Drains},
-		"other grid":      {Kind: base.Kind, Model: &ModelSpec{}, Gates: base.Gates, Drains: []float64{0.2}},
-		"other kind":      {Kind: "rms-compare", Model: &ModelSpec{}, Gates: base.Gates, Drains: base.Drains},
-		"serial not auto": {Kind: base.Kind, Model: &ModelSpec{}, Gates: base.Gates, Drains: base.Drains, Strategy: "serial"},
+		"other family":           {Kind: base.Kind, Model: &ModelSpec{Family: FamilyModel2}, Gates: base.Gates, Drains: base.Drains},
+		"other T":                {Kind: base.Kind, Model: &ModelSpec{T: dev.T + 50}, Gates: base.Gates, Drains: base.Drains},
+		"other EF":               {Kind: base.Kind, Model: &ModelSpec{EF: &otherEF}, Gates: base.Gates, Drains: base.Drains},
+		"other grid":             {Kind: base.Kind, Model: &ModelSpec{}, Gates: base.Gates, Drains: []float64{0.2}},
+		"other kind":             {Kind: "rms-compare", Model: &ModelSpec{}, Gates: base.Gates, Drains: base.Drains},
+		"one worker not default": {Kind: base.Kind, Model: &ModelSpec{}, Gates: base.Gates, Drains: base.Drains, Workers: 1},
 	}
 	for name, jr := range different {
 		if got := key(jr); got == want {

@@ -226,12 +226,12 @@ func TestCoalesceKeyMatchesMarshal(t *testing.T) {
 	zero := 0.0
 	for name, jr := range map[string]JobRequest{
 		"iv-point omitted defaults": {Kind: "iv-point", Model: &ModelSpec{}, VG: 0.5, VD: 0.4},
-		"iv-point explicit":         {Kind: "iv-point", Model: &ModelSpec{Family: FamilyModel1, Device: DeviceDefault, T: dev.T, EF: &dev.EF}, VG: 0.5, VD: 1e-7, Strategy: "auto"},
+		"iv-point explicit":         {Kind: "iv-point", Model: &ModelSpec{Family: FamilyModel1, Device: DeviceDefault, T: dev.T, EF: &dev.EF}, VG: 0.5, VD: 1e-7},
 		"iv-point zero bias":        {Kind: "iv-point", Model: &ModelSpec{Family: FamilyModel2, EF: &zero}},
-		"family-sweep":              {Kind: "family-sweep", Model: &ModelSpec{Device: DeviceJavey, T: 150}, Gates: []float64{0.3, 0.6}, Drains: []float64{0, 0.3, 0.6}, Strategy: "parallel", Workers: 3, Repeat: 2},
+		"family-sweep":              {Kind: "family-sweep", Model: &ModelSpec{Device: DeviceJavey, T: 150}, Gates: []float64{0.3, 0.6}, Drains: []float64{0, 0.3, 0.6}, Workers: 3, Repeat: 2},
 		"family-sweep empty grids":  {Kind: "family-sweep", Model: &ModelSpec{}, Gates: []float64{}, Drains: nil},
 		"rms-compare ref":           {Kind: "rms-compare", Model: &ModelSpec{Family: FamilyModel2}, Ref: &ModelSpec{}, Gates: []float64{0.5}, Drains: []float64{0.1}},
-		"rms-compare ref explicit":  {Kind: "rms-compare", Model: &ModelSpec{Family: FamilyModel2}, Ref: &ModelSpec{Family: FamilyModel1, T: dev.T}, Gates: []float64{0.5}, Drains: []float64{0.1}, Strategy: "serial"},
+		"rms-compare ref explicit":  {Kind: "rms-compare", Model: &ModelSpec{Family: FamilyModel2}, Ref: &ModelSpec{Family: FamilyModel1, T: dev.T}, Gates: []float64{0.5}, Drains: []float64{0.1}, Workers: 1},
 		"rms-compare ref_family": {Kind: "rms-compare", Model: &ModelSpec{Family: FamilyReference},
 			RefFamily: []Curve{{VG: 0.5, VDS: []float64{0.1, 0.2}, IDS: []float64{1e-6, 2e-21}}, {VG: 0.6, VDS: []float64{0.1, 0.2}, IDS: nil}},
 			Gates:     []float64{0.5, 0.6}, Drains: []float64{0.1, 0.2}},

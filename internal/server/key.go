@@ -95,10 +95,9 @@ func RouteKey(jr JobRequest) string {
 
 // canonicalJob is the coalescing identity of a buffered job: the
 // JobRequest with both model descriptions replaced by their resolved
-// Key() strings and the strategy default applied. Marshalling this —
-// rather than the decoded JobRequest itself — makes semantically
-// identical spellings (explicit family vs omitted, explicit preset T
-// vs zero, "auto" vs "") coalesce. Stream is deliberately absent:
+// Key() strings. Marshalling this — rather than the decoded JobRequest
+// itself — makes semantically identical spellings (explicit family vs
+// omitted, explicit preset T vs zero) coalesce. Stream is deliberately absent:
 // streamed responses never enter the flight group. The key is the
 // json.Marshal spelling of this struct, built by appendJSON without
 // reflection.
@@ -111,7 +110,6 @@ type canonicalJob struct {
 	VD        float64   `json:"vd,omitempty"`
 	Gates     []float64 `json:"gates,omitempty"`
 	Drains    []float64 `json:"drains,omitempty"`
-	Strategy  string    `json:"strategy"`
 	Workers   int       `json:"workers,omitempty"`
 	Repeat    int       `json:"repeat,omitempty"`
 	EFSigma   float64   `json:"ef_sigma,omitempty"`
@@ -146,7 +144,6 @@ func canonicalize(jr JobRequest) canonicalJob {
 		VD:        jr.VD,
 		Gates:     jr.Gates,
 		Drains:    jr.Drains,
-		Strategy:  jr.Strategy,
 		Workers:   jr.Workers,
 		Repeat:    jr.Repeat,
 		EFSigma:   jr.EFSigma,
@@ -156,9 +153,6 @@ func canonicalize(jr JobRequest) canonicalJob {
 	}
 	if jr.Ref != nil {
 		cj.Ref = jr.Ref.Key()
-	}
-	if cj.Strategy == "" {
-		cj.Strategy = "auto"
 	}
 	return cj
 }
@@ -189,8 +183,6 @@ func (cj *canonicalJob) appendJSON(dst []byte) ([]byte, error) {
 		j.raw(`,"drains":`)
 		j.floats(cj.Drains)
 	}
-	j.raw(`,"strategy":`)
-	j.str(cj.Strategy)
 	j.omitInt(`,"workers":`, int64(cj.Workers))
 	j.omitInt(`,"repeat":`, int64(cj.Repeat))
 	j.omitFloat(`,"ef_sigma":`, cj.EFSigma)

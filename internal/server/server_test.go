@@ -67,8 +67,7 @@ func TestJobRoundTrips(t *testing.T) {
 			"kind": "family-sweep",
 			"model": {"family": "model2"},
 			"gates": [0.4, 0.6],
-			"drains": [0, 0.3, 0.6],
-			"strategy": "serial"
+			"drains": [0, 0.3, 0.6]
 		}`))
 		if len(jr.Family) != 2 || len(jr.Family[0].IDS) != 3 {
 			t.Fatalf("degenerate family: %+v", jr)
@@ -98,7 +97,6 @@ func TestJobRoundTrips(t *testing.T) {
 			RefFamily: family,
 			Gates:     []float64{0.4, 0.6},
 			Drains:    []float64{0, 0.3, 0.6},
-			Strategy:  "serial",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -125,7 +123,8 @@ func TestJobRoundTrips(t *testing.T) {
 }
 
 // TestBadRequests checks the client-error corner: malformed JSON,
-// unknown kinds/families/strategies, invalid physics, wrong routes.
+// unknown kinds/families/fields (a "strategy" field among them),
+// invalid physics, wrong routes.
 func TestBadRequests(t *testing.T) {
 	h := New(Config{}).Handler()
 	for name, tc := range map[string]struct {
@@ -139,7 +138,7 @@ func TestBadRequests(t *testing.T) {
 		"unknown family":   {`{"kind": "iv-point", "model": {"family": "model9"}}`, http.StatusBadRequest},
 		"unknown device":   {`{"kind": "iv-point", "model": {"family": "model2", "device": "exotic"}}`, http.StatusBadRequest},
 		"invalid physics":  {`{"kind": "iv-point", "model": {"family": "model2", "t": -4}}`, http.StatusBadRequest},
-		"unknown strategy": {`{"kind": "family-sweep", "model": {"family": "model2"}, "gates": [0.5], "drains": [0.1], "strategy": "warp"}`, http.StatusBadRequest},
+		"unknown strategy": {`{"kind": "family-sweep", "model": {"family": "model2"}, "gates": [0.5], "drains": [0.1], "strategy": "serial"}`, http.StatusBadRequest},
 		"empty grid":       {`{"kind": "family-sweep", "model": {"family": "model2"}}`, http.StatusBadRequest},
 		"both refs":        {`{"kind": "rms-compare", "model": {"family": "model2"}, "ref": {"family": "model1"}, "ref_family": [], "gates": [0.5], "drains": [0.1]}`, http.StatusBadRequest},
 		"empty ref_family": {`{"kind": "rms-compare", "model": {"family": "model2"}, "ref_family": [], "gates": [0.5], "drains": [0.1]}`, http.StatusBadRequest},
@@ -217,7 +216,7 @@ const sweepBody = `{
 	           1.11, 1.12, 1.13, 1.14, 1.15, 1.16, 1.17, 1.18, 1.19, 1.2,
 	           1.21, 1.22, 1.23, 1.24, 1.25, 1.26, 1.27, 1.28, 1.29, 1.3,
 	           1.31, 1.32, 1.33, 1.34, 1.35, 1.36, 1.37, 1.38, 1.39, 1.4],
-	"strategy": "serial"
+	"workers": 1
 }`
 
 // TestSaturationSheds429 checks admission control: with one job slot
@@ -267,7 +266,7 @@ func TestSaturationSheds429(t *testing.T) {
 	}
 	// The slot is free again: a small request must be admitted.
 	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(
-		`{"kind": "family-sweep", "model": {"family": "model2"}, "gates": [0.5], "drains": [0.1], "strategy": "serial"}`))
+		`{"kind": "family-sweep", "model": {"family": "model2"}, "gates": [0.5], "drains": [0.1]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +569,7 @@ func TestAdmissionAccountingOnEarlyRejects(t *testing.T) {
 		drains[i] = fmt.Sprintf("%g", 0.01*float64(i+1))
 	}
 	blockBody := `{"kind": "family-sweep", "model": {}, "gates": [0.5], "drains": [` +
-		strings.Join(drains, ",") + `], "strategy": "serial"}`
+		strings.Join(drains, ",") + `], "workers": 1}`
 	blockDone := make(chan error, 1)
 	go func() {
 		code, err := do(blockBody)

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -69,18 +70,19 @@ func rowsOf(t *testing.T, frames []StreamFrame) ([]StreamRow, JobResponse) {
 
 // TestStreamedFamilyParity is the tentpole contract: a streamed
 // family sweep delivers exactly the rows the buffered response would
-// — same count, same order, bit-for-bit currents — for every sweep
-// strategy, with the done frame carrying the summary but no family.
+// — same count, same order, bit-for-bit currents — at the default
+// worker count, at one worker and at several, with the done frame
+// carrying the summary but no family.
 func TestStreamedFamilyParity(t *testing.T) {
 	h := New(Config{}).Handler()
-	for _, strategy := range []string{"serial", "batch", "parallel"} {
-		t.Run(strategy, func(t *testing.T) {
-			body := `{
+	for _, workers := range []int{0, 1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			body := fmt.Sprintf(`{
 				"kind": "family-sweep",
 				"model": {"family": "model2"},
 				"gates": [0.3, 0.45, 0.6],
 				"drains": [0, 0.2, 0.4, 0.6],
-				"strategy": "` + strategy + `"}`
+				"workers": %d}`, workers)
 			buffered := decodeJob(t, post(t, h, body))
 			rows, done := rowsOf(t, postStream(t, h, strings.Replace(body, `"kind"`, `"stream": true, "kind"`, 1)))
 

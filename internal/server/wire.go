@@ -151,12 +151,11 @@ type JobRequest struct {
 	Gates  []float64 `json:"gates,omitempty"`
 	Drains []float64 `json:"drains,omitempty"`
 
-	// Strategy is "auto" (default), "serial", "batch" or "parallel";
-	// Workers steers the parallel scheduler; Repeat re-runs a
-	// family-sweep (benchmark loops).
-	Strategy string `json:"strategy,omitempty"`
-	Workers  int    `json:"workers,omitempty"`
-	Repeat   int    `json:"repeat,omitempty"`
+	// Workers steers the sweep scheduler (0 = GOMAXPROCS, 1 = whole
+	// rows on one goroutine); Repeat re-runs a family-sweep (benchmark
+	// loops).
+	Workers int `json:"workers,omitempty"`
+	Repeat  int `json:"repeat,omitempty"`
 
 	// Monte Carlo study shape: per-device dispersion (one standard
 	// deviation each), sample count and RNG seed.
@@ -180,14 +179,6 @@ var kinds = map[string]engine.Kind{
 	engine.FamilySweep.String(): engine.FamilySweep,
 	engine.RMSCompare.String():  engine.RMSCompare,
 	engine.MonteCarlo.String():  engine.MonteCarlo,
-}
-
-var strategies = map[string]engine.Strategy{
-	"":         engine.Auto,
-	"auto":     engine.Auto,
-	"serial":   engine.Serial,
-	"batch":    engine.Batch,
-	"parallel": engine.Parallel,
 }
 
 // resolveMeta describes how the request's primary model resolved —
@@ -229,12 +220,6 @@ func (jr JobRequest) toEngine(ctx context.Context, res Resolver) (engine.Request
 		Samples: jr.Samples,
 		Seed:    jr.Seed,
 	}
-	st, ok := strategies[jr.Strategy]
-	if !ok {
-		return engine.Request{}, meta, fmt.Errorf("unknown strategy %q (want auto, serial, batch or parallel)", jr.Strategy)
-	}
-	req.Strategy = st
-
 	if kind == engine.MonteCarlo {
 		// MC fits its own piecewise models per sample; only the device
 		// parameters travel.

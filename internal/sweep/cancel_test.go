@@ -10,8 +10,9 @@ import (
 )
 
 // cancelAfterRow is a batch solver that cancels its own context while
-// evaluating the first row, so the per-row cancellation check in
-// FamilyBatch fires deterministically before the second row.
+// evaluating the first row, so the per-chunk cancellation check of a
+// one-worker sweep (one chunk per row) fires deterministically before
+// the second row.
 type cancelAfterRow struct {
 	cancel context.CancelFunc
 	rows   int
@@ -32,7 +33,7 @@ func TestFamilyBatchCancelBetweenRows(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m := &cancelAfterRow{cancel: cancel}
-	_, err := FamilyBatch(ctx, m, []float64{0.1, 0.2, 0.3}, []float64{0, 0.3})
+	_, err := family(ctx, m, []float64{0.1, 0.2, 0.3}, []float64{0, 0.3}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
 	}
@@ -42,7 +43,7 @@ func TestFamilyBatchCancelBetweenRows(t *testing.T) {
 }
 
 // cancelSelf is a plain solver that cancels its context on the n-th
-// point, for the serial and parallel per-point checks.
+// point, for the per-point cancellation checks.
 type cancelSelf struct {
 	cancel context.CancelFunc
 	after  int
@@ -60,8 +61,8 @@ func (c *cancelSelf) IDS(b fettoy.Bias) (float64, error) {
 func TestFamilySerialCancelBetweenRows(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	m := &cancelSelf{cancel: cancel, after: 2} // cancels inside row 1
-	_, err := Family(ctx, m, []float64{0.1, 0.2, 0.3}, []float64{0, 0.3})
+	m := &cancelSelf{cancel: cancel, after: 2} // cancels on the last point of the first row
+	_, err := family(ctx, m, []float64{0.1, 0.2, 0.3}, []float64{0, 0.3}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
 	}
@@ -84,7 +85,7 @@ func TestFamilyParallelCancelCountsConsistently(t *testing.T) {
 	// Single worker makes the evaluation count deterministic: the one
 	// worker cancels on its 3rd point, then abandons the rest.
 	m := &cancelSelf{cancel: cancel, after: 3}
-	_, err := FamilyParallel(ctx, m, []float64{0.1, 0.2}, []float64{0, 0.2, 0.4, 0.6}, 1)
+	_, err := family(ctx, m, []float64{0.1, 0.2}, []float64{0, 0.2, 0.4, 0.6}, 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled in chain, got %v", err)
 	}

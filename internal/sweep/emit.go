@@ -12,101 +12,26 @@ import (
 	"cntfet/internal/telemetry"
 )
 
-// This file holds the emitting cores of the family sweep schedulers.
-// Each scheduler computes exactly what its buffered counterpart
-// computes — Family, FamilyBatch and FamilyParallel are thin
-// collecting wrappers over these — but hands completed rows to an
-// emit callback as they finish instead of accumulating the whole
-// grid. Rows are always delivered in gate order (index gi into vgs),
-// even from the out-of-order parallel scheduler, so a streaming
-// consumer sees the same sequence the buffered result would contain.
-//
-// Ownership of the emitted Curve (its VDS and IDS slices) transfers
-// to the callback; the scheduler does not touch the row again. A
-// non-nil error from emit aborts the sweep promptly and is returned
-// unchanged (not wrapped), so callers can classify a failing sink —
-// typically a disconnected client — distinctly from a failing solve.
-
-// FamilyTo is the serial scheduler behind Family: one Trace per gate
-// voltage, rows emitted in order as each completes. Cancellation is
-// honoured between rows.
-func FamilyTo(ctx context.Context, m device.Solver, vgs, vds []float64, emit func(gi int, c Curve) error) error {
-	done := ctxDone(ctx)
-	for gi, vg := range vgs {
-		select {
-		case <-done:
-			return canceledErr(ctx)
-		default:
-		}
-		c, err := Trace(m, vg, vds)
-		if err != nil {
-			return err
-		}
-		if err := emit(gi, c); err != nil {
-			return err
-		}
+// Collect returns an emit callback that appends each row to *fam —
+// the buffered form of FamilyParallelTo. Rows arrive in gate order, so
+// *fam ends up indexed like vgs.
+func Collect(fam *[]Curve) func(gi int, c Curve) error {
+	return func(_ int, c Curve) error {
+		*fam = append(*fam, c)
+		return nil
 	}
-	return nil
 }
 
-// FamilyBatchTo is the batched scheduler behind FamilyBatch: each VDS
-// row goes through the model's optional device.BatchSolver capability
-// (falling back to FamilyTo when absent) and is emitted as soon as its
-// row kernel returns. Rows are allocated one at a time, so a consumer
-// that does not retain them keeps the scheduler's footprint at one row
-// regardless of grid size. Cancellation is honoured between rows.
-// sweep.points counts exactly the rows that completed before an abort.
-func FamilyBatchTo(ctx context.Context, m device.Solver, vgs, vds []float64, emit func(gi int, c Curve) error) error {
-	bm, ok := m.(device.BatchSolver)
-	if !ok {
-		return FamilyTo(ctx, m, vgs, vds, emit)
-	}
-	bias := make([]fettoy.Bias, len(vds))
-	done := ctxDone(ctx)
-	var points int64
-	defer func() { countPoints(telemetry.Default(), false, -1, points, 0) }()
-	for gi, vg := range vgs {
-		select {
-		case <-done:
-			return canceledErr(ctx)
-		default:
-		}
-		for j, vd := range vds {
-			bias[j] = fettoy.Bias{VG: vg, VD: vd}
-		}
-		c := Curve{VG: vg, VDS: append([]float64(nil), vds...), IDS: make([]float64, len(vds))}
-		// One span per VDS row — the batched path's scheduling unit —
-		// so a traced job shows where its row time went. Nil (free)
-		// while tracing is off.
-		_, sp := telemetry.StartSpan(ctx, telemetry.SpanSweepRow)
-		err := bm.IDSBatch(bias, c.IDS)
-		sp.Set(
-			telemetry.Float(telemetry.AttrVG, vg),
-			telemetry.Int(telemetry.AttrPoints, int64(len(vds))),
-		)
-		if err != nil {
-			sp.Set(telemetry.String(telemetry.AttrError, err.Error()))
-			sp.End()
-			return fmt.Errorf("sweep: VG=%g: %w", vg, err)
-		}
-		sp.End()
-		points += int64(len(vds))
-		if err := emit(gi, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// rowEmitter serialises in-order row delivery out of the parallel
-// scheduler's out-of-order chunk completion. Workers report finished
-// chunks; when every point of the frontier row (the lowest unemitted
-// gate index) has been attempted, the row is emitted under the mutex —
-// which doubles as backpressure: while one worker is blocked writing a
-// row to a slow consumer, the others keep solving, but no further rows
-// leave. Emitted slots are cleared so a streaming consumer that drops
-// rows after use keeps only the not-yet-complete tail of the grid
-// resident. A row containing numerical errors halts emission (the
+// rowEmitter serialises in-order row delivery out of the scheduler's
+// out-of-order chunk completion. Workers report finished chunks; when
+// every point of the frontier row (the lowest unemitted gate index)
+// has been attempted, the row is emitted under the mutex — which
+// doubles as backpressure: while one worker is blocked writing a row
+// to a slow consumer, the others keep solving, but no further rows
+// leave. Emitted slots are cleared, so a streaming consumer that drops
+// rows after use keeps only the not-yet-emitted rows resident — one
+// row at one worker, which allocates rows on their first chunk. A row
+// containing numerical errors halts emission (the
 // sweep is going to fail; a consumer must not see rows past the first
 // bad one) without stopping the workers, which still drain to count
 // every failure.
@@ -121,17 +46,22 @@ type rowEmitter struct {
 	stopped   bool  // a bad row reached the frontier
 }
 
-func newRowEmitter(out []Curve, rowLen int, emit func(gi int, c Curve) error) *rowEmitter {
+func newRowEmitter(rows, rowLen int, emit func(gi int, c Curve) error) *rowEmitter {
 	e := &rowEmitter{
-		remaining: make([]int, len(out)),
-		bad:       make([]bool, len(out)),
-		out:       out,
+		remaining: make([]int, rows),
+		bad:       make([]bool, rows),
+		out:       make([]Curve, rows),
 		emit:      emit,
 	}
 	for i := range e.remaining {
 		e.remaining[i] = rowLen
 	}
 	return e
+}
+
+// newRow allocates the result curve of one gate voltage.
+func newRow(vg float64, vds []float64) Curve {
+	return Curve{VG: vg, VDS: append([]float64(nil), vds...), IDS: make([]float64, len(vds))}
 }
 
 // complete records n attempted points (successes and failures alike)
@@ -173,40 +103,65 @@ func (e *rowEmitter) err() error {
 	return e.failed
 }
 
-// FamilyParallelTo is the chunked parallel scheduler behind
-// FamilyParallel — identical worker pool, chunking heuristic, batched
-// chunk kernel and warm-start fallback (see FamilyParallel for the
-// scheduling rationale) — with ordered row emission layered on top via
-// rowEmitter. Cancellation, first-error and telemetry semantics match
-// FamilyParallel exactly; an emit error additionally stops every
-// worker at its next chunk boundary and is returned unchanged unless
-// the context was also canceled, which takes precedence.
+// FamilyParallelTo is the family scheduler: it evaluates one IDS(VDS)
+// curve per gate voltage on the shared vds grid and hands each
+// completed row to emit, always in gate order (index gi into vgs) even
+// though workers finish chunks out of order. Ownership of the emitted
+// Curve (its VDS and IDS slices) transfers to the callback. Buffered
+// callers pass Collect.
+//
+// Scheduling: tasks are [lo, hi) index blocks of one VDS row, drained
+// by worker goroutines from a buffered channel, so the per-point cost
+// is the solve itself rather than a channel hand-off. workers <= 0
+// selects GOMAXPROCS. One worker runs whole rows as its chunks, so the
+// reference model's warm-start chain never restarts mid-row and the
+// output is bit-for-bit a whole-row IDSBatch; more workers split the
+// grid into about four chunks per worker. When the model exposes
+// device.BatchSolver each chunk goes to the row kernel (the zero-alloc
+// closed form for the piecewise family, the warm-started table Newton
+// for the reference) through a per-worker scratch buffer; otherwise
+// points run one by one with warm-start continuation when the model
+// supports it (device.WarmStarter). Both library models are safe for
+// concurrent use after construction.
+//
+// Cancellation is honoured per chunk on the batched path and per point
+// otherwise: every goroutine is joined before return, and the error
+// wraps the context's cause so callers can tell user abort from
+// numerical failure. sweep.points counts exactly the points that
+// completed before the abort. A non-nil error from emit stops every
+// worker at its next chunk boundary and is returned unchanged (not
+// wrapped) unless the context was also canceled, which takes
+// precedence — so callers can classify a failing sink, typically a
+// disconnected client, apart from a failing solve.
+//
+// Numerical errors do not abort the sweep: the first one (in order of
+// discovery) is returned after all workers drain, and every failed
+// point counts into sweep.errors regardless of the telemetry gate, so
+// partial failures are never silent.
 func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, workers int, emit func(gi int, c Curve) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := newFamily(vgs, vds)
-
-	// Chunking heuristic: see FamilyParallel. Chunks never span rows,
-	// so a row's completion is observable at chunk granularity.
-	span := (len(vgs)*len(vds) + 4*workers - 1) / (4 * workers)
-	if span < 8 {
-		span = 8
-	}
-	if span > len(vds) {
-		span = len(vds)
+	// Chunks never span rows, so a row's completion is observable at
+	// chunk granularity. About four chunks per worker balance load
+	// without paying a hand-off per point; one worker takes whole rows.
+	span := len(vds)
+	if workers > 1 {
+		span = (len(vgs)*len(vds) + 4*workers - 1) / (4 * workers)
+		if span < 8 {
+			span = 8
+		}
+		if span > len(vds) {
+			span = len(vds)
+		}
 	}
 	if span < 1 {
 		span = 1
 	}
 
 	type chunk struct{ gi, lo, hi int }
-	nchunks := 0
-	if span > 0 {
-		perRow := (len(vds) + span - 1) / span
-		nchunks = perRow * len(vgs)
-	}
-	tasks := make(chan chunk, nchunks)
+	perRow := (len(vds) + span - 1) / span
+	tasks := make(chan chunk, perRow*len(vgs))
 	for gi := range vgs {
 		for lo := 0; lo < len(vds); lo += span {
 			hi := lo + span
@@ -223,7 +178,18 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 	var firstErr error
 	var errOnce sync.Once
 
-	em := newRowEmitter(out, len(vds), emit)
+	em := newRowEmitter(len(vgs), len(vds), emit)
+	if workers > 1 {
+		// Several workers may start chunks of one row at once, so every
+		// row is allocated before they start. A lone worker allocates
+		// each row on its first chunk instead: a streamed sweep then
+		// holds one unemitted row. Either way a worker reads its row's
+		// slot before reporting the chunk, and the emitter clears the
+		// slot only after the row's last report, under its mutex.
+		for gi, vg := range vgs {
+			em.out[gi] = newRow(vg, vds)
+		}
+	}
 
 	ws, warm := m.(device.WarmStarter)
 	bs, batch := m.(device.BatchSolver)
@@ -253,13 +219,14 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 				// tracing is off.
 				_, sp := telemetry.StartSpan(ctx, telemetry.SpanSweepChunk)
 				chunkPoints, chunkErrs := points, errs
+				if em.out[ck.gi].IDS == nil {
+					em.out[ck.gi] = newRow(vgs[ck.gi], vds)
+				}
+				ids := em.out[ck.gi].IDS
 				if batch {
 					// Batched chunk path: hand the whole [lo, hi) run to
-					// the model's row kernel (zero-alloc closed form for
-					// the piecewise family, warm-started table Newton for
-					// the reference). Cancellation is honoured per chunk
-					// here — a chunk is at most one VDS row, the same
-					// granularity FamilyBatch uses.
+					// the model's row kernel. Cancellation is honoured per
+					// chunk here — a chunk is at most one VDS row.
 					select {
 					case <-done:
 						endChunkSpan(sp, w, vgs[ck.gi], points-chunkPoints)
@@ -273,7 +240,7 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 					for vi := ck.lo; vi < ck.hi; vi++ {
 						biasBuf[vi-ck.lo] = fettoy.Bias{VG: vgs[ck.gi], VD: vds[vi]}
 					}
-					if err := bs.IDSBatch(biasBuf[:n], out[ck.gi].IDS[ck.lo:ck.hi]); err == nil {
+					if err := bs.IDSBatch(biasBuf[:n], ids[ck.lo:ck.hi]); err == nil {
 						points += int64(n)
 						endChunkSpan(sp, w, vgs[ck.gi], points-chunkPoints)
 						if em.complete(ck.gi, n, 0) != nil {
@@ -298,12 +265,12 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 					default:
 					}
 					b := fettoy.Bias{VG: vgs[ck.gi], VD: vds[vi]}
-					var ids float64
+					var v float64
 					var err error
 					if warm {
-						ids, guess, err = ws.IDSFrom(b, guess)
+						v, guess, err = ws.IDSFrom(b, guess)
 					} else {
-						ids, err = m.IDS(b)
+						v, err = m.IDS(b)
 					}
 					if err != nil {
 						errs++
@@ -314,7 +281,7 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 						continue
 					}
 					points++
-					out[ck.gi].IDS[vi] = ids
+					ids[vi] = v
 				}
 				endChunkSpan(sp, w, vgs[ck.gi], points-chunkPoints)
 				attempted := int(points - chunkPoints + errs - chunkErrs)

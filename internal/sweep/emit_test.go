@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -76,18 +77,15 @@ func sameFamily(t *testing.T, got, want []Curve) {
 	}
 }
 
-// TestFamilyBatchToEmitsRowsIncrementally checks that the batched
-// scheduler delivers one row per gate, in order, before the call
-// returns — the property the streaming server is built on.
+// TestFamilyBatchToEmitsRowsIncrementally checks that a one-worker
+// sweep delivers one row per gate, in order, before the call returns —
+// the property the streaming server is built on.
 func TestFamilyBatchToEmitsRowsIncrementally(t *testing.T) {
 	vgs, vds := grids(5, 12)
-	want, err := Family(context.Background(), linearModel(3), vgs, vds)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := traceFamily(t, linearModel(3), vgs, vds)
 	var gis []int
 	var rows []Curve
-	err = FamilyBatchTo(context.Background(), batchFake{gain: 3}, vgs, vds, func(gi int, c Curve) error {
+	err := FamilyParallelTo(context.Background(), batchFake{gain: 3}, vgs, vds, 1, func(gi int, c Curve) error {
 		gis = append(gis, gi)
 		rows = append(rows, c)
 		return nil
@@ -103,16 +101,44 @@ func TestFamilyBatchToEmitsRowsIncrementally(t *testing.T) {
 	sameFamily(t, rows, want)
 }
 
-// TestFamilyParallelToOrderedDelivery checks the tentpole invariant:
-// the parallel scheduler completes chunks out of order (the first row
-// is artificially slow), yet rows are emitted in gate order and the
-// assembled family is bit-identical to the serial sweep.
-func TestFamilyParallelToOrderedDelivery(t *testing.T) {
-	vgs, vds := grids(7, 33)
-	want, err := Family(context.Background(), linearModel(2), vgs, vds)
+// TestOneWorkerHoldsOneRow pins the streaming memory bound: a row is
+// allocated on its first chunk and handed off when emitted, so a
+// one-worker sweep whose consumer drops rows holds at most one
+// unemitted row. At every emission the sweep's cumulative allocation
+// stays within the rows emitted so far plus the current row, the bias
+// scratch and slack; a scheduler that allocated the whole family up
+// front would already be the full grid ahead at the first emission.
+func TestOneWorkerHoldsOneRow(t *testing.T) {
+	const ng, nd = 32, 4096
+	vgs, vds := grids(ng, nd)
+	const rowBytes = 2 * 8 * nd // the row's VDS and IDS slices; the bias scratch is the same size
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	base := ms.TotalAlloc
+	emitted := 0
+	err := FamilyParallelTo(context.Background(), batchFake{gain: 1}, vgs, vds, 1, func(gi int, c Curve) error {
+		runtime.ReadMemStats(&ms)
+		if got, limit := ms.TotalAlloc-base, uint64(gi+3)*rowBytes; got > limit {
+			t.Errorf("row %d: %d bytes allocated, want <= %d (%d rows' worth)", gi, got, limit, gi+3)
+		}
+		emitted++
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if emitted != ng {
+		t.Fatalf("%d rows emitted, want %d", emitted, ng)
+	}
+}
+
+// TestFamilyParallelToOrderedDelivery checks the ordering invariant:
+// the scheduler completes chunks out of order (the first row is
+// artificially slow), yet rows are emitted in gate order and the
+// assembled family is bit-identical to the per-point Trace family.
+func TestFamilyParallelToOrderedDelivery(t *testing.T) {
+	vgs, vds := grids(7, 33)
+	want := traceFamily(t, linearModel(2), vgs, vds)
 	for _, workers := range []int{1, 2, 4, 9} {
 		var gis []int
 		var rows []Curve
@@ -133,17 +159,18 @@ func TestFamilyParallelToOrderedDelivery(t *testing.T) {
 	}
 }
 
-// TestEmitErrorAborts checks that a failing sink aborts each scheduler
-// promptly and surfaces the sink's error unchanged.
+// TestEmitErrorAborts checks that a failing sink aborts the sweep
+// promptly, on the per-point and the batched path, and surfaces the
+// sink's error unchanged.
 func TestEmitErrorAborts(t *testing.T) {
 	sentinel := errors.New("sink full")
 	vgs, vds := grids(6, 20)
 	for name, run := range map[string]func(emit func(int, Curve) error) error{
-		"serial": func(emit func(int, Curve) error) error {
-			return FamilyTo(context.Background(), linearModel(1), vgs, vds, emit)
+		"per-point": func(emit func(int, Curve) error) error {
+			return FamilyParallelTo(context.Background(), linearModel(1), vgs, vds, 1, emit)
 		},
 		"batch": func(emit func(int, Curve) error) error {
-			return FamilyBatchTo(context.Background(), batchFake{gain: 1}, vgs, vds, emit)
+			return FamilyParallelTo(context.Background(), batchFake{gain: 1}, vgs, vds, 1, emit)
 		},
 		"parallel": func(emit func(int, Curve) error) error {
 			return FamilyParallelTo(context.Background(), batchFake{gain: 1}, vgs, vds, 4, emit)
@@ -187,22 +214,16 @@ func TestParallelEmitHaltsAtBadRow(t *testing.T) {
 	}
 }
 
-// TestFamilyWrappersUnchanged pins the buffered entry points against
-// the serial reference now that they are collecting wrappers.
+// TestFamilyWrappersUnchanged pins the buffered form (a Collect sink)
+// against the per-point Trace family.
 func TestFamilyWrappersUnchanged(t *testing.T) {
 	vgs, vds := grids(4, 25)
-	want, err := Family(context.Background(), linearModel(5), vgs, vds)
-	if err != nil {
-		t.Fatal(err)
+	want := traceFamily(t, linearModel(5), vgs, vds)
+	for _, workers := range []int{1, 3} {
+		got, err := family(context.Background(), batchFake{gain: 5}, vgs, vds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameFamily(t, got, want)
 	}
-	got, err := FamilyBatch(context.Background(), batchFake{gain: 5}, vgs, vds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFamily(t, got, want)
-	got, err = FamilyParallel(context.Background(), batchFake{gain: 5}, vgs, vds, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameFamily(t, got, want)
 }

@@ -11,7 +11,7 @@ import (
 
 // noisySource is a trivially fast model that itself hammers shared
 // registry instruments from every worker, so this test exercises the
-// registry under the real FamilyParallel concurrency pattern. Run with
+// registry under the real FamilyParallelTo concurrency pattern. Run with
 // -race (the Makefile check target does).
 type noisySource struct{}
 
@@ -38,7 +38,7 @@ func TestFamilyParallelHammersTelemetry(t *testing.T) {
 		vds[i] = float64(i) * 0.01
 	}
 
-	out, err := FamilyParallel(context.Background(), noisySource{}, vgs, vds, workers)
+	out, err := family(context.Background(), noisySource{}, vgs, vds, workers)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@
 package sweep
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -21,10 +20,12 @@ type Curve struct {
 	IDS []float64
 }
 
-// Trace evaluates one curve on the given drain-voltage grid. Models
-// are anything satisfying the core capability of internal/device; the
-// higher-level family sweeps upgrade to the optional warm-start and
-// batch capabilities by type assertion.
+// Trace evaluates one curve on the given drain-voltage grid, one cold
+// IDS call per point. Models are anything satisfying the core
+// capability of internal/device. It is the per-point reference the
+// family scheduler (FamilyParallelTo, which upgrades to the optional
+// warm-start and batch capabilities by type assertion) is tested
+// against, and the paper's Table I timing protocol.
 func Trace(m device.Solver, vg float64, vds []float64) (Curve, error) {
 	c := Curve{VG: vg, VDS: append([]float64(nil), vds...), IDS: make([]float64, len(vds))}
 	for i, vd := range vds {
@@ -35,21 +36,6 @@ func Trace(m device.Solver, vg float64, vds []float64) (Curve, error) {
 		c.IDS[i] = ids
 	}
 	return c, nil
-}
-
-// Family evaluates one curve per gate voltage on a shared VDS grid.
-// Cancellation is honoured between rows: a canceled context returns an
-// error wrapping context.Canceled (or the cancel cause) and no curves.
-// It is the collecting wrapper over FamilyTo.
-func Family(ctx context.Context, m device.Solver, vgs, vds []float64) ([]Curve, error) {
-	out := make([]Curve, 0, len(vgs))
-	if err := FamilyTo(ctx, m, vgs, vds, func(_ int, c Curve) error {
-		out = append(out, c)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // Grid returns the paper's standard VDS grid: 0 to 0.6 V in 61 steps.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"cntfet/internal/device"
 	"cntfet/internal/fettoy"
 )
 
@@ -24,6 +25,30 @@ func (f fake) IDS(b fettoy.Bias) (float64, error) {
 
 func linearModel(gain float64) fake {
 	return fake{f: func(b fettoy.Bias) float64 { return gain * b.VG * b.VD }}
+}
+
+// family runs the scheduler into a Collect sink: the buffered sweep.
+func family(ctx context.Context, m device.Solver, vgs, vds []float64, workers int) ([]Curve, error) {
+	var fam []Curve
+	if err := FamilyParallelTo(ctx, m, vgs, vds, workers, Collect(&fam)); err != nil {
+		return nil, err
+	}
+	return fam, nil
+}
+
+// traceFamily is the per-point reference family the scheduler is
+// tested against: one cold Trace per gate voltage.
+func traceFamily(t *testing.T, m device.Solver, vgs, vds []float64) []Curve {
+	t.Helper()
+	fam := make([]Curve, len(vgs))
+	for i, vg := range vgs {
+		c, err := Trace(m, vg, vds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fam[i] = c
+	}
+	return fam
 }
 
 func TestTraceShape(t *testing.T) {
@@ -56,7 +81,7 @@ func TestTraceCopiesGrid(t *testing.T) {
 }
 
 func TestFamilyOrder(t *testing.T) {
-	fam, err := Family(context.Background(), linearModel(1), []float64{0.1, 0.2}, []float64{0.5})
+	fam, err := family(context.Background(), linearModel(1), []float64{0.1, 0.2}, []float64{0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +137,8 @@ func TestRMSPercentErrors(t *testing.T) {
 }
 
 func TestCompareFamilies(t *testing.T) {
-	ref, _ := Family(context.Background(), linearModel(1), []float64{0.2, 0.4}, []float64{0.1, 0.2})
-	model, _ := Family(context.Background(), linearModel(1.05), []float64{0.2, 0.4}, []float64{0.1, 0.2})
+	ref := traceFamily(t, linearModel(1), []float64{0.2, 0.4}, []float64{0.1, 0.2})
+	model := traceFamily(t, linearModel(1.05), []float64{0.2, 0.4}, []float64{0.1, 0.2})
 	errs, err := CompareFamilies(model, ref)
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +155,8 @@ func TestCompareFamilies(t *testing.T) {
 }
 
 func TestCompareFamiliesMismatch(t *testing.T) {
-	a, _ := Family(context.Background(), linearModel(1), []float64{0.2}, []float64{0.1})
-	b, _ := Family(context.Background(), linearModel(1), []float64{0.3}, []float64{0.1})
+	a := traceFamily(t, linearModel(1), []float64{0.2}, []float64{0.1})
+	b := traceFamily(t, linearModel(1), []float64{0.3}, []float64{0.1})
 	if _, err := CompareFamilies(a, b); err == nil {
 		t.Fatal("gate mismatch accepted")
 	}
@@ -156,7 +181,7 @@ func TestSweepDrivesRealModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam, err := Family(context.Background(), ref, []float64{0.4}, []float64{0, 0.3, 0.6})
+	fam, err := family(context.Background(), ref, []float64{0.4}, []float64{0, 0.3, 0.6}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +197,8 @@ func TestFamilyParallelMatchesSerial(t *testing.T) {
 	}
 	vgs := []float64{0.3, 0.5}
 	vds := []float64{0, 0.2, 0.4, 0.6}
-	serial, err := Family(context.Background(), ref, vgs, vds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := FamilyParallel(context.Background(), ref, vgs, vds, 4)
+	serial := traceFamily(t, ref, vgs, vds)
+	parallel, err := family(context.Background(), ref, vgs, vds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +214,14 @@ func TestFamilyParallelMatchesSerial(t *testing.T) {
 
 func TestFamilyParallelPropagatesError(t *testing.T) {
 	sentinel := errors.New("device exploded")
-	_, err := FamilyParallel(context.Background(), fake{err: sentinel}, []float64{0.1}, []float64{0.2}, 2)
+	_, err := family(context.Background(), fake{err: sentinel}, []float64{0.1}, []float64{0.2}, 2)
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 func TestFamilyParallelDefaultWorkers(t *testing.T) {
-	fam, err := FamilyParallel(context.Background(), linearModel(1), []float64{0.2}, []float64{0.1, 0.3}, 0)
+	fam, err := family(context.Background(), linearModel(1), []float64{0.2}, []float64{0.1, 0.3}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

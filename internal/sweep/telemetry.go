@@ -7,13 +7,10 @@ import (
 	"cntfet/internal/telemetry"
 )
 
-// countPoints is the single recording path for per-sweep point
-// accounting, shared by the serial, batched, chunked-parallel and
-// legacy schedulers. Totals (sweep.points, sweep.errors) are recorded
+// countPoints is the single recording path for one worker's point
+// accounting. Totals (sweep.points, sweep.errors) are recorded
 // unconditionally — partial failures must never be silent — while the
 // per-worker attribution counter stays behind the telemetry gate.
-// worker < 0 means the caller has no worker identity (serial and
-// batched paths).
 func countPoints(reg *telemetry.Registry, gateOn bool, worker int, points, errs int64) {
 	if points != 0 {
 		reg.Counter(telemetry.KeySweepPoints).Add(points)
@@ -21,12 +18,12 @@ func countPoints(reg *telemetry.Registry, gateOn bool, worker int, points, errs 
 	if errs != 0 {
 		reg.Counter(telemetry.KeySweepErrors).Add(errs)
 	}
-	if gateOn && worker >= 0 && points != 0 {
+	if gateOn && points != 0 {
 		reg.Counter(fmt.Sprintf(telemetry.KeySweepWorkerPointsFmt, worker)).Add(points)
 	}
 }
 
-// endChunkSpan finishes one parallel-sweep chunk span with its worker
+// endChunkSpan finishes one sweep chunk span with its worker
 // attribution. points is the number of bias points the chunk actually
 // completed (a canceled chunk reports the prefix it finished). A nil
 // span — tracing off — makes this free.

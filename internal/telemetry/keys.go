@@ -203,11 +203,10 @@ const (
 	// SpanEngineJob covers one engine.Run job; its Metrics carry the
 	// job's telemetry counter deltas.
 	SpanEngineJob = "engine.job"
-	// SpanSweepChunk covers one scheduled chunk of a parallel family
-	// sweep (one worker, one run of neighbouring VDS points).
+	// SpanSweepChunk covers one scheduled chunk of a family sweep (one
+	// worker, one run of neighbouring VDS points; a whole row at one
+	// worker).
 	SpanSweepChunk = "sweep.chunk"
-	// SpanSweepRow covers one VDS row of a batched family sweep.
-	SpanSweepRow = "sweep.row"
 	// SpanFettoyTableBuild covers one adaptive charge-table build.
 	SpanFettoyTableBuild = "fettoy.table_build"
 )

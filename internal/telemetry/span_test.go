@@ -112,7 +112,7 @@ func TestSpanHammer(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				ctx, sp := tr.StartSpan(context.Background(), SpanSweepChunk)
 				sp.Set(Int(AttrWorker, int64(g)), Int(AttrPoints, int64(i)))
-				_, child := tr.StartSpan(ctx, SpanSweepRow)
+				_, child := tr.StartSpan(ctx, SpanFettoyTableBuild)
 				child.End()
 				sp.End()
 			}
