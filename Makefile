@@ -3,8 +3,10 @@ GO ?= go
 # tolerates before failing (0.15 = 15%). CI overrides it upward to ride
 # out shared-runner noise.
 GATE_THRESHOLD ?= 0.15
+# FUZZTIME is how long make fuzz runs each fuzz target.
+FUZZTIME ?= 10s
 
-.PHONY: check lint vet build test race bench benchgate benchsmoke scalebench servesmoke shardsmoke e2esmoke e2ebench
+.PHONY: check lint vet build test race fuzz bench benchgate benchsmoke scalebench servesmoke shardsmoke e2esmoke e2ebench
 
 ## check: the tier-1 gate — vet + cntlint, build, plain tests (the
 ## zero-alloc kernel guards only assert outside -race), race-enabled
@@ -35,6 +37,17 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## fuzz: every Fuzz* target in the module, run past its seed corpus for
+## FUZZTIME each (make test replays only the seeds). A failing input is
+## written under the package's testdata/fuzz, where go test replays it.
+fuzz:
+	@set -e; for pkg in $$($(GO) list -f '{{if .TestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz: $$pkg $$target for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg; \
+		done; \
+	done
 
 ## bench: telemetry overhead + solver benchmarks, then the before/after
 ## sweep-engine comparison. Writes BENCH_sweep.json at the repo root and

@@ -94,19 +94,23 @@ func (rt *Router) handleJob(w http.ResponseWriter, r *http.Request) {
 
 // routeKey is server.RouteKey of the body's JobRequest, decoding only
 // the two fields the key reads: a sweep's grids and curves are the
-// replica's to decode, not the router's. Schema enforcement stays the
-// backend's job. A body that does not even decode still routes
-// deterministically (by the zero request's key) and comes back as the
-// backend's 400. The fields carry JobRequest's names and types, so
-// encoding/json fills them exactly as a full decode would
-// (FuzzRouteKey).
+// replica's to decode (the hand decoder skips them without
+// allocating), not the router's. Schema enforcement stays the
+// backend's job. A body json.Unmarshal would reject routes by the
+// partial fill json.Unmarshal leaves — the zero request's key when it
+// does not even parse — and comes back as the backend's 400. Either
+// way the key is the one a full decode gives (FuzzRouteKey).
 func routeKey(body []byte) string {
-	var jr struct {
-		Kind  string            `json:"kind"`
-		Model *server.ModelSpec `json:"model"`
+	jr, ok := server.DecodeKeyFields(body)
+	if !ok {
+		var partial struct {
+			Kind  string            `json:"kind"`
+			Model *server.ModelSpec `json:"model"`
+		}
+		_ = json.Unmarshal(body, &partial)
+		jr = server.JobRequest{Kind: partial.Kind, Model: partial.Model}
 	}
-	_ = json.Unmarshal(body, &jr)
-	return server.RouteKey(server.JobRequest{Kind: jr.Kind, Model: jr.Model})
+	return server.RouteKey(jr)
 }
 
 // healthyFirst reorders a rendezvous ranking so in-rotation replicas

@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cntfet/internal/core"
 	"cntfet/internal/device"
@@ -36,15 +37,26 @@ type Resolver interface {
 
 // cacheEntry serialises the build of one key: the first request holds
 // mu while building, later arrivals block on it and then read the
-// published model. A failed build publishes nothing, so the next
-// request retries.
+// published model. A failed build publishes nothing and leaves the
+// cache, so the next request retries.
 type cacheEntry struct {
 	mu    sync.Mutex
 	model device.Solver
+	// built is set once model is published: only such an entry may be
+	// evicted, and Len counts them without waiting on a build.
+	built atomic.Bool
 }
 
-// ModelCache is a concurrency-safe keyed store of built models. The
-// zero value is not ready; use NewModelCache.
+// maxCachedModels caps the entries a ModelCache holds. Every distinct
+// (family, device, T, EF) is its own model, so without a cap the cache
+// grows with the key space — by one fitted model per request under a
+// stream of never-seen keys. At the cap, a new key evicts a built model
+// chosen at random (Go's map order), which keeps the hit path free of
+// recency bookkeeping.
+const maxCachedModels = 1024
+
+// ModelCache is a concurrency-safe keyed store of built models, bounded
+// by maxCachedModels. The zero value is not ready; use NewModelCache.
 type ModelCache struct {
 	mu          sync.Mutex
 	entries     map[cacheKey]*cacheEntry
@@ -81,11 +93,17 @@ func (c *ModelCache) Resolve(ctx context.Context, spec ModelSpec) (device.Solver
 	if err != nil {
 		return nil, false, err
 	}
-	family := familyOrDefault(spec.Family)
-	key := specCacheKey(spec, dev)
+	return c.resolve(ctx, specCacheKey(spec, dev), dev)
+}
+
+// resolve is Resolve for a spec already resolved to its key and device.
+func (c *ModelCache) resolve(ctx context.Context, key cacheKey, dev fettoy.Device) (device.Solver, bool, error) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil {
+		if len(c.entries) >= maxCachedModels {
+			c.evictLocked()
+		}
 		e = &cacheEntry{}
 		c.entries[key] = e
 	}
@@ -100,27 +118,63 @@ func (c *ModelCache) Resolve(ctx context.Context, spec ModelSpec) (device.Solver
 	}
 	reg.Counter(telemetry.KeyServerCacheMisses).Inc()
 	_, span := telemetry.StartSpan(ctx, telemetry.SpanServerModelBuild)
-	span.Set(telemetry.String(telemetry.AttrModelKey, key.String()))
-	m, err := c.build(ctx, key, family, dev)
+	if span != nil {
+		span.Set(telemetry.String(telemetry.AttrModelKey, key.String()))
+	}
+	m, err := c.build(ctx, key, dev)
 	if err != nil {
 		span.Set(telemetry.String(telemetry.AttrError, err.Error()))
 		span.End()
+		c.mu.Lock()
+		if c.entries[key] == e {
+			delete(c.entries, key)
+		}
+		c.mu.Unlock()
 		return nil, false, err
 	}
 	span.End()
 	e.model = m
+	e.built.Store(true)
 	return m, false, nil
+}
+
+// evictLocked drops one built model; c.mu is held. Entries still
+// building are skipped — their builders and waiters hold them — so
+// under a burst of concurrent cold keys the cache can briefly exceed
+// its cap by the builds in flight.
+func (c *ModelCache) evictLocked() {
+	for k, e := range c.entries {
+		if e.built.Load() {
+			delete(c.entries, k)
+			telemetry.Default().Counter(telemetry.KeyServerCacheEvictions).Inc()
+			return
+		}
+	}
+}
+
+// resolveID resolves an identified spec through res: the ModelCache
+// reuses the device and key already resolved, other resolvers (test
+// fakes) take the spec.
+func resolveID(ctx context.Context, res Resolver, id specID) (device.Solver, bool, error) {
+	c, ok := res.(*ModelCache)
+	if !ok {
+		return res.Resolve(ctx, *id.spec)
+	}
+	if id.err != nil {
+		return nil, false, id.err
+	}
+	return c.resolve(ctx, id.key, id.dev)
 }
 
 // build constructs one model for the cache, adding charge-table
 // snapshot warm-start around the package-level build when a snapshot
 // dir is configured and the family is the table-backed reference.
-func (c *ModelCache) build(ctx context.Context, key cacheKey, family string, dev fettoy.Device) (device.Solver, error) {
+func (c *ModelCache) build(ctx context.Context, key cacheKey, dev fettoy.Device) (device.Solver, error) {
 	c.mu.Lock()
 	dir := c.snapshotDir
 	c.mu.Unlock()
-	if dir == "" || familyOrDefault(family) != FamilyReference {
-		return build(family, dev)
+	if dir == "" || key.family != FamilyReference {
+		return build(key.family, dev)
 	}
 	ref, err := fettoy.New(dev)
 	if err != nil {
@@ -225,11 +279,9 @@ func (c *ModelCache) Len() int {
 	defer c.mu.Unlock()
 	n := 0
 	for _, e := range c.entries {
-		e.mu.Lock()
-		if e.model != nil {
+		if e.built.Load() {
 			n++
 		}
-		e.mu.Unlock()
 	}
 	return n
 }

@@ -34,6 +34,9 @@ import (
 
 // flight is one in-progress engine run plus everyone waiting on it.
 type flight struct {
+	// req is the job the leader's goroutine runs. Held here rather than
+	// captured by that goroutine, so it rides the flight's allocation.
+	req     engine.Request
 	done    chan struct{} // closed after res/err are set
 	res     engine.Result
 	err     error
@@ -84,12 +87,12 @@ func (g *flightGroup) run(ctx, drain context.Context, key string, req engine.Req
 	if drain != nil {
 		stop = context.AfterFunc(drain, cancel)
 	}
-	f = &flight{done: make(chan struct{}), waiters: 1, cancel: cancel}
+	f = &flight{req: req, done: make(chan struct{}), waiters: 1, cancel: cancel}
 	g.flights[key] = f
 	g.mu.Unlock()
 	reg.Counter(telemetry.KeyServerCoalesceMisses).Inc()
 	go func() {
-		res, err := engine.Run(jctx, req)
+		res, err := engine.Run(jctx, f.req)
 		stop()
 		g.mu.Lock()
 		// Delete before close so a request arriving after completion

@@ -25,14 +25,7 @@ import (
 func TestCoalesceKeyCanonical(t *testing.T) {
 	dev := fettoy.Default()
 	base := JobRequest{Kind: "family-sweep", Model: &ModelSpec{}, Gates: []float64{0.5}, Drains: []float64{0.1}}
-	key := func(jr JobRequest) string {
-		t.Helper()
-		k, err := coalesceKey(jr)
-		if err != nil {
-			t.Fatalf("coalesceKey: %v", err)
-		}
-		return k
-	}
+	key := jobKey
 	want := key(base)
 
 	same := map[string]JobRequest{

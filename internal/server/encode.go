@@ -161,14 +161,6 @@ func (j *jsonBuf) omitFloat(key string, f float64) {
 	}
 }
 
-// omitInt is omitFloat for integers.
-func (j *jsonBuf) omitInt(key string, v int64) {
-	if v != 0 {
-		j.raw(key)
-		j.int(v)
-	}
-}
-
 // floats appends a []float64 field: null when nil, an array otherwise.
 func (j *jsonBuf) floats(xs []float64) {
 	if xs == nil {

@@ -40,7 +40,7 @@ func served(t testing.TB, res Resolver, body string) JobResponse {
 	if err := json.Unmarshal([]byte(body), &jr); err != nil {
 		t.Fatal(err)
 	}
-	req, _, err := jr.toEngine(context.Background(), res)
+	req, _, err := jr.toEngine(context.Background(), res, identify(jr.Model), identify(jr.Ref))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,41 +218,6 @@ func TestAppendRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestCoalesceKeyMatchesMarshal pins the reflection-free coalescing key
-// to json.Marshal of the canonical job, over every job kind and the
-// explicit and omitted spellings of each default.
-func TestCoalesceKeyMatchesMarshal(t *testing.T) {
-	dev := fettoy.Default()
-	zero := 0.0
-	for name, jr := range map[string]JobRequest{
-		"iv-point omitted defaults": {Kind: "iv-point", Model: &ModelSpec{}, VG: 0.5, VD: 0.4},
-		"iv-point explicit":         {Kind: "iv-point", Model: &ModelSpec{Family: FamilyModel1, Device: DeviceDefault, T: dev.T, EF: &dev.EF}, VG: 0.5, VD: 1e-7},
-		"iv-point zero bias":        {Kind: "iv-point", Model: &ModelSpec{Family: FamilyModel2, EF: &zero}},
-		"family-sweep":              {Kind: "family-sweep", Model: &ModelSpec{Device: DeviceJavey, T: 150}, Gates: []float64{0.3, 0.6}, Drains: []float64{0, 0.3, 0.6}, Workers: 3, Repeat: 2},
-		"family-sweep empty grids":  {Kind: "family-sweep", Model: &ModelSpec{}, Gates: []float64{}, Drains: nil},
-		"rms-compare ref":           {Kind: "rms-compare", Model: &ModelSpec{Family: FamilyModel2}, Ref: &ModelSpec{}, Gates: []float64{0.5}, Drains: []float64{0.1}},
-		"rms-compare ref explicit":  {Kind: "rms-compare", Model: &ModelSpec{Family: FamilyModel2}, Ref: &ModelSpec{Family: FamilyModel1, T: dev.T}, Gates: []float64{0.5}, Drains: []float64{0.1}, Workers: 1},
-		"rms-compare ref_family": {Kind: "rms-compare", Model: &ModelSpec{Family: FamilyReference},
-			RefFamily: []Curve{{VG: 0.5, VDS: []float64{0.1, 0.2}, IDS: []float64{1e-6, 2e-21}}, {VG: 0.6, VDS: []float64{0.1, 0.2}, IDS: nil}},
-			Gates:     []float64{0.5, 0.6}, Drains: []float64{0.1, 0.2}},
-		"monte-carlo":        {Kind: "monte-carlo", Model: &ModelSpec{EF: &zero}, VG: 0.5, VD: 0.4, EFSigma: 0.02, DiameterSigma: 1e-3, Samples: 100, Seed: -7},
-		"no model":           {Kind: "iv-point"},
-		"unresolvable model": {Kind: "family-sweep", Model: &ModelSpec{Family: "x<y>", Device: "exotic"}, Gates: []float64{1}, Drains: []float64{1}},
-	} {
-		want, err := json.Marshal(canonicalize(jr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := coalesceKey(jr)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got != string(want) {
-			t.Errorf("%s: key diverged from json.Marshal:\n got %s\nwant %s", name, got, want)
-		}
-	}
-}
-
 // TestNonFiniteResultAnswers422 is the regression test for the bodiless
 // 200: a result JSON cannot spell used to fail encoding after the
 // header had gone out. It now answers 422 with a numerical error body
@@ -357,28 +322,4 @@ func BenchmarkEncodeFamilyResponse(b *testing.B) {
 		}
 	})
 	b.SetBytes(int64(len(stdEncode(b, resp))))
-}
-
-// BenchmarkCoalesceKey times the buffered Table-I sweep's flight key.
-func BenchmarkCoalesceKey(b *testing.B) {
-	var jr JobRequest
-	if err := json.Unmarshal([]byte(tableIBody), &jr); err != nil {
-		b.Fatal(err)
-	}
-	b.Run("json-marshal", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := json.Marshal(canonicalize(jr)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("append", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := coalesceKey(jr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

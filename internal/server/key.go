@@ -2,15 +2,17 @@
 // model description resolves to, the canonical model-key string the
 // cluster router (internal/cluster) hashes for key-affinity placement,
 // and the coalescing key that decides when two buffered jobs are the
-// same job. All three render through one path with wire defaults
+// same job. All three derive from one resolution with wire defaults
 // applied, so an omitted field and its explicit default spelling are
-// byte-for-byte the same identity everywhere — the server's cache, the
-// flight group and the router's rendezvous ring can never disagree
-// about which requests are "the same".
+// the same identity everywhere — the server's cache, the flight group
+// and the router's rendezvous ring can never disagree about which
+// requests are "the same".
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"cntfet/internal/fettoy"
 )
@@ -57,6 +59,36 @@ func specCacheKey(spec ModelSpec, dev fettoy.Device) cacheKey {
 	}
 }
 
+// specID is a ModelSpec resolved once per request: the preset device
+// with its overrides applied and the cache key it lands on, or why it
+// does not resolve. The cache lookup, the coalescing key and the
+// logged model key all read it instead of resolving the spec again.
+type specID struct {
+	spec *ModelSpec // nil: the request names no such model
+	dev  fettoy.Device
+	key  cacheKey
+	err  error
+}
+
+// identify resolves spec (which may be nil).
+func identify(spec *ModelSpec) specID {
+	id := specID{spec: spec}
+	if spec != nil {
+		if id.dev, id.err = spec.device(); id.err == nil {
+			id.key = specCacheKey(*spec, id.dev)
+		}
+	}
+	return id
+}
+
+// String renders the identity as ModelSpec.Key does.
+func (id specID) String() string {
+	if id.err == nil {
+		return id.key.String()
+	}
+	return id.spec.rawKey()
+}
+
 // Key renders the cache identity a spec resolves to, for logs, spans
 // and the cluster router — with the family and preset defaults applied
 // and the T/EF overrides resolved, so an omitted family and an
@@ -66,16 +98,21 @@ func specCacheKey(spec ModelSpec, dev fettoy.Device) cacheKey {
 func (m ModelSpec) Key() string {
 	dev, err := m.device()
 	if err != nil {
-		// Render the EF override's value, not its pointer: the key must
-		// be the same string for every decode of the same body.
-		ef := "preset"
-		if m.EF != nil {
-			ef = fmt.Sprintf("%g", *m.EF)
-		}
-		return fmt.Sprintf("%s/%s/T=%g/EF=%s",
-			familyOrDefault(m.Family), presetOrDefault(m.Device), m.T, ef)
+		return m.rawKey()
 	}
 	return specCacheKey(m, dev).String()
+}
+
+// rawKey renders an unresolvable spec's identity from its raw values.
+func (m ModelSpec) rawKey() string {
+	// Render the EF override's value, not its pointer: the key must be
+	// the same string for every decode of the same body.
+	ef := "preset"
+	if m.EF != nil {
+		ef = fmt.Sprintf("%g", *m.EF)
+	}
+	return fmt.Sprintf("%s/%s/T=%g/EF=%s",
+		familyOrDefault(m.Family), presetOrDefault(m.Device), m.T, ef)
 }
 
 // RouteKey is the canonical model identity of a decoded job — the
@@ -93,102 +130,125 @@ func RouteKey(jr JobRequest) string {
 	return jr.Model.Key()
 }
 
-// canonicalJob is the coalescing identity of a buffered job: the
-// JobRequest with both model descriptions replaced by their resolved
-// Key() strings. Marshalling this — rather than the decoded JobRequest
-// itself — makes semantically identical spellings (explicit family vs
-// omitted, explicit preset T vs zero) coalesce. Stream is deliberately absent:
-// streamed responses never enter the flight group. The key is the
-// json.Marshal spelling of this struct, built by appendJSON without
-// reflection.
-type canonicalJob struct {
-	Kind      string    `json:"kind"`
-	Model     string    `json:"model"`
-	Ref       string    `json:"ref,omitempty"`
-	RefFamily []Curve   `json:"ref_family,omitempty"`
-	VG        float64   `json:"vg,omitempty"`
-	VD        float64   `json:"vd,omitempty"`
-	Gates     []float64 `json:"gates,omitempty"`
-	Drains    []float64 `json:"drains,omitempty"`
-	Workers   int       `json:"workers,omitempty"`
-	Repeat    int       `json:"repeat,omitempty"`
-	EFSigma   float64   `json:"ef_sigma,omitempty"`
-	DiamSigma float64   `json:"diameter_sigma,omitempty"`
-	Samples   int       `json:"samples,omitempty"`
-	Seed      int64     `json:"seed,omitempty"`
-}
+// Tags of a model identity inside a coalescing key.
+const (
+	tagAbsent   byte = iota // no ref model
+	tagResolved             // name codes and float bits
+	tagText                 // the Key (or RouteKey) text
+)
 
-// coalesceKey canonicalises a decoded request into its flight-group
-// key. Two requests get the same key exactly when they resolve to the
-// same engine run: same kind, same resolved model identities, same
-// grids and scheduling parameters.
-func coalesceKey(jr JobRequest) (string, error) {
-	cj := canonicalize(jr)
+// coalesceKey is the flight-group key of a buffered job. Two jobs get
+// the same key exactly when they resolve to the same engine run: same
+// kind, same model identities as ModelSpec.Key renders them, same
+// grids and scheduling parameters. Stream is absent — streamed
+// responses never enter the flight group.
+//
+// The key is binary rather than text. Known kind, family and preset
+// names are one-byte codes (others are spelled out), each number is
+// its float64 bits — with -0 folded into 0 wherever the wire omits a
+// zero, so both spell the same job — and every variable-length part
+// carries its length, so no two distinct jobs share a key. A model
+// that resolves under known names is its codes plus the resolved T
+// and EF bits; any other identity (an unresolvable spec, an unknown
+// family, a missing model) is its Key text. The two forms never name
+// the same identity: a resolved spec under known names renders with a
+// positive temperature, which no other spec renders with those names.
+func coalesceKey(jr *JobRequest, model, ref specID) string {
 	buf := getEncodeBuf()
 	defer putEncodeBuf(buf)
-	var err error
-	if *buf, err = cj.appendJSON((*buf)[:0]); err != nil {
-		return "", fmt.Errorf("server: coalesce key: %w", err)
+	b := appendName((*buf)[:0], jr.Kind)
+	if model.spec == nil {
+		b = appendText(append(b, tagText), RouteKey(*jr))
+	} else {
+		b = appendSpec(b, model)
 	}
-	return string(*buf), nil
+	if ref.spec == nil {
+		b = append(b, tagAbsent)
+	} else {
+		b = appendSpec(b, ref)
+	}
+	b = binary.AppendUvarint(b, uint64(len(jr.RefFamily)))
+	for _, c := range jr.RefFamily {
+		b = appendBits(b, c.VG)
+		b = appendNullable(b, c.VDS)
+		b = appendNullable(b, c.IDS)
+	}
+	b = appendOmittable(b, jr.VG)
+	b = appendOmittable(b, jr.VD)
+	b = appendFloats(b, jr.Gates)
+	b = appendFloats(b, jr.Drains)
+	b = binary.AppendVarint(b, int64(jr.Workers))
+	b = binary.AppendVarint(b, int64(jr.Repeat))
+	b = appendOmittable(b, jr.EFSigma)
+	b = appendOmittable(b, jr.DiameterSigma)
+	b = binary.AppendVarint(b, int64(jr.Samples))
+	b = binary.AppendVarint(b, jr.Seed)
+	*buf = b
+	return string(b)
 }
 
-// canonicalize applies the wire defaults and resolves both model
-// descriptions to their Key() identities.
-func canonicalize(jr JobRequest) canonicalJob {
-	cj := canonicalJob{
-		Kind:      jr.Kind,
-		Model:     RouteKey(jr),
-		RefFamily: jr.RefFamily,
-		VG:        jr.VG,
-		VD:        jr.VD,
-		Gates:     jr.Gates,
-		Drains:    jr.Drains,
-		Workers:   jr.Workers,
-		Repeat:    jr.Repeat,
-		EFSigma:   jr.EFSigma,
-		DiamSigma: jr.DiameterSigma,
-		Samples:   jr.Samples,
-		Seed:      jr.Seed,
+// nameCode is the one-byte code of an interned wire name, 0 for any
+// other string.
+func nameCode(s string) byte {
+	for i, n := range interned {
+		if s == n {
+			return byte(i + 1)
+		}
 	}
-	if jr.Ref != nil {
-		cj.Ref = jr.Ref.Key()
-	}
-	return cj
+	return 0
 }
 
-// appendJSON appends cj exactly as json.Marshal spells it: field
-// order, omitempty and float spelling included.
-func (cj *canonicalJob) appendJSON(dst []byte) ([]byte, error) {
-	j := jsonBuf{b: dst}
-	j.raw(`{"kind":`)
-	j.str(cj.Kind)
-	j.raw(`,"model":`)
-	j.str(cj.Model)
-	if cj.Ref != "" {
-		j.raw(`,"ref":`)
-		j.str(cj.Ref)
+// appendName appends a kind, family or preset name: its code, or 0 and
+// the spelled-out text.
+func appendName(b []byte, s string) []byte {
+	if c := nameCode(s); c != 0 {
+		return append(b, c)
 	}
-	if len(cj.RefFamily) > 0 {
-		j.raw(`,"ref_family":`)
-		j.curves(cj.RefFamily)
+	return appendText(append(b, 0), s)
+}
+
+func appendText(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// appendSpec appends a present model identity.
+func appendSpec(b []byte, id specID) []byte {
+	if id.err == nil {
+		if fc, pc := nameCode(id.key.family), nameCode(id.key.preset); fc != 0 && pc != 0 {
+			b = append(b, tagResolved, fc, pc)
+			return appendBits(appendBits(b, id.key.t), id.key.ef)
+		}
 	}
-	j.omitFloat(`,"vg":`, cj.VG)
-	j.omitFloat(`,"vd":`, cj.VD)
-	if len(cj.Gates) > 0 {
-		j.raw(`,"gates":`)
-		j.floats(cj.Gates)
+	return appendText(append(b, tagText), id.String())
+}
+
+func appendBits(b []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+}
+
+// appendOmittable appends a number the wire omits when zero: -0 and 0
+// are the same (omitted) value.
+func appendOmittable(b []byte, f float64) []byte {
+	if f == 0 { //lint:allow floatcmp omitempty drops -0 and 0 alike
+		f = 0
 	}
-	if len(cj.Drains) > 0 {
-		j.raw(`,"drains":`)
-		j.floats(cj.Drains)
+	return appendBits(b, f)
+}
+
+// appendFloats appends an omitempty grid: nil and empty are the same.
+func appendFloats(b []byte, xs []float64) []byte {
+	b = binary.AppendUvarint(b, uint64(len(xs)))
+	for _, x := range xs {
+		b = appendBits(b, x)
 	}
-	j.omitInt(`,"workers":`, int64(cj.Workers))
-	j.omitInt(`,"repeat":`, int64(cj.Repeat))
-	j.omitFloat(`,"ef_sigma":`, cj.EFSigma)
-	j.omitFloat(`,"diameter_sigma":`, cj.DiamSigma)
-	j.omitInt(`,"samples":`, int64(cj.Samples))
-	j.omitInt(`,"seed":`, cj.Seed)
-	j.b = append(j.b, '}')
-	return j.b, j.err
+	return b
+}
+
+// appendNullable appends a curve's grid, where nil (null) and empty
+// ([]) differ.
+func appendNullable(b []byte, xs []float64) []byte {
+	if xs == nil {
+		return append(b, 0)
+	}
+	return appendFloats(append(b, 1), xs)
 }

@@ -34,6 +34,7 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"time"
 
@@ -195,7 +196,12 @@ func (s *Server) observe(next http.Handler) http.Handler {
 		ctx, span := telemetry.StartSpan(r.Context(), telemetry.SpanServerRequest)
 		rec := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
-		next.ServeHTTP(rec, r.WithContext(ctx))
+		if span != nil {
+			// Tracing is on: callees find the request span in the context.
+			// Off, the context is unchanged and the request is not copied.
+			r = r.WithContext(ctx)
+		}
+		next.ServeHTTP(rec, r)
 		d := time.Since(start)
 		telemetry.Default().
 			Histogram(telemetry.KeyServerRequestSeconds, telemetry.LatencyBuckets).
@@ -235,11 +241,8 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	var jr JobRequest
-	if err := dec.Decode(&jr); err != nil {
+	if err := decodeBody(w, r, s.cfg.MaxBody, &jr); err != nil {
 		status := http.StatusBadRequest
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -260,17 +263,21 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
 		defer cancel()
 	}
-	telemetry.SpanFrom(ctx).Set(telemetry.String(telemetry.AttrJobKind, jr.Kind))
+	span := telemetry.SpanFrom(ctx)
+	span.Set(telemetry.String(telemetry.AttrJobKind, jr.Kind))
 
-	req, meta, err := jr.toEngine(ctx, s.cfg.Resolver)
+	// Each model description is resolved once; the cache lookup, the
+	// coalescing key and the logged model key all read the result.
+	model, ref := identify(jr.Model), identify(jr.Ref)
+	req, meta, err := jr.toEngine(ctx, s.cfg.Resolver, model, ref)
 	if err != nil {
 		reg.Counter(telemetry.KeyServerErrors).Inc()
 		writeError(w, http.StatusBadRequest, "invalid-request", err)
 		return
 	}
-	if meta.Resolved {
-		telemetry.SpanFrom(ctx).Set(
-			telemetry.String(telemetry.AttrModelKey, meta.ModelKey),
+	if meta.Resolved && span != nil {
+		span.Set(
+			telemetry.String(telemetry.AttrModelKey, meta.modelKey()),
 			telemetry.Bool(telemetry.AttrCacheHit, meta.CacheHit),
 		)
 	}
@@ -283,11 +290,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Buffered identical requests in flight at the same time share one
-	// engine run (coalesce.go); the key is the canonical re-encoding of
-	// the decoded request.
-	res, coalesced, err := s.runCoalesced(ctx, jr, req)
+	// engine run (coalesce.go), keyed by the job's canonical identity.
+	res, coalesced, err := s.flights.run(ctx, s.drainCtx, coalesceKey(&jr, model, ref), req)
 	if coalesced {
-		telemetry.SpanFrom(ctx).Set(telemetry.Bool(telemetry.AttrCoalesced, true))
+		span.Set(telemetry.Bool(telemetry.AttrCoalesced, true))
 	}
 	if err == nil {
 		// The answer is encoded before anything is written, so a result
@@ -312,18 +318,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	writeError(w, status, class, err)
 }
 
-// runCoalesced routes a buffered job through the flight group. A
-// request whose key cannot be computed (never expected: JobRequest is
-// plain data) just runs alone.
-func (s *Server) runCoalesced(ctx context.Context, jr JobRequest, req engine.Request) (engine.Result, bool, error) {
-	key, err := coalesceKey(jr)
-	if err != nil {
-		res, runErr := engine.Run(ctx, req)
-		return res, false, runErr
-	}
-	return s.flights.run(ctx, s.drainCtx, key, req)
-}
-
 // logJob writes the per-job NDJSON record: one line per job that
 // reached the engine, sharing the access log's trace ID and carrying
 // the job's cost attribution (duration, Newton iterations, sweep
@@ -342,7 +336,7 @@ func (s *Server) logJob(ctx context.Context, kind string, meta resolveMeta, stat
 	}
 	if meta.Resolved {
 		fields = append(fields,
-			telemetry.String(telemetry.AttrModelKey, meta.ModelKey),
+			telemetry.String(telemetry.AttrModelKey, meta.modelKey()),
 			telemetry.Bool(telemetry.AttrCacheHit, meta.CacheHit),
 		)
 	}
@@ -460,9 +454,14 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	writeBody(w, status, append(b, '\n'))
 }
 
-// writeBody sends an encoded JSON answer in one Write.
+// writeBody sends an encoded JSON answer in one Write. The body is
+// complete before the header goes out, so it carries its length: an
+// answer larger than net/http's pre-chunking buffer (a Table-I sweep)
+// would otherwise go out chunked.
 func writeBody(w http.ResponseWriter, status int, b []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(status)
 	// Write errors are undeliverable (the client is mid-read or gone);
 	// nothing useful remains to be done with them.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -626,5 +627,32 @@ func TestTimeoutCancels(t *testing.T) {
 	var er ErrorResponse
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Class != "canceled" {
 		t.Fatalf("499 body not classified: %s", w.Body)
+	}
+}
+
+// TestBufferedAnswerHasContentLength: a buffered answer is encoded
+// whole before the header goes out, so it carries its length — a
+// Table-I sweep (far above net/http's 2 KiB pre-chunking buffer) is not
+// sent chunked.
+func TestBufferedAnswerHasContentLength(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tableIBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, err %v: %s", resp.StatusCode, err, body)
+	}
+	if len(body) <= 2048 {
+		t.Fatalf("Table-I answer is only %d bytes; the test needs one above the pre-chunking buffer", len(body))
+	}
+	if got := resp.Header.Get("Content-Length"); got != strconv.Itoa(len(body)) {
+		t.Fatalf("Content-Length %q, body %d bytes", got, len(body))
+	}
+	if len(resp.TransferEncoding) != 0 {
+		t.Fatalf("answer sent with Transfer-Encoding %v", resp.TransferEncoding)
 	}
 }

@@ -186,16 +186,20 @@ var kinds = map[string]engine.Kind{
 // Resolved is false for kinds that never touch the cache (MonteCarlo
 // fits per-sample models from raw device parameters).
 type resolveMeta struct {
-	ModelKey string
+	model    specID
 	CacheHit bool
 	Resolved bool
 }
 
+// modelKey renders the primary model's identity (ModelSpec.Key). It is
+// formatted only when a span or the job log reads it.
+func (m resolveMeta) modelKey() string { return m.model.String() }
+
 // toEngine resolves the wire request into an engine.Request, looking
-// models up through the resolver under the job's context. Every error
-// it returns is a client-side problem (the server maps them to HTTP
-// 400).
-func (jr JobRequest) toEngine(ctx context.Context, res Resolver) (engine.Request, resolveMeta, error) {
+// models up through the resolver under the job's context. model and ref
+// are jr.Model and jr.Ref, identified. Every error it returns is a
+// client-side problem (the server maps them to HTTP 400).
+func (jr JobRequest) toEngine(ctx context.Context, res Resolver, model, ref specID) (engine.Request, resolveMeta, error) {
 	var meta resolveMeta
 	kind, ok := kinds[jr.Kind]
 	if !ok {
@@ -223,20 +227,19 @@ func (jr JobRequest) toEngine(ctx context.Context, res Resolver) (engine.Request
 	if kind == engine.MonteCarlo {
 		// MC fits its own piecewise models per sample; only the device
 		// parameters travel.
-		dev, err := jr.Model.device()
-		if err != nil {
-			return engine.Request{}, meta, fmt.Errorf("model: %w", err)
+		if model.err != nil {
+			return engine.Request{}, meta, fmt.Errorf("model: %w", model.err)
 		}
-		req.Device = dev
+		req.Device = model.dev
 		return req, meta, nil
 	}
 
-	m, cached, err := res.Resolve(ctx, *jr.Model)
+	m, cached, err := resolveID(ctx, res, model)
 	if err != nil {
 		return engine.Request{}, meta, fmt.Errorf("model: %w", err)
 	}
 	req.Model = m
-	meta = resolveMeta{ModelKey: jr.Model.Key(), CacheHit: cached, Resolved: true}
+	meta = resolveMeta{model: model, CacheHit: cached, Resolved: true}
 
 	if kind == engine.RMSCompare {
 		if jr.Ref != nil && jr.RefFamily != nil {
@@ -244,11 +247,11 @@ func (jr JobRequest) toEngine(ctx context.Context, res Resolver) (engine.Request
 		}
 		switch {
 		case jr.Ref != nil:
-			ref, _, err := res.Resolve(ctx, *jr.Ref)
+			r, _, err := resolveID(ctx, res, ref)
 			if err != nil {
 				return engine.Request{}, meta, fmt.Errorf("ref: %w", err)
 			}
-			req.Ref = ref
+			req.Ref = r
 		case jr.RefFamily != nil:
 			req.RefFamily = curvesFromWire(jr.RefFamily)
 		default:

@@ -125,6 +125,9 @@ const (
 	// build (reference construction, charge-table attach, or a
 	// piecewise fit).
 	KeyServerCacheMisses = "server.cache.misses"
+	// KeyServerCacheEvictions counts built models the model cache
+	// dropped to stay within its cap on distinct keys.
+	KeyServerCacheEvictions = "server.cache.evictions"
 	// KeyServerStreamRequests counts jobs answered as chunked NDJSON
 	// streams (the stream request field or an x-ndjson Accept header).
 	KeyServerStreamRequests = "server.stream.requests"
