@@ -82,8 +82,7 @@ benchsmoke:
 ## the job's trace ID correlates the access log, job log and
 ## /debug/trace spans, re-runs the sweep streamed (incremental NDJSON
 ## frames bit-identical to the buffered rows, Trace-Id header in the
-## log), restarts against the snapshot dir (reference charge table
-## loaded from disk, zero rebuilds), and shuts down gracefully.
+## log), and shuts down gracefully.
 servesmoke:
 	$(GO) run ./cmd/cntserve -selftest
 

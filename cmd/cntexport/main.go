@@ -7,26 +7,9 @@
 //
 // Device parameters are flags; the JSON artifact round-trips through
 // the library (cntfet.FromData) without refitting.
-//
-// It also dumps and inspects reference charge-table snapshots — the
-// binary warm-start artifact cntserve -snapshot-dir consumes:
-//
-//	cntexport -snapshot table.snap        tabulate the reference charge
-//	                                      table for the flag-selected
-//	                                      device and write its snapshot
-//	cntexport -snapshot-info table.snap   verify a snapshot's checksum
-//	                                      and print its identity (device,
-//	                                      table options, grid size) as
-//	                                      JSON
-//
-// A snapshot dumped here with default table options is byte-loadable
-// by a server whose cache key names the same device: name the file
-// "reference_<preset>_T=<T>_EF=<EF>.snap" inside the server's
-// -snapshot-dir to pre-seed a fleet before first traffic.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -47,27 +30,15 @@ func main() {
 	temp := flag.Float64("t", 300, "temperature [K]")
 	planar := flag.Bool("planar", false, "planar (back-gate) geometry instead of coaxial")
 	optimize := flag.Bool("optimize", false, "re-optimise region boundaries for this device")
-	snapshot := flag.String("snapshot", "", "build the reference charge table and write its snapshot to this file")
-	snapshotInfo := flag.String("snapshot-info", "", "verify a charge-table snapshot and print its identity as JSON")
 	flag.Parse()
 
-	var err error
-	switch {
-	case *snapshotInfo != "":
-		err = runSnapshotInfo(*snapshotInfo)
-	case *snapshot != "":
-		err = runSnapshot(*snapshot, *d, *tox, *kappa, *ef, *temp, *planar)
-	default:
-		err = run(*modelNo, *format, *entity, *d, *tox, *kappa, *ef, *temp, *planar, *optimize)
-	}
-	if err != nil {
+	if err := run(*modelNo, *format, *entity, *d, *tox, *kappa, *ef, *temp, *planar, *optimize); err != nil {
 		fmt.Fprintln(os.Stderr, "cntexport:", err)
 		os.Exit(1)
 	}
 }
 
-// device assembles the flag-selected device.
-func device(d, tox, kappa, ef, temp float64, planar bool) fettoy.Device {
+func run(modelNo int, format, entity string, d, tox, kappa, ef, temp float64, planar, optimize bool) error {
 	dev := cntfet.DefaultDevice()
 	dev.Diameter = d
 	dev.Tox = tox
@@ -77,54 +48,6 @@ func device(d, tox, kappa, ef, temp float64, planar bool) fettoy.Device {
 	if planar {
 		dev.Geometry = fettoy.Planar
 	}
-	return dev
-}
-
-// runSnapshot tabulates the reference charge table (default table
-// options, the ones cntserve's cache uses) and snapshots it to path.
-func runSnapshot(path string, d, tox, kappa, ef, temp float64, planar bool) error {
-	m, err := fettoy.New(device(d, tox, kappa, ef, temp, planar))
-	if err != nil {
-		return err
-	}
-	tab := m.EnableTable(fettoy.TableOptions{})
-	if err := tab.BuildContext(context.Background()); err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tab.WriteSnapshot(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "cntexport: wrote %d-node charge table snapshot to %s\n", tab.Nodes(), path)
-	return nil
-}
-
-// runSnapshotInfo checks a snapshot file end to end (magic, header,
-// checksum) and prints its identity.
-func runSnapshotInfo(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	info, err := fettoy.ReadSnapshotInfo(f)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(info)
-}
-
-func run(modelNo int, format, entity string, d, tox, kappa, ef, temp float64, planar, optimize bool) error {
-	dev := device(d, tox, kappa, ef, temp, planar)
 	spec := cntfet.Model2Spec()
 	if modelNo == 1 {
 		spec = cntfet.Model1Spec()

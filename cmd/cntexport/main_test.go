@@ -5,12 +5,10 @@ import (
 	"encoding/json"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"cntfet/internal/core"
-	"cntfet/internal/fettoy"
 )
 
 func capture(t *testing.T, fn func() error) string {
@@ -66,72 +64,6 @@ func TestVHDLExport(t *testing.T) {
 func TestUnknownFormatRejected(t *testing.T) {
 	if err := run(2, "yaml", "", 1e-9, 1.5e-9, 25, -0.32, 300, false, false); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-// TestSnapshotDumpRoundTrips is the snapshot-subcommand golden test:
-// a dumped charge-table snapshot verifies and reports the right
-// identity through -snapshot-info, and loads into a fresh table that
-// answers lookups bit-identically to a direct build.
-func TestSnapshotDumpRoundTrips(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "table.snap")
-	if err := runSnapshot(path, 1e-9, 1.5e-9, 25, -0.32, 300, false); err != nil {
-		t.Fatal(err)
-	}
-
-	out := capture(t, func() error { return runSnapshotInfo(path) })
-	var info fettoy.SnapshotInfo
-	if err := json.Unmarshal([]byte(out), &info); err != nil {
-		t.Fatalf("snapshot-info not JSON: %v\n%s", err, out)
-	}
-	if info.Device.T != 300 || info.Device.EF != -0.32 || info.Nodes < 2 { //lint:allow floatcmp the snapshot must carry the flag values bit-exactly
-		t.Fatalf("snapshot identity drifted: %+v", info)
-	}
-
-	// Load the file into a fresh table and compare against a direct
-	// build of the same device: the adaptive tabulation is
-	// deterministic, so every lookup must agree bit-for-bit.
-	dev := device(1e-9, 1.5e-9, 25, -0.32, 300, false)
-	mLoad, err := fettoy.New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded := mLoad.EnableTable(fettoy.TableOptions{})
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := loaded.ReadSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	mBuild, err := fettoy.New(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	built := mBuild.EnableTable(fettoy.TableOptions{})
-	built.Build()
-	if loaded.Nodes() != built.Nodes() {
-		t.Fatalf("loaded %d nodes, direct build %d", loaded.Nodes(), built.Nodes())
-	}
-	for _, u := range []float64{-0.8, -0.32, 0, 0.17, 0.6} {
-		ln, lnp := loaded.At(u)
-		bn, bnp := built.At(u)
-		if ln != bn || lnp != bnp { //lint:allow floatcmp a loaded snapshot must reproduce the built table bit-exactly
-			t.Fatalf("lookup at u=%g differs: (%g,%g) vs (%g,%g)", u, ln, lnp, bn, bnp)
-		}
-	}
-}
-
-// TestSnapshotInfoRejectsGarbage checks the verification side: a
-// non-snapshot file must fail, not print nonsense.
-func TestSnapshotInfoRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bogus.snap")
-	if err := os.WriteFile(path, []byte("not a snapshot at all"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := runSnapshotInfo(path); err == nil {
-		t.Fatal("garbage snapshot accepted")
 	}
 }
 

@@ -11,13 +11,11 @@
 //	cntserve -inflight 4 -timeout 30s     tighter admission control
 //	cntserve -trace -log access.ndjson    request tracing + NDJSON logs
 //	cntserve -debug-addr localhost:6060   pprof profiles + expvar
-//	cntserve -snapshot-dir /var/cnt/snap  charge-table snapshot warm-start
 //	cntserve -selftest                    one-shot smoke: serve on an
 //	                                      ephemeral port, POST buffered
 //	                                      and streamed family-sweeps,
 //	                                      scrape the operational
-//	                                      endpoints, restart against the
-//	                                      snapshot dir, exit
+//	                                      endpoints, exit
 //
 // Endpoints:
 //
@@ -31,11 +29,7 @@
 // Streaming: a job posted with "stream": true (or with "Accept:
 // application/x-ndjson") answers as chunked NDJSON, one frame per
 // result row, flushed as computed — `curl --no-buffer` shows rows
-// arriving while the sweep runs. -snapshot-dir points the model cache
-// at a directory of charge-table snapshots: reference tables found
-// there are loaded instead of rebuilt, and tables built here are
-// saved back, so a restarted replica's first reference job skips the
-// tabulation entirely.
+// arriving while the sweep runs.
 //
 // -log writes the structured NDJSON access/job log ("-" for stderr);
 // every record of one request carries the same trace ID. -trace turns
@@ -63,7 +57,6 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"sync"
 	"syscall"
@@ -82,7 +75,6 @@ func main() {
 	logPath := flag.String("log", "", "write the NDJSON access/job log to this file (\"-\" = stderr)")
 	trace := flag.Bool("trace", false, "record request spans: populates /debug/trace and adds span records to -log")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar telemetry on this address (e.g. localhost:6060)")
-	snapshotDir := flag.String("snapshot-dir", "", "warm-start reference charge tables from (and save them to) *.snap files in this directory")
 	selftest := flag.Bool("selftest", false, "start on an ephemeral port, exercise the job and operational endpoints, exit")
 	flag.Parse()
 
@@ -123,27 +115,14 @@ func main() {
 
 	if *selftest {
 		// The selftest verifies the observability contract too, so it
-		// runs with tracing on and the log captured in memory. The
-		// snapshot phase needs a real directory; default to a temporary
-		// one when the flag is unset.
+		// runs with tracing on and the log captured in memory.
 		telemetry.DefaultTracer().SetEnabled(true)
 		var logBuf syncBuffer
-		snapDir := *snapshotDir
-		if snapDir == "" {
-			dir, err := os.MkdirTemp("", "cntserve-selftest-*")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "cntserve: selftest:", err)
-				os.Exit(1)
-			}
-			defer os.RemoveAll(dir)
-			snapDir = dir
-		}
 		cfg := server.Config{
 			Timeout:     *timeout,
 			MaxBody:     *maxBody,
 			MaxInFlight: *inflight,
 			AccessLog:   &logBuf,
-			SnapshotDir: snapDir,
 		}
 		if err := runSelftest(cfg, &logBuf, *drain); err != nil {
 			fmt.Fprintln(os.Stderr, "cntserve: selftest:", err)
@@ -159,7 +138,6 @@ func main() {
 		MaxBody:     *maxBody,
 		MaxInFlight: *inflight,
 		AccessLog:   accessLog,
-		SnapshotDir: *snapshotDir,
 	})
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -216,11 +194,9 @@ func (b *syncBuffer) String() string {
 // Prometheus text exposition carrying the server counters and latency
 // histogram, (c) /metrics.json still serves the JSON snapshot,
 // (d) /healthz reports identity, (e) the job's trace ID correlates
-// the access log, the job log and the /debug/trace span ring, (f) the
-// same sweep streamed as NDJSON delivers the buffered rows bit-for-bit
-// frame by frame under a correlatable Trace-Id header, and (g) a
-// reference job persists its charge-table snapshot, which a restarted
-// server loads instead of rebuilding.
+// the access log, the job log and the /debug/trace span ring, and (f)
+// the same sweep streamed as NDJSON delivers the buffered rows
+// bit-for-bit frame by frame under a correlatable Trace-Id header.
 func runSelftest(cfg server.Config, logBuf *syncBuffer, drain time.Duration) error {
 	srv := server.New(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -355,23 +331,6 @@ func runSelftest(cfg server.Config, logBuf *syncBuffer, drain time.Duration) err
 		return err
 	}
 
-	// (g) Snapshot warm-start across a restart: a reference job on this
-	// server builds its charge table once and persists it...
-	refBody := `{"kind": "iv-point", "model": {"family": "reference"}, "vg": 0.5, "vd": 0.4}`
-	reg := telemetry.Default()
-	buildsBefore := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	coldIDS, err := postJob(client, base, refBody)
-	if err != nil {
-		return fmt.Errorf("reference job (cold): %w", err)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 1 {
-		return fmt.Errorf("cold reference job built %d charge tables, want 1", d)
-	}
-	snaps, err := filepath.Glob(filepath.Join(cfg.SnapshotDir, "*.snap"))
-	if err != nil || len(snaps) == 0 {
-		return fmt.Errorf("no *.snap persisted in %s (%v)", cfg.SnapshotDir, err)
-	}
-
 	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := srv.Shutdown(drainCtx); err != nil {
@@ -380,66 +339,7 @@ func runSelftest(cfg server.Config, logBuf *syncBuffer, drain time.Duration) err
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-
-	// ...and a fresh server over the same directory — a restart, with
-	// its own empty model cache — serves the first reference job from
-	// the snapshot: fettoy.table.builds stays flat, snapshot_loads
-	// moves, and the answer is bit-identical.
-	srv2 := server.New(cfg)
-	l2, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	errc2 := make(chan error, 1)
-	//lint:allow goroutine errc2 is buffered (cap 1) and Serve returns exactly once, so the send never blocks
-	go func() { errc2 <- srv2.Serve(l2) }()
-	base2 := fmt.Sprintf("http://%s", l2.Addr())
-	buildsBefore = reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	loadsBefore := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value()
-	warmIDS, err := postJob(client, base2, refBody)
-	if err != nil {
-		return fmt.Errorf("reference job (warm): %w", err)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 0 {
-		return fmt.Errorf("warm-started server built %d charge tables, want 0", d)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value() - loadsBefore; d != 1 {
-		return fmt.Errorf("warm-started server loaded %d snapshots, want 1", d)
-	}
-	if warmIDS != coldIDS { //lint:allow floatcmp a warm-started table must answer bit-identically
-		return fmt.Errorf("warm-started IDS %g differs from cold %g", warmIDS, coldIDS)
-	}
-
-	drainCtx2, cancel2 := context.WithTimeout(context.Background(), drain)
-	defer cancel2()
-	if err := srv2.Shutdown(drainCtx2); err != nil {
-		return fmt.Errorf("shutdown (restarted server): %w", err)
-	}
-	if err := <-errc2; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
 	return nil
-}
-
-// postJob posts one job body and returns the response's IDS.
-func postJob(client *http.Client, base, body string) (float64, error) {
-	resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-	}
-	var jr server.JobResponse
-	if err := json.Unmarshal(raw, &jr); err != nil {
-		return 0, err
-	}
-	return jr.IDS, nil
 }
 
 // checkStreamedSweep re-runs a family sweep with "stream": true and

@@ -33,8 +33,6 @@ var metrics = struct {
 	tableNodes      *telemetry.Counter
 	tableHits       *telemetry.Counter
 	tableMisses     *telemetry.Counter
-	snapshotLoads   *telemetry.Counter
-	snapshotSaves   *telemetry.Counter
 }{
 	integralEvals:   telemetry.Default().Counter(telemetry.KeyFettoyIntegralEvals),
 	quadPoints:      telemetry.Default().Counter(telemetry.KeyFettoyQuadPoints),
@@ -47,8 +45,6 @@ var metrics = struct {
 	tableNodes:      telemetry.Default().Counter(telemetry.KeyFettoyTableNodes),
 	tableHits:       telemetry.Default().Counter(telemetry.KeyFettoyTableHits),
 	tableMisses:     telemetry.Default().Counter(telemetry.KeyFettoyTableMisses),
-	snapshotLoads:   telemetry.Default().Counter(telemetry.KeyFettoyTableSnapshotLoads),
-	snapshotSaves:   telemetry.Default().Counter(telemetry.KeyFettoyTableSnapshotSaves),
 }
 
 // Model is the theoretical (FETToy-equivalent) ballistic CNT transistor.

@@ -117,8 +117,12 @@ func (pw Piecewise) ContinuityError() (c0, c1 float64) {
 // It scans pieces from left to right, forms the per-piece polynomial
 // pw_i(x) + a*x + b (degree <= 3 for the paper's models, so the root is
 // closed-form), and accepts the unique root lying inside that piece's
-// interval. Returns an error when no piece contains a root, which for a
-// monotone function means the caller's assumption is violated.
+// interval. A total that is negative at the right end of one piece and
+// positive at the left end of the next crosses zero in the jump at
+// their shared break — a fitted curve's pieces meet only to rounding —
+// so the break is the root. Returns an error when no piece contains a
+// root, which for a monotone function means the caller's assumption is
+// violated.
 func (pw Piecewise) SolveMonotone(a, b float64) (float64, error) {
 	lin := New(b, a)
 	n := len(pw.Pieces)
@@ -135,7 +139,13 @@ func (pw Piecewise) SolveMonotone(a, b float64) (float64, error) {
 		// change sign (or vanish) inside [lo,hi].
 		flo := evalAtMaybeInf(total, lo, -1)
 		fhi := evalAtMaybeInf(total, hi, +1)
-		if flo > 0 || fhi < 0 {
+		if flo > 0 {
+			if i > 0 {
+				return lo, nil
+			}
+			break
+		}
+		if fhi < 0 {
 			continue
 		}
 		roots := rootsInMaybeInf(total, lo, hi)

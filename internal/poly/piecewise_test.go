@@ -138,6 +138,21 @@ func TestSolveMonotoneNoRoot(t *testing.T) {
 	}
 }
 
+func TestSolveMonotoneRootInJumpAtBreak(t *testing.T) {
+	// Increasing, but the pieces meet 2e-16 apart at the break with
+	// opposite signs: no piece holds a root, so the break is the root.
+	// Fitted pieces meet only to rounding, which puts a served bias
+	// exactly here.
+	pw, err := NewPiecewise([]float64{0.25}, []Poly{New(-0.25-1e-16, 1), New(-0.25+1e-16, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := pw.SolveMonotone(0, 0)
+	if err != nil || x != 0.25 { //lint:allow floatcmp the root must be the break itself
+		t.Fatalf("SolveMonotone = %v, %v; want the break 0.25", x, err)
+	}
+}
+
 func TestSolveMonotoneRandomised(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	q := model1Like(t)

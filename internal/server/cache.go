@@ -10,12 +10,7 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -58,28 +53,13 @@ const maxCachedModels = 1024
 // ModelCache is a concurrency-safe keyed store of built models, bounded
 // by maxCachedModels. The zero value is not ready; use NewModelCache.
 type ModelCache struct {
-	mu          sync.Mutex
-	entries     map[cacheKey]*cacheEntry
-	snapshotDir string
+	mu      sync.Mutex
+	entries map[cacheKey]*cacheEntry
 }
 
 // NewModelCache returns an empty cache.
 func NewModelCache() *ModelCache {
 	return &ModelCache{entries: map[cacheKey]*cacheEntry{}}
-}
-
-// SetSnapshotDir points the cache at a directory of charge-table
-// snapshot files (fettoy.WriteSnapshot format, one "<key>.snap" per
-// reference model). With a dir set, a reference-family cache miss
-// first tries to warm-start its charge table from the matching file —
-// skipping the tabulation entirely, so fettoy.table.builds stays
-// untouched — and otherwise builds the table synchronously and writes
-// the snapshot back for the next process. Empty disables both sides.
-// Call before serving; the dir is read during Resolve.
-func (c *ModelCache) SetSnapshotDir(dir string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.snapshotDir = dir
 }
 
 // Resolve returns the model a spec names, building it on first use.
@@ -121,7 +101,7 @@ func (c *ModelCache) resolve(ctx context.Context, key cacheKey, dev fettoy.Devic
 	if span != nil {
 		span.Set(telemetry.String(telemetry.AttrModelKey, key.String()))
 	}
-	m, err := c.build(ctx, key, dev)
+	m, err := build(key.family, dev)
 	if err != nil {
 		span.Set(telemetry.String(telemetry.AttrError, err.Error()))
 		span.End()
@@ -166,113 +146,6 @@ func resolveID(ctx context.Context, res Resolver, id specID) (device.Solver, boo
 	return c.resolve(ctx, id.key, id.dev)
 }
 
-// build constructs one model for the cache, adding charge-table
-// snapshot warm-start around the package-level build when a snapshot
-// dir is configured and the family is the table-backed reference.
-func (c *ModelCache) build(ctx context.Context, key cacheKey, dev fettoy.Device) (device.Solver, error) {
-	c.mu.Lock()
-	dir := c.snapshotDir
-	c.mu.Unlock()
-	if dir == "" || key.family != FamilyReference {
-		return build(key.family, dev)
-	}
-	ref, err := fettoy.New(dev)
-	if err != nil {
-		return nil, err
-	}
-	tab := ref.EnableTable(fettoy.TableOptions{})
-	path := filepath.Join(dir, snapshotFileName(key))
-	if loadSnapshot(tab, path) {
-		return ref, nil
-	}
-	// Cold start: pay the tabulation now — under this request's
-	// model_build span and deadline, where a lazy build would have run
-	// anyway — then persist it for the next process. A failed save is
-	// only a lost optimisation, not a failed job.
-	if err := tab.BuildContext(ctx); err != nil {
-		return nil, err
-	}
-	saveSnapshot(tab, path)
-	return ref, nil
-}
-
-// snapshotFileName renders a cache key as a file name: the key string
-// with its path separators flattened.
-func snapshotFileName(key cacheKey) string {
-	return strings.ReplaceAll(key.String(), "/", "_") + ".snap"
-}
-
-// loadSnapshot warm-starts tab from path, reporting success. A
-// missing file is the normal cold case; anything else (corruption,
-// identity mismatch, IO) counts a server.snapshot.errors and falls
-// back to building.
-func loadSnapshot(tab *fettoy.ChargeTable, path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		if !errors.Is(err, fs.ErrNotExist) {
-			telemetry.Default().Counter(telemetry.KeyServerSnapshotErrors).Inc()
-		}
-		return false
-	}
-	defer f.Close()
-	if err := tab.ReadSnapshot(f); err != nil {
-		telemetry.Default().Counter(telemetry.KeyServerSnapshotErrors).Inc()
-		return false
-	}
-	return true
-}
-
-// saveSnapshot writes tab's grid to path crash-safely: temp file in
-// the same directory, fsync the file, rename into place, fsync the
-// directory. Without the two syncs a crash between write and rename —
-// or between rename and the directory entry reaching disk — can leave
-// a truncated or missing .snap for the next process to trip over; with
-// them, path either holds the complete old content or the complete new
-// content. Best-effort: any failure counts server.snapshot.errors and
-// costs only the warm start.
-func saveSnapshot(tab *fettoy.ChargeTable, path string) {
-	fail := func() { telemetry.Default().Counter(telemetry.KeyServerSnapshotErrors).Inc() }
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		fail()
-		return
-	}
-	defer os.Remove(f.Name())
-	if err := tab.WriteSnapshot(f); err != nil {
-		f.Close()
-		fail()
-		return
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fail()
-		return
-	}
-	if err := f.Close(); err != nil {
-		fail()
-		return
-	}
-	if err := os.Rename(f.Name(), path); err != nil {
-		fail()
-		return
-	}
-	if err := syncDir(dir); err != nil {
-		fail()
-	}
-}
-
-// syncDir flushes a directory's entries to disk, making a just-renamed
-// file durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // Len reports how many models are built and cached.
 func (c *ModelCache) Len() int {
 	c.mu.Lock()
@@ -309,10 +182,6 @@ func build(family string, dev fettoy.Device) (device.Solver, error) {
 			spec = core.Model1Spec()
 		}
 		return core.Fit(ref, spec, core.FitOptions{})
-	case "":
-		// Resolve normalises before calling here; direct callers get the
-		// same default behaviour.
-		return build(DefaultFamily, dev)
 	}
 	return nil, fmt.Errorf("unknown model family %q (want %q, %q or %q)",
 		family, FamilyReference, FamilyModel1, FamilyModel2)

@@ -1,186 +1,74 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"hash/crc32"
+	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cntfet/internal/device"
 	"cntfet/internal/fettoy"
 	"cntfet/internal/telemetry"
 )
 
-// refBody is the iv-point job every snapshot test resolves: the
-// table-backed reference family on the default device.
-const refBody = `{"kind": "iv-point", "model": {"family": "reference"}, "vg": 0.5, "vd": 0.4}`
-
-// refSnapshotPath is where the cache expects the reference model's
-// snapshot inside dir — computed through the same key path Resolve
-// uses, so the tests plant files exactly where a warm start looks.
-func refSnapshotPath(t *testing.T, dir string) string {
-	t.Helper()
-	spec := ModelSpec{Family: FamilyReference}
-	dev, err := spec.device()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Join(dir, snapshotFileName(specCacheKey(spec, dev)))
-}
-
-// TestSnapshotIdentityMismatchRebuilds pins the identity check: a
-// snapshot at the right path for the right key string, but built with
-// different table options, must be refused — counted as a
-// server.snapshot.errors — and rebuilt, never silently served. Serving
-// it would answer physics questions from a grid refined to the wrong
-// tolerance.
-func TestSnapshotIdentityMismatchRebuilds(t *testing.T) {
-	dir := t.TempDir()
+// TestCanceledTableBuildRetries covers the reference model's one build
+// path end to end with a real ModelCache: a reference iv-point job
+// whose deadline ends before its lazy charge-table build completes
+// answers 499 and leaves the cached model untabulated; the next
+// request for the key (a cache hit) builds the table exactly once and
+// answers bit-identically to a fresh server.
+func TestCanceledTableBuildRetries(t *testing.T) {
+	// The coldest cell has the finest grid and the longest build.
+	const body = `{"kind": "iv-point", "model": {"family": "reference", "t": 150, "ef": 0}, "vg": 0.5, "vd": 0.4}`
 	reg := telemetry.Default()
+	cache := NewModelCache()
 
-	// Plant a decoy: same device, same key, coarser tolerance than the
-	// default the server's warm start expects.
-	ref, err := fettoy.New(fettoy.Default())
-	if err != nil {
-		t.Fatal(err)
+	builds := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
+	short := New(Config{Timeout: 5 * time.Microsecond, Resolver: cache})
+	w := post(t, short.Handler(), body)
+	if w.Code != StatusClientClosedRequest {
+		t.Fatalf("timed-out reference job answered %d, want %d: %s", w.Code, StatusClientClosedRequest, w.Body)
 	}
-	decoy := ref.EnableTable(fettoy.TableOptions{RelTol: 1e-5})
-	decoy.Build()
-	f, err := os.Create(refSnapshotPath(t, dir))
-	if err != nil {
-		t.Fatal(err)
+	var er ErrorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Class != "canceled" {
+		t.Fatalf("499 body not classified canceled: %s", w.Body)
 	}
-	if err := decoy.WriteSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Baselines after the decoy build, so its own table build does not
-	// pollute the deltas.
-	errsBefore := reg.Counter(telemetry.KeyServerSnapshotErrors).Value()
-	buildsBefore := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	loadsBefore := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value()
-
-	clean := decodeJob(t, post(t, New(Config{}).Handler(), refBody))
-	got := decodeJob(t, post(t, New(Config{SnapshotDir: dir}).Handler(), refBody))
-	if got.IDS != clean.IDS { //lint:allow floatcmp a refused snapshot must end in a bit-identical rebuild
-		t.Fatalf("mismatched snapshot changed the answer: %g, want %g", got.IDS, clean.IDS)
-	}
-	if d := reg.Counter(telemetry.KeyServerSnapshotErrors).Value() - errsBefore; d != 1 {
-		t.Fatalf("server.snapshot.errors delta = %d, want 1", d)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value() - loadsBefore; d != 0 {
-		t.Fatalf("mismatched snapshot was loaded: loads delta = %d, want 0", d)
-	}
-	// Two builds: the clean server's and the snapshot server's rebuild.
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 2 {
-		t.Fatalf("table builds delta = %d, want 2 (clean + rebuild)", d)
-	}
-}
-
-// TestSnapshotV1FormatRebuilds pins the format bump: a CNTTABv1 table,
-// written by the adaptive builder, must be refused by its magic even
-// when its checksum and identity are valid, counted as a
-// server.snapshot.errors, and rebuilt into exactly the grid a fresh
-// build makes — answer and re-persisted CNTTABv2 file byte for byte —
-// so replicas that load and replicas that build never disagree.
-func TestSnapshotV1FormatRebuilds(t *testing.T) {
-	reg := telemetry.Default()
-	freshDir, v1Dir := t.TempDir(), t.TempDir()
-
-	clean := decodeJob(t, post(t, New(Config{SnapshotDir: freshDir}).Handler(), refBody))
-	fresh, err := os.ReadFile(refSnapshotPath(t, freshDir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(fresh, []byte("CNTTABv2")) {
-		t.Fatalf("fresh snapshot starts %q, want CNTTABv2", fresh[:8])
-	}
-	// Only the version is wrong: same grid, checksum fixed up.
-	v1 := append([]byte("CNTTABv1"), fresh[8:len(fresh)-4]...)
-	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
-	path := refSnapshotPath(t, v1Dir)
-	if err := os.WriteFile(path, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	errsBefore := reg.Counter(telemetry.KeyServerSnapshotErrors).Value()
-	buildsBefore := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	loadsBefore := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value()
-	got := decodeJob(t, post(t, New(Config{SnapshotDir: v1Dir}).Handler(), refBody))
-	if got.IDS != clean.IDS { //lint:allow floatcmp a refused snapshot must end in a bit-identical rebuild
-		t.Fatalf("v1 snapshot changed the answer: %g, want %g", got.IDS, clean.IDS)
-	}
-	if d := reg.Counter(telemetry.KeyServerSnapshotErrors).Value() - errsBefore; d != 1 {
-		t.Fatalf("server.snapshot.errors delta = %d, want 1", d)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value() - loadsBefore; d != 0 {
-		t.Fatalf("v1 snapshot was loaded: loads delta = %d, want 0", d)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 1 {
-		t.Fatalf("table builds delta = %d, want 1", d)
-	}
-	if rebuilt, err := os.ReadFile(path); err != nil || !bytes.Equal(rebuilt, fresh) {
-		t.Fatalf("rebuild re-persisted %d bytes differing from the fresh build's %d (err %v)", len(rebuilt), len(fresh), err)
-	}
-}
-
-// TestSnapshotTruncatedFileRebuilds pins the crash-shaped failure the
-// durable save exists to prevent arriving from older processes: a
-// half-written .snap must degrade to a counted rebuild, and a
-// completed save must leave exactly the snapshot — no temp residue.
-func TestSnapshotTruncatedFileRebuilds(t *testing.T) {
-	dir := t.TempDir()
-	reg := telemetry.Default()
-
-	cold := decodeJob(t, post(t, New(Config{SnapshotDir: dir}).Handler(), refBody))
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".snap") {
-		names := make([]string, 0, len(entries))
-		for _, e := range entries {
-			names = append(names, e.Name())
+	// The job's abandoned flight may still be unwinding; once it has
+	// gone, its build has either aborted or published.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		short.flights.mu.Lock()
+		n := len(short.flights.flights)
+		short.flights.mu.Unlock()
+		if n == 0 {
+			break
 		}
-		t.Fatalf("save left %v, want exactly one .snap and no temp files", names)
+		if time.Now().After(deadline) {
+			t.Fatal("canceled job's flight never finished")
+		}
+	}
+	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - builds; d != 0 {
+		t.Fatalf("canceled job published %d charge tables, want 0", d)
+	}
+	if n := cache.Len(); n != 1 {
+		t.Fatalf("canceled job left %d cached models, want the 1 it resolved", n)
 	}
 
-	path := refSnapshotPath(t, dir)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	hits := reg.Counter(telemetry.KeyServerCacheHits).Value()
+	builds = reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
+	retried := decodeJob(t, post(t, New(Config{Resolver: cache}).Handler(), body))
+	if d := reg.Counter(telemetry.KeyServerCacheHits).Value() - hits; d != 1 {
+		t.Fatalf("retry moved server.cache.hits by %d, want 1", d)
 	}
-	if err := os.WriteFile(path, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	errsBefore := reg.Counter(telemetry.KeyServerSnapshotErrors).Value()
-	buildsBefore := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	warm := decodeJob(t, post(t, New(Config{SnapshotDir: dir}).Handler(), refBody))
-	if warm.IDS != cold.IDS { //lint:allow floatcmp a rebuilt table must answer bit-identically
-		t.Fatalf("rebuild after truncated snapshot answered %g, want %g", warm.IDS, cold.IDS)
-	}
-	if d := reg.Counter(telemetry.KeyServerSnapshotErrors).Value() - errsBefore; d != 1 {
-		t.Fatalf("server.snapshot.errors delta = %d, want 1", d)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 1 {
-		t.Fatalf("table builds delta = %d, want 1", d)
+	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - builds; d != 1 {
+		t.Fatalf("retry built %d charge tables, want 1", d)
 	}
 
-	// The rebuild re-persisted a complete snapshot: the next process
-	// warm-starts again.
-	if fresh, err := os.ReadFile(path); err != nil || len(fresh) != len(raw) {
-		t.Fatalf("snapshot not re-persisted after rebuild: len %d, want %d (err %v)", len(fresh), len(raw), err)
+	fresh := decodeJob(t, post(t, New(Config{}).Handler(), body))
+	if math.Float64bits(retried.IDS) != math.Float64bits(fresh.IDS) {
+		t.Fatalf("retry after a canceled build answered %g, fresh server %g", retried.IDS, fresh.IDS)
 	}
 }
 

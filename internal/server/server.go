@@ -66,12 +66,6 @@ type Config struct {
 	// Resolver resolves wire model descriptions. Nil means a fresh
 	// ModelCache; tests substitute fakes.
 	Resolver Resolver
-	// SnapshotDir, when set and Resolver is nil, points the default
-	// ModelCache at a directory of charge-table snapshots: reference
-	// models warm-start from "<key>.snap" when one matches, and write
-	// one after building otherwise, so a restarted replica's first
-	// reference job skips the tabulation (fettoy.table.builds stays 0).
-	SnapshotDir string
 	// AccessLog, when set, receives the structured NDJSON access/job
 	// log: one "access" record per request, one "job" record per
 	// /v1/jobs request that reached the engine, and — when span
@@ -94,9 +88,7 @@ func (c Config) withDefaults() Config {
 		c.MaxInFlight = runtime.GOMAXPROCS(0)
 	}
 	if c.Resolver == nil {
-		mc := NewModelCache()
-		mc.SetSnapshotDir(c.SnapshotDir)
-		c.Resolver = mc
+		c.Resolver = NewModelCache()
 	}
 	return c
 }

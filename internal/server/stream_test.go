@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -324,59 +323,6 @@ func TestCoalescedRequestsShareOneRun(t *testing.T) {
 	}
 	if got := reg.Counter(telemetry.KeyServerCoalesceHits).Value() - hitsBefore; got != 3 {
 		t.Fatalf("coalesce hits delta %d, want 3", got)
-	}
-}
-
-// TestSnapshotWarmStart checks the warm-start loop end to end: a
-// server with a snapshot dir persists the reference charge table it
-// builds, and a fresh server over the same dir serves its first
-// reference job without building a table at all (fettoy.table.builds
-// stays flat while snapshot_loads moves), answering bit-identically.
-func TestSnapshotWarmStart(t *testing.T) {
-	dir := t.TempDir()
-	body := `{"kind": "iv-point", "model": {"family": "reference"}, "vg": 0.5, "vd": 0.4}`
-	reg := telemetry.Default()
-
-	coldBuilds := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	cold := decodeJob(t, post(t, New(Config{SnapshotDir: dir}).Handler(), body))
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - coldBuilds; d != 1 {
-		t.Fatalf("cold start built %d tables, want 1", d)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".snap") {
-		t.Fatalf("snapshot not persisted: %v %v", entries, err)
-	}
-
-	warmBuilds := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	warmLoads := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value()
-	warm := decodeJob(t, post(t, New(Config{SnapshotDir: dir}).Handler(), body))
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - warmBuilds; d != 0 {
-		t.Fatalf("warm start built %d tables, want 0", d)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableSnapshotLoads).Value() - warmLoads; d != 1 {
-		t.Fatalf("warm start loaded %d snapshots, want 1", d)
-	}
-	if warm.IDS != cold.IDS { //lint:allow floatcmp a warm-started table must answer bit-identically
-		t.Fatalf("warm-started IDS %g, cold %g", warm.IDS, cold.IDS)
-	}
-
-	// A stale or foreign file degrades to a rebuild, never to a wrong
-	// answer: corrupt the snapshot and resolve again.
-	raw, err := os.ReadFile(dir + "/" + entries[0].Name())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(dir+"/"+entries[0].Name(), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	errsBefore := reg.Counter(telemetry.KeyServerSnapshotErrors).Value()
-	rebuilt := decodeJob(t, post(t, New(Config{SnapshotDir: dir}).Handler(), body))
-	if rebuilt.IDS != cold.IDS { //lint:allow floatcmp a rebuilt table must answer bit-identically
-		t.Fatalf("rebuild after corrupt snapshot answered %g, want %g", rebuilt.IDS, cold.IDS)
-	}
-	if got := reg.Counter(telemetry.KeyServerSnapshotErrors).Value(); got <= errsBefore {
-		t.Fatalf("server.snapshot.errors did not move on corrupt file: %d -> %d", errsBefore, got)
 	}
 }
 

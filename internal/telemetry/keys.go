@@ -51,11 +51,6 @@ const (
 	// KeyFettoyTableMisses counts lookups that fell back to direct
 	// quadrature (out of tabulated range, or a failed table solve).
 	KeyFettoyTableMisses = "fettoy.table.misses"
-	// KeyFettoyTableSnapshotLoads counts charge tables published from a
-	// deserialized snapshot instead of an adaptive build (warm starts).
-	KeyFettoyTableSnapshotLoads = "fettoy.table.snapshot_loads"
-	// KeyFettoyTableSnapshotSaves counts charge-table snapshots written.
-	KeyFettoyTableSnapshotSaves = "fettoy.table.snapshot_saves"
 )
 
 // Timer and histogram keys of the reference model.
@@ -140,11 +135,6 @@ const (
 	// KeyServerCoalesceMisses counts coalescable job requests that
 	// found no identical job in flight and became the leader of one.
 	KeyServerCoalesceMisses = "server.coalesce.misses"
-	// KeyServerSnapshotErrors counts charge-table snapshot load/save
-	// attempts that failed (corrupt file, mismatched device, I/O); the
-	// server falls back to an ordinary build, so these are the only
-	// evidence snapshots are not serving.
-	KeyServerSnapshotErrors = "server.snapshot.errors"
 )
 
 // Counter and gauge keys of the cluster router (internal/cluster +
