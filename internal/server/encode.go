@@ -8,12 +8,13 @@
 // the same value: field order, omitempty (zero floats and ints, empty
 // slices and maps, nil pointers), null for a nil non-omitempty slice,
 // sorted map keys, encoding/json's float spelling and HTML-safe string
-// escaping, and the trailing newline. The golden and fuzz tests in
-// encode_test.go hold the two encoders together. One shortcut keeps
-// the bytes the same while skipping work: a curve whose drain grid is
-// bit-identical to the previous curve's copies the grid's
-// already-formatted bytes (a Table-I response repeats one grid per gate
-// voltage). Error bodies stay on encoding/json — a cold path.
+// escaping (both from package jsonenc), and the trailing newline. The
+// golden and fuzz tests in encode_test.go hold the two encoders
+// together. One shortcut keeps the bytes the same while skipping work:
+// a curve whose drain grid is bit-identical to the previous curve's
+// copies the grid's already-formatted bytes (a Table-I response
+// repeats one grid per gate voltage). Error bodies stay on
+// encoding/json — a cold path.
 package server
 
 import (
@@ -23,9 +24,9 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unicode/utf8"
 
 	"cntfet/internal/engine"
+	"cntfet/internal/jsonenc"
 )
 
 // maxPooledBuf bounds the encode buffers kept for reuse, so one huge
@@ -44,84 +45,15 @@ func putEncodeBuf(b *[]byte) {
 	encodeBufPool.Put(b)
 }
 
-// appendJSONFloat appends f exactly as encoding/json spells a float64:
-// the shortest round-tripping decimal, in exponent form below 1e-6 or
-// from 1e21 up, with a two-digit negative exponent trimmed (e-07 →
-// e-7). JSON has no spelling for NaN or ±Inf; those return an error
-// classified as a numerical failure and append nothing.
+// appendJSONFloat appends f exactly as encoding/json spells a float64
+// (see package jsonenc). JSON has no spelling for NaN or ±Inf; those
+// return an error classified as a numerical failure and append
+// nothing.
 func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return dst, fmt.Errorf("server: %w: %v has no JSON encoding", engine.ErrNumerical, f)
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) { //lint:allow floatcmp encoding/json's exact zero test
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, nil
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string the way encoding/json
-// does with HTML escaping on: <, > and & as \u003c-style escapes,
-// control bytes escaped, invalid UTF-8 replaced by \ufffd, and U+2028
-// and U+2029 escaped.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
+	return jsonenc.AppendFloat(dst, f), nil
 }
 
 // jsonBuf appends JSON into b, keeping the first error so the
@@ -141,7 +73,7 @@ type jsonBuf struct {
 
 func (j *jsonBuf) raw(s string) { j.b = append(j.b, s...) }
 
-func (j *jsonBuf) str(s string) { j.b = appendJSONString(j.b, s) }
+func (j *jsonBuf) str(s string) { j.b = jsonenc.AppendString(j.b, s) }
 
 func (j *jsonBuf) int(v int64) { j.b = strconv.AppendInt(j.b, v, 10) }
 

@@ -8,10 +8,12 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strconv"
 	"testing"
 
 	"cntfet/internal/engine"
 	"cntfet/internal/fettoy"
+	"cntfet/internal/jsonenc"
 	"cntfet/internal/telemetry"
 )
 
@@ -279,19 +281,22 @@ func FuzzAppendJSONFloat(f *testing.F) {
 	})
 }
 
-// FuzzAppendJSONString holds string escaping to json.Marshal: HTML
-// characters, control bytes, invalid UTF-8 and the JavaScript line
-// separators.
+// FuzzAppendJSONString holds the strings of a served answer to
+// json.Marshal: a job kind (and likewise a metrics key) passes
+// through jsonenc.AppendString with its HTML characters, control
+// bytes, invalid UTF-8 and JavaScript line separators.
 func FuzzAppendJSONString(f *testing.F) {
 	for _, s := range []string{"", "plain", `a<b>&"c"\`, "\x00\x1f\b\f\n\r\t\x7f", "\xff\xfe", "\u00e9\u2028\u2029", "\xe2\x80"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		want, err := json.Marshal(s)
+		resp := JobResponse{Kind: s, Metrics: map[string]int64{s: 1}}
+		want := stdEncode(t, resp)
+		got, err := appendJobResponse(nil, &resp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := appendJSONString(nil, s); string(got) != string(want) {
+		if !bytes.Equal(got, want) {
 			t.Fatalf("%q: got %s, encoding/json %s", s, got, want)
 		}
 	})
@@ -322,4 +327,46 @@ func BenchmarkEncodeFamilyResponse(b *testing.B) {
 		}
 	})
 	b.SetBytes(int64(len(stdEncode(b, resp))))
+}
+
+// strconvJSONFloat is encoding/json's own float spelling: strconv's
+// shortest digits in 'f' or 'e' layout, e-07 trimmed to e-7. It is
+// the baseline BenchmarkAppendFloat times jsonenc against.
+func strconvJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) { //lint:allow floatcmp encoding/json's exact zero test
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// BenchmarkAppendFloat times one float of a served Table-I answer —
+// the currents, which need 15 to 17 digits — through strconv as
+// encoding/json spells it, and through jsonenc. ns/op is per float.
+func BenchmarkAppendFloat(b *testing.B) {
+	var ids []float64
+	for _, c := range served(b, NewModelCache(), tableIBody).Family {
+		ids = append(ids, c.IDS...)
+	}
+	for i, x := range ids {
+		if got, want := jsonenc.AppendFloat(nil, x), strconvJSONFloat(nil, x); string(got) != string(want) {
+			b.Fatalf("current %d: jsonenc %s, strconv %s", i, got, want)
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		append func([]byte, float64) []byte
+	}{{"strconv", strconvJSONFloat}, {"jsonenc", jsonenc.AppendFloat}} {
+		b.Run(bc.name, func(b *testing.B) {
+			dst := make([]byte, 0, 32)
+			for i := 0; i < b.N; i++ {
+				dst = bc.append(dst[:0], ids[i%len(ids)])
+			}
+		})
+	}
 }

@@ -134,3 +134,29 @@ func TestTraceCorrelation(t *testing.T) {
 		t.Fatalf("second job should be a cache hit: %v", job)
 	}
 }
+
+// TestAccessLogPathIsJSON: a request path holding a control byte and
+// an invalid UTF-8 byte still logs a valid JSON access line, whose
+// path decodes back to the request's path with the invalid byte as
+// U+FFFD. Go-syntax quoting wrote "\a" and "\xff" there, which no
+// JSON reader accepts.
+func TestAccessLogPathIsJSON(t *testing.T) {
+	t.Cleanup(func() { telemetry.DefaultTracer().SetLogger(nil) })
+	var logBuf bytes.Buffer
+	h := New(Config{AccessLog: &logBuf, Resolver: NewModelCache()}).Handler()
+	req := httptest.NewRequest(http.MethodGet, "/v1/jobs%07%ff", nil)
+	h.ServeHTTP(httptest.NewRecorder(), req)
+
+	line := bytes.TrimSpace(logBuf.Bytes())
+	if !json.Valid(line) {
+		t.Fatalf("access line is not JSON: %s", line)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(line, &rec); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.ToValidUTF8(req.URL.Path, "\uFFFD")
+	if req.URL.Path != "/v1/jobs\a\xff" || rec[telemetry.AttrPath] != want {
+		t.Fatalf("logged path %q for request path %q, want %q", rec[telemetry.AttrPath], req.URL.Path, want)
+	}
+}

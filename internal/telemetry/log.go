@@ -1,7 +1,8 @@
 // log.go is the structured NDJSON job/access log: one JSON object per
 // line, hand-encoded (deterministic field order, one Write per record,
-// no reflection) so concurrent writers never interleave and log
-// consumers get machine-parseable lines. Field keys are registered in
+// no reflection, strings escaped as encoding/json escapes them) so
+// concurrent writers never interleave and log consumers get
+// machine-parseable lines. Field keys are registered in
 // keys.go and enforced by the telemetrykeys analyzer exactly like
 // instrument names — a dashboards-vs-code drift in "dur_ns" is the
 // same bug as one in "fettoy.newton_iters".
@@ -13,6 +14,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"cntfet/internal/jsonenc"
 )
 
 // fieldKind discriminates the typed Field payload.
@@ -96,23 +99,23 @@ func (l *Logger) Log(event string, fields ...Field) {
 	defer l.mu.Unlock()
 	b := l.buf[:0]
 	b = append(b, `{"ts":`...)
-	b = strconv.AppendQuote(b, time.Now().UTC().Format(time.RFC3339Nano))
+	b = jsonenc.AppendString(b, time.Now().UTC().Format(time.RFC3339Nano))
 	b = append(b, `,"event":`...)
-	b = strconv.AppendQuote(b, event)
+	b = jsonenc.AppendString(b, event)
 	for _, f := range fields {
 		b = append(b, ',')
-		b = strconv.AppendQuote(b, f.key)
+		b = jsonenc.AppendString(b, f.key)
 		b = append(b, ':')
 		switch f.kind {
 		case fkString:
-			b = strconv.AppendQuote(b, f.str)
+			b = jsonenc.AppendString(b, f.str)
 		case fkInt:
 			b = strconv.AppendInt(b, f.i64, 10)
 		case fkFloat:
 			if math.IsNaN(f.f64) || math.IsInf(f.f64, 0) {
 				// JSON has no NaN/Inf literals; quote them like
 				// encoding/json refuses to.
-				b = strconv.AppendQuote(b, strconv.FormatFloat(f.f64, 'g', -1, 64))
+				b = jsonenc.AppendString(b, strconv.FormatFloat(f.f64, 'g', -1, 64))
 			} else {
 				b = strconv.AppendFloat(b, f.f64, 'g', -1, 64)
 			}
