@@ -51,12 +51,14 @@ fuzz:
 
 ## bench: telemetry overhead + solver benchmarks, the served Table-I
 ## answer's encode cost (whole response, and per float: strconv against
-## internal/jsonenc), then the before/after sweep-engine comparison.
+## internal/jsonenc), the nine reference cells' cold set-up (charge
+## tables built per warm-up), then the before/after sweep-engine
+## comparison.
 ## Writes BENCH_sweep.json at the repo root and fails if the batched
 ## engine is slower than the legacy scheduler.
 bench:
 	$(GO) test -bench=IDSTelemetry -benchmem ./internal/core/
-	$(GO) test -run '^$$' -bench='EncodeFamilyResponse|AppendFloat' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench='EncodeFamilyResponse|AppendFloat|ReferenceWarmup' -benchmem ./internal/server/
 	$(GO) run ./cmd/cntbench -sweepbench -assert-faster -out BENCH_sweep.json
 
 ## benchgate: the perf-regression gate — re-runs the sweep benchmark

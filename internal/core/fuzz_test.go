@@ -127,3 +127,78 @@ func FuzzSolveVSCFast(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFitMonotone checks the property the closed-form solve rests on,
+// over T in [150, 450] K and EF in [-0.5, 0] eV on Model 1 and Model 2
+// fits: the eq. (7) residual
+//
+//	F(VSC) = VSC + UL - (q·NS(VSC) + q·NS(VSC + VDS) - q·N0)/CΣ
+//
+// is strictly increasing for every VDS, so its root is unique. Its
+// slope is 1 - (s(VSC) + s(VSC + VDS))/CΣ, with s the fitted curve's
+// slope, so F is strictly increasing wherever s < CΣ/2 on every piece.
+//
+// The stronger property, s ≤ 0 (q·NS non-increasing, as the true charge
+// is), does not hold: the Model 1 quadratic and the Model 2 cubic rise
+// just before the zero tail at some (T, EF), by up to 3% of CΣ
+// (Model 1 at 150 K, EF = -0.5 eV, a seed below). The bound CΣ/2 is
+// what uniqueness needs.
+//
+// A piece's slope has degree at most 2, so its largest value on the
+// piece is at an end or at its own stationary point inside. The outer
+// pieces are unbounded: there the slope's leading term must also stay
+// non-positive at infinity. Seeds: the paper's nine cells, and
+// FuzzSolveVSCFast's (T, EF, model) seeds.
+func FuzzFitMonotone(f *testing.F) {
+	for _, temp := range []float64{150, 300, 450} {
+		for _, ef := range []float64{-0.5, -0.32, 0} {
+			f.Add(temp, ef, false)
+			f.Add(temp, ef, true)
+		}
+	}
+	f.Add(150.0, -0.35000007629394531, true)
+
+	f.Fuzz(func(t *testing.T, temp, ef float64, model2 bool) {
+		temp = foldInto(temp, 150, 450)
+		ef = foldInto(ef, -0.5, 0)
+		m := fuzzFit(t, temp, ef, model2)
+		bound := m.csigma / 2
+		d := m.qs.Deriv()
+		for i, p := range d.Pieces {
+			lo, hi := math.Inf(-1), math.Inf(1)
+			if i > 0 {
+				lo = d.Breaks[i-1]
+			}
+			if i < len(d.Breaks) {
+				hi = d.Breaks[i]
+			}
+			xs := make([]float64, 0, 3)
+			for _, x := range []float64{lo, hi} {
+				if !math.IsInf(x, 0) {
+					xs = append(xs, x)
+				}
+			}
+			if p.Degree() == 2 {
+				if x := -p.Coef[1] / (2 * p.Coef[2]); x > lo && x < hi {
+					xs = append(xs, x)
+				}
+			}
+			for _, x := range xs {
+				if s := p.At(x); !(s < bound) {
+					t.Fatalf("T=%g EF=%g model2=%v: piece %d of q·NS has slope %g ≥ CΣ/2 = %g at VSC=%.17g",
+						temp, ef, model2, i, s, bound, x)
+				}
+			}
+			if k := p.Degree(); k > 0 {
+				// Sign of the leading term c_k·x^k as x → ±∞.
+				lead := p.Coef[k]
+				if math.IsInf(lo, -1) && k%2 == 1 {
+					lead = -lead
+				}
+				if (math.IsInf(lo, -1) || math.IsInf(hi, 1)) && lead > 0 {
+					t.Fatalf("T=%g EF=%g model2=%v: unbounded piece %d of q·NS rises without bound", temp, ef, model2, i)
+				}
+			}
+		}
+	})
+}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 
+	"cntfet/internal/bandstruct"
 	"cntfet/internal/telemetry"
 )
 
@@ -37,9 +39,13 @@ type TableOptions struct {
 	MaxNodes int
 }
 
+// DefaultTableRange returns the u range, in eV, a table takes when
+// TableOptions leaves it zero: [ef − 1.3, ef + 1.4] for Fermi level ef.
+func DefaultTableRange(ef float64) (umin, umax float64) { return ef - 1.3, ef + 1.4 }
+
 func (o TableOptions) withDefaults(ef float64) TableOptions {
 	if o.UMin == 0 && o.UMax == 0 { //lint:allow floatcmp both exactly zero selects the default range
-		o.UMin, o.UMax = ef-1.3, ef+1.4
+		o.UMin, o.UMax = DefaultTableRange(ef)
 	}
 	if o.RelTol <= 0 {
 		o.RelTol = 1e-6
@@ -63,8 +69,10 @@ type tableData struct {
 }
 
 // ChargeTable tabulates the state-density integral N(u) — the cost the
-// reference model pays at every Newton iteration — once per (device, T,
-// EF) and serves later evaluations by cubic Hermite interpolation. The
+// reference model pays at every Newton iteration — once per (device, T)
+// and u range, and serves later evaluations by cubic Hermite
+// interpolation. N(u) does not depend on EF, so models that differ only
+// in EF can share one table (ShareTable). The
 // grid is adaptive: intervals are split until the interpolation error
 // at the midpoint is within the configured accuracy bound, so the node
 // count tracks kT (colder devices need finer grids near the band edge).
@@ -73,10 +81,10 @@ type tableData struct {
 // one build (later lookups block until it is published), and the
 // published grid is immutable afterwards. A build canceled through
 // BuildContext leaves the table unbuilt — the next lookup or build
-// simply retries. The table never invalidates — it is keyed to its
-// Model, whose device parameters are fixed at construction; a new
-// device, temperature or Fermi level means a new Model and therefore a
-// new table.
+// simply retries. The table never invalidates — it is tied to the
+// state density of the Model it was created over, whose device
+// parameters are fixed at construction; a new device or temperature
+// means a new state density and therefore a new table.
 //
 // Work is observable through the fettoy.table.* telemetry counters:
 // builds and nodes record construction cost, hits and misses record
@@ -109,6 +117,34 @@ func (m *Model) EnableTable(opt TableOptions) *ChargeTable {
 	m.table = t
 	return t
 }
+
+// ShareTable attaches a table another model built (or will build), so
+// models that differ only in EF tabulate N(u) once: N(u) depends on the
+// subband ladder, E1 and kT, never on EF, which only picks the window
+// a model's solves read. It fails unless the table's builder has
+// bit-equal bands, E1 and kT and the table's range covers the model's
+// own default window [EF - 1.3, EF + 1.4]. A shared table builds once,
+// under whichever sharing model's context or lookup reaches it first.
+// Call it before sharing the model across goroutines, like EnableTable.
+func (m *Model) ShareTable(t *ChargeTable) error {
+	b := t.m
+	sameDensity := sameBits(b.e1, m.e1) && sameBits(b.kT, m.kT) &&
+		slices.EqualFunc(b.bands, m.bands, func(x, y bandstruct.Subband) bool {
+			return sameBits(x.EMin, y.EMin) && x.Degeneracy == y.Degeneracy
+		})
+	if !sameDensity {
+		return fmt.Errorf("fettoy: charge table of another state density (T=%g K, E1=%g eV) cannot serve T=%g K, E1=%g eV",
+			b.dev.T, b.e1, m.dev.T, m.e1)
+	}
+	if lo, hi := DefaultTableRange(m.dev.EF); !(t.opt.UMin <= lo && hi <= t.opt.UMax) {
+		return fmt.Errorf("fettoy: charge table range [%g, %g] eV does not cover EF=%g eV's window [%g, %g]",
+			t.opt.UMin, t.opt.UMax, m.dev.EF, lo, hi)
+	}
+	m.table = t
+	return nil
+}
+
+func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 // Table returns the attached charge table, or nil when solves run on
 // direct quadrature.
@@ -182,6 +218,7 @@ func (t *ChargeTable) tabCtx(ctx context.Context) (*tableData, error) {
 	// exist for: under the sweep service it shows up as a child of the
 	// job that happened to arrive first.
 	ctx, span := telemetry.StartSpan(ctx, telemetry.SpanFettoyTableBuild)
+	span.Set(telemetry.Float(telemetry.AttrTableUMin, t.opt.UMin), telemetry.Float(telemetry.AttrTableUMax, t.opt.UMax))
 	d, err := t.build(ctx)
 	if err != nil {
 		span.Set(telemetry.String(telemetry.AttrError, err.Error()))

@@ -484,3 +484,73 @@ func BenchmarkChargeTableBuild(b *testing.B) {
 		})
 	}
 }
+
+// TestShareTable: a table serves another model only when the two
+// tabulate the same state density (bit-equal bands, E1 and kT) and the
+// table's range covers the model's own default window. A shared table
+// builds once, and a sharing model answers bit-identically to one that
+// owns a table over the same range.
+func TestShareTable(t *testing.T) {
+	model := func(dev Device) *Model {
+		t.Helper()
+		m, err := New(dev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	at := func(temp, ef float64) *Model {
+		d := Default()
+		d.T, d.EF = temp, ef
+		return model(d)
+	}
+	wide := TableOptions{UMin: -1.85, UMax: 1.45}
+	builder := at(300, -0.5)
+	tab := NewChargeTable(builder, wide)
+
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{
+		{"another temperature", at(450, -0.32)},
+		{"the javey preset", func() *Model { d := Javey(); d.EF = -0.32; return model(d) }()},
+		{"a window past the range", at(300, 0.1)},
+		{"a window below the range", at(300, -0.6)},
+	} {
+		if err := tc.m.ShareTable(tab); err == nil {
+			t.Errorf("ShareTable accepted a table for %s", tc.name)
+		}
+		if tc.m.Table() != nil {
+			t.Errorf("rejected ShareTable for %s still attached the table", tc.name)
+		}
+	}
+
+	shared := at(300, 0)
+	if err := shared.ShareTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	if err := builder.ShareTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	own := at(300, 0)
+	own.EnableTable(wide)
+	builds := metrics.tableBuilds.Value()
+	b := Bias{VG: 0.5, VD: 0.4}
+	got, err := shared.IDS(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := builder.IDS(b); err != nil {
+		t.Fatal(err)
+	}
+	want, err := own.IDS(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := metrics.tableBuilds.Value() - builds; d != 2 {
+		t.Fatalf("one shared and one own table built %d times, want 2", d)
+	}
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("model sharing an EF=-0.5 table answered %g, own table over the same range %g", got, want)
+	}
+}

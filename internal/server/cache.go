@@ -3,9 +3,11 @@
 // tabulation and the piecewise models' charge-curve fit both sample
 // quadrature integrals — and it depends only on (family, device, T,
 // EF), so a long-running server builds each description once and
-// shares the immutable result across requests. Both library model
-// families are safe for concurrent use after construction, which is
-// exactly the property the cache relies on.
+// shares the immutable result across requests. The charge table
+// depends on less: (device, T) and an EF band (tableKey), so reference
+// models of every EF in one band share one table and its one build.
+// Both library model families are safe for concurrent use after
+// construction, which is exactly the property the cache relies on.
 package server
 
 import (
@@ -51,15 +53,22 @@ type cacheEntry struct {
 const maxCachedModels = 1024
 
 // ModelCache is a concurrency-safe keyed store of built models, bounded
-// by maxCachedModels. The zero value is not ready; use NewModelCache.
+// by maxCachedModels, and of the charge tables reference models share,
+// bounded by the same cap. The zero value is not ready; use
+// NewModelCache.
 type ModelCache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*cacheEntry
+	// tables holds each shared charge table, built or not: a table
+	// builds lazily, under the first job that reaches it through any
+	// model holding it. At the cap a random table is dropped; the
+	// models already holding it keep it.
+	tables map[tableKey]*fettoy.ChargeTable
 }
 
 // NewModelCache returns an empty cache.
 func NewModelCache() *ModelCache {
-	return &ModelCache{entries: map[cacheKey]*cacheEntry{}}
+	return &ModelCache{entries: map[cacheKey]*cacheEntry{}, tables: map[tableKey]*fettoy.ChargeTable{}}
 }
 
 // Resolve returns the model a spec names, building it on first use.
@@ -101,7 +110,8 @@ func (c *ModelCache) resolve(ctx context.Context, key cacheKey, dev fettoy.Devic
 	if span != nil {
 		span.Set(telemetry.String(telemetry.AttrModelKey, key.String()))
 	}
-	m, err := build(key.family, dev)
+	dev.EF = key.ef // -0 and 0 build the one model
+	m, err := c.build(key, dev)
 	if err != nil {
 		span.Set(telemetry.String(telemetry.AttrError, err.Error()))
 		span.End()
@@ -159,18 +169,21 @@ func (c *ModelCache) Len() int {
 	return n
 }
 
-// build constructs one model. The reference model gets a charge table
-// attached so its tabulation — built lazily under the first job's
-// context via device.ContextBuilder — is reused by every later
-// request with the same key instead of re-integrating per solve.
-func build(family string, dev fettoy.Device) (device.Solver, error) {
-	switch family {
+// build constructs the model key names. The reference model shares
+// its tableKey's charge table, so the tabulation — built lazily under
+// the first job's context via device.ContextBuilder — is paid once per
+// (device, T, EF band) and reused by every later request, of any EF in
+// the band, instead of re-integrating per solve.
+func (c *ModelCache) build(key cacheKey, dev fettoy.Device) (device.Solver, error) {
+	switch key.family {
 	case FamilyReference:
 		ref, err := fettoy.New(dev)
 		if err != nil {
 			return nil, err
 		}
-		ref.EnableTable(fettoy.TableOptions{})
+		if err := ref.ShareTable(c.table(key.tableKey(), ref)); err != nil {
+			return nil, err
+		}
 		return ref, nil
 	case FamilyModel1, FamilyModel2:
 		ref, err := fettoy.New(dev)
@@ -178,11 +191,30 @@ func build(family string, dev fettoy.Device) (device.Solver, error) {
 			return nil, err
 		}
 		spec := core.Model2Spec()
-		if family == FamilyModel1 {
+		if key.family == FamilyModel1 {
 			spec = core.Model1Spec()
 		}
 		return core.Fit(ref, spec, core.FitOptions{})
 	}
 	return nil, fmt.Errorf("unknown model family %q (want %q, %q or %q)",
-		family, FamilyReference, FamilyModel1, FamilyModel2)
+		key.family, FamilyReference, FamilyModel1, FamilyModel2)
+}
+
+// table returns the charge table tk names, creating it unbuilt over
+// ref's state density when the cache holds none.
+func (c *ModelCache) table(tk tableKey, ref *fettoy.Model) *fettoy.ChargeTable {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	t := c.tables[tk]
+	if t == nil {
+		if len(c.tables) >= maxCachedModels {
+			for k := range c.tables {
+				delete(c.tables, k)
+				break
+			}
+		}
+		t = fettoy.NewChargeTable(ref, fettoy.TableOptions{UMin: tk.umin, UMax: tk.umax})
+		c.tables[tk] = t
+	}
+	return t
 }

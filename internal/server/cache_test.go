@@ -3,7 +3,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"net/http/httptest"
 	"slices"
 	"sync"
 	"testing"
@@ -36,19 +38,7 @@ func TestCanceledTableBuildRetries(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Class != "canceled" {
 		t.Fatalf("499 body not classified canceled: %s", w.Body)
 	}
-	// The job's abandoned flight may still be unwinding; once it has
-	// gone, its build has either aborted or published.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		short.flights.mu.Lock()
-		n := len(short.flights.flights)
-		short.flights.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("canceled job's flight never finished")
-		}
-	}
+	waitFlightsDone(t, short)
 	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - builds; d != 0 {
 		t.Fatalf("canceled job published %d charge tables, want 0", d)
 	}
@@ -139,6 +129,20 @@ func TestModelCacheEvicts(t *testing.T) {
 	}
 }
 
+// TestTableCacheEvicts: past maxCachedModels distinct temperatures the
+// cache holds at most maxCachedModels charge tables.
+func TestTableCacheEvicts(t *testing.T) {
+	c := NewModelCache()
+	for i := range maxCachedModels + 50 {
+		if _, _, err := c.Resolve(context.Background(), ModelSpec{Family: FamilyReference, T: 150 + 0.1*float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(c.tables); n != maxCachedModels {
+		t.Fatalf("cache holds %d charge tables, want the cap %d", n, maxCachedModels)
+	}
+}
+
 // TestModelCacheEvictsConcurrently resolves overlapping cold keys from
 // several goroutines past the cap: evictions race with builds and with
 // hits on the same keys, every resolve must still succeed, and the
@@ -165,4 +169,201 @@ func TestModelCacheEvictsConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// The paper's nine (T, EF) cells: three temperatures, each with the
+// three Fermi levels of Tables II–IV, which share one EF band.
+var (
+	paperTemps = []float64{150, 300, 450}
+	paperEFs   = []float64{-0.5, -0.32, 0}
+)
+
+// referenceIVBody is one reference iv-point job at (temp, ef).
+func referenceIVBody(temp, ef float64) string {
+	return fmt.Sprintf(`{"kind": "iv-point", "model": {"family": "reference", "t": %g, "ef": %g}, "vg": 0.5, "vd": 0.4}`, temp, ef)
+}
+
+// TestReferenceCellsShareThreeTables: the nine reference cells through
+// one ModelCache are nine models over three charge tables, one per
+// temperature, each built once.
+func TestReferenceCellsShareThreeTables(t *testing.T) {
+	cache := NewModelCache()
+	h := New(Config{Resolver: cache}).Handler()
+	builds := telemetry.Default().Counter(telemetry.KeyFettoyTableBuilds)
+	before := builds.Value()
+	for _, temp := range paperTemps {
+		for _, ef := range paperEFs {
+			decodeJob(t, post(t, h, referenceIVBody(temp, ef)))
+		}
+	}
+	if d := builds.Value() - before; d != 3 {
+		t.Fatalf("nine reference cells built %d charge tables, want 3", d)
+	}
+	if n := cache.Len(); n != 9 {
+		t.Fatalf("cache holds %d models, want 9", n)
+	}
+	if n := len(cache.tables); n != 3 {
+		t.Fatalf("cache holds %d charge tables, want 3", n)
+	}
+}
+
+// TestConcurrentFirstJobsShareOneBuild: the first jobs of three EFs at
+// one temperature, arriving together, pay for one table build between
+// them, and answer bit-identically to the same jobs run one by one on
+// a fresh cache.
+func TestConcurrentFirstJobsShareOneBuild(t *testing.T) {
+	const temp = 150 // the finest grid: the longest build to overlap
+	builds := telemetry.Default().Counter(telemetry.KeyFettoyTableBuilds)
+	before := builds.Value()
+	h := New(Config{MaxInFlight: len(paperEFs), Resolver: NewModelCache()}).Handler()
+	recs := make([]*httptest.ResponseRecorder, len(paperEFs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, ef := range paperEFs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			recs[i] = post(t, h, referenceIVBody(temp, ef))
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if d := builds.Value() - before; d != 1 {
+		t.Fatalf("three concurrent first jobs built %d charge tables, want 1", d)
+	}
+
+	seq := New(Config{Resolver: NewModelCache()}).Handler()
+	for i, ef := range paperEFs {
+		got := decodeJob(t, recs[i])
+		want := decodeJob(t, post(t, seq, referenceIVBody(temp, ef)))
+		if math.Float64bits(got.IDS) != math.Float64bits(want.IDS) {
+			t.Fatalf("EF=%g: concurrent first job answered %g, sequential run %g", ef, got.IDS, want.IDS)
+		}
+	}
+}
+
+// TestCanceledSharedBuildRetriedByAnotherEF: a shared table whose build
+// is canceled under one EF's job stays unbuilt in the cache, and the
+// next job of another EF at that temperature builds it once and answers
+// bit-identically to a fresh server.
+func TestCanceledSharedBuildRetriedByAnotherEF(t *testing.T) {
+	builds := telemetry.Default().Counter(telemetry.KeyFettoyTableBuilds)
+	cache := NewModelCache()
+	before := builds.Value()
+	short := New(Config{Timeout: 5 * time.Microsecond, Resolver: cache})
+	if w := post(t, short.Handler(), referenceIVBody(150, -0.5)); w.Code != StatusClientClosedRequest {
+		t.Fatalf("timed-out reference job answered %d, want %d: %s", w.Code, StatusClientClosedRequest, w.Body)
+	}
+	waitFlightsDone(t, short)
+	if d := builds.Value() - before; d != 0 {
+		t.Fatalf("canceled job published %d charge tables, want 0", d)
+	}
+	if n := len(cache.tables); n != 1 {
+		t.Fatalf("canceled job left %d charge tables in the cache, want its 1 unbuilt table", n)
+	}
+
+	body := referenceIVBody(150, 0)
+	before = builds.Value()
+	retried := decodeJob(t, post(t, New(Config{Resolver: cache}).Handler(), body))
+	if d := builds.Value() - before; d != 1 {
+		t.Fatalf("another EF's job built %d charge tables, want 1", d)
+	}
+	if n := len(cache.tables); n != 1 {
+		t.Fatalf("cache holds %d charge tables after the retry, want 1", n)
+	}
+	fresh := decodeJob(t, post(t, New(Config{}).Handler(), body))
+	if math.Float64bits(retried.IDS) != math.Float64bits(fresh.IDS) {
+		t.Fatalf("retry after a canceled shared build answered %g, fresh server %g", retried.IDS, fresh.IDS)
+	}
+}
+
+// waitFlightsDone waits until s has no flight in progress: a canceled
+// job's flight may still be unwinding after its 499, and once it has
+// gone its build has either aborted or published.
+func waitFlightsDone(t *testing.T, s *Server) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		s.flights.mu.Lock()
+		n := len(s.flights.flights)
+		s.flights.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("canceled job's flight never finished")
+		}
+	}
+}
+
+// TestSharedTableAccuracy: in every cell, reference IDS through the
+// shared table stays as close to direct quadrature (no table) as IDS
+// through a table over the cell's own default window, on a 13×13 VG×VD
+// grid over [0, 0.6] V. Both tables interpolate N(u) to RelTol = 1e-6,
+// so their worst errors differ by noise; "as close" allows 1e-7, a
+// tenth of that tolerance.
+func TestSharedTableAccuracy(t *testing.T) {
+	const slack = 1e-7
+	cache := NewModelCache()
+	ctx := context.Background()
+	ids := func(m device.Solver, b fettoy.Bias) float64 {
+		t.Helper()
+		v, err := m.IDS(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	for _, temp := range paperTemps {
+		for _, ef := range paperEFs {
+			dev := fettoy.Default()
+			dev.T, dev.EF = temp, ef
+			direct, err := fettoy.New(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own, err := fettoy.New(dev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			own.EnableTable(fettoy.TableOptions{})
+			shared, _, err := cache.Resolve(ctx, ModelSpec{Family: FamilyReference, T: temp, EF: &ef})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var worstOwn, worstShared float64
+			for i := range 13 {
+				for j := range 13 {
+					b := fettoy.Bias{VG: 0.05 * float64(i), VD: 0.05 * float64(j)}
+					want := ids(direct, b)
+					if want == 0 { //lint:allow floatcmp VD = 0 carries no current to compare against
+						continue
+					}
+					worstOwn = max(worstOwn, math.Abs(ids(own, b)-want)/math.Abs(want))
+					worstShared = max(worstShared, math.Abs(ids(shared, b)-want)/math.Abs(want))
+				}
+			}
+			if worstShared > worstOwn+slack {
+				t.Errorf("T=%g EF=%g: shared table's worst IDS error %.3g, own table's %.3g", temp, ef, worstShared, worstOwn)
+			}
+			t.Logf("T=%g EF=%g: worst IDS error against direct quadrature: shared table %.3g, own table %.3g", temp, ef, worstShared, worstOwn)
+		}
+	}
+}
+
+// BenchmarkReferenceWarmup sends the nine reference cells through a
+// fresh ModelCache, one iv-point each — the reference third of an
+// iv-point set-up. tables/op counts the charge tables it builds.
+func BenchmarkReferenceWarmup(b *testing.B) {
+	builds := telemetry.Default().Counter(telemetry.KeyFettoyTableBuilds)
+	before := builds.Value()
+	for i := 0; i < b.N; i++ {
+		h := New(Config{Resolver: NewModelCache()}).Handler()
+		for _, temp := range paperTemps {
+			for _, ef := range paperEFs {
+				decodeJob(b, post(b, h, referenceIVBody(temp, ef)))
+			}
+		}
+	}
+	b.ReportMetric(float64(builds.Value()-before)/float64(b.N), "tables/op")
 }

@@ -1,12 +1,19 @@
 // key.go is the single home of request identity: the cache key a
-// model description resolves to, the canonical model-key string the
-// cluster router (internal/cluster) hashes for key-affinity placement,
-// and the coalescing key that decides when two buffered jobs are the
-// same job. All three derive from one resolution with wire defaults
-// applied, so an omitted field and its explicit default spelling are
-// the same identity everywhere — the server's cache, the flight group
-// and the router's rendezvous ring can never disagree about which
-// requests are "the same".
+// model description resolves to, the table key naming the charge table
+// a reference model shares, the canonical model-key string the cluster
+// router (internal/cluster) hashes for key-affinity placement, and the
+// coalescing key that decides when two buffered jobs are the same job.
+// All of them derive from one resolution with wire defaults applied
+// (and -0 folded into 0), so an omitted field and its explicit default
+// spelling are the same identity everywhere — the server's cache, the
+// flight group and the router's rendezvous ring can never disagree
+// about which requests are "the same".
+//
+// Identity has two levels. A cacheKey (family, preset, T, EF) names a
+// model. A tableKey (preset, T, window) names the expensive artefact
+// under a reference model, its charge table: the state density N(u)
+// never sees EF (USF = EF − q·VSC, paper eqs. 5–6), which only picks
+// the u window a model reads, so every EF of one band shares a table.
 package server
 
 import (
@@ -46,17 +53,63 @@ func (k cacheKey) String() string {
 }
 
 // specCacheKey is the one constructor of a cacheKey: family and preset
-// defaults applied, overrides resolved against the preset device. Both
-// the cache and the coalescing key go through it, so an explicit
-// `"family": "model1"` or `"t": 300` and the omitted spelling land on
-// the same entry.
+// defaults applied, overrides resolved against the preset device, and
+// an EF of -0 folded into 0. The cache, the table key, the coalescing
+// key and the route key all go through it, so an explicit
+// `"family": "model1"`, `"t": 300` or `"ef": -0` and the plain spelling
+// land on the same entry, the same flight and the same replica.
 func specCacheKey(spec ModelSpec, dev fettoy.Device) cacheKey {
+	ef := dev.EF
+	if ef == 0 { //lint:allow floatcmp folds -0 into 0: one model, one identity
+		ef = 0
+	}
 	return cacheKey{
 		family: familyOrDefault(spec.Family),
 		preset: presetOrDefault(spec.Device),
 		t:      dev.T,
-		ef:     dev.EF,
+		ef:     ef,
 	}
+}
+
+// tableKey identifies one shared charge table: the preset and
+// temperature fix the state density N(u), and [umin, umax] is the
+// tabulated u window in eV (tableWindow).
+type tableKey struct {
+	preset     string
+	t          float64
+	umin, umax float64
+}
+
+// tableKey returns the key of the charge table the model k names
+// shares.
+func (k cacheKey) tableKey() tableKey {
+	umin, umax := tableWindow(k.ef)
+	return tableKey{preset: k.preset, t: k.t, umin: umin, umax: umax}
+}
+
+// Shared-table EF bands. Band j holds EF in [−0.55 + 0.6j, 0.05 + 0.6j)
+// eV and tabulates u in [−1.85 + 0.6j, 1.45 + 0.6j]: the union of its
+// EFs' default windows [EF − 1.3, EF + 1.4] (fettoy.DefaultTableRange). Band
+// 0 holds the paper's three EFs (−0.5, −0.32 and 0 eV).
+const (
+	tableBandEF    = -0.55 // lower EF edge of band 0, eV
+	tableBandWidth = 0.6   // eV
+	tableBandUMin  = -1.85 // band 0's window, eV
+	tableBandUMax  = 1.45
+)
+
+// tableWindow returns the u window, in eV, of the charge table a model
+// at Fermi level ef shares: its EF band's window, which contains the
+// model's own default window. Where rounding breaks that containment
+// (at a band edge, or at extreme |ef|), it returns the default window
+// itself.
+func tableWindow(ef float64) (umin, umax float64) {
+	j := math.Floor((ef - tableBandEF) / tableBandWidth)
+	umin, umax = tableBandUMin+j*tableBandWidth, tableBandUMax+j*tableBandWidth
+	if lo, hi := fettoy.DefaultTableRange(ef); !(umin <= lo && hi <= umax) {
+		return lo, hi
+	}
+	return umin, umax
 }
 
 // specID is a ModelSpec resolved once per request: the preset device

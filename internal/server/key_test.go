@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+
+	"cntfet/internal/fettoy"
 )
 
 // jobKey is the coalescing key of a decoded request, as the handler
@@ -27,7 +29,7 @@ func TestRouteKeyGolden(t *testing.T) {
 		{JobRequest{Model: &ModelSpec{Family: FamilyReference, Device: DeviceJavey}}, "reference/javey/T=300/EF=-0.05"},
 		{JobRequest{Model: &ModelSpec{Family: FamilyModel2, T: 150, EF: f(-0.5)}}, "model2/default/T=150/EF=-0.5"},
 		{JobRequest{Model: &ModelSpec{Family: FamilyModel1, T: 450, EF: f(0)}}, "model1/default/T=450/EF=0"},
-		{JobRequest{Model: &ModelSpec{EF: f(math.Copysign(0, -1))}}, "model1/default/T=300/EF=-0"},
+		{JobRequest{Model: &ModelSpec{EF: f(math.Copysign(0, -1))}}, "model1/default/T=300/EF=0"},
 		{JobRequest{Model: &ModelSpec{T: 1e-7, EF: f(-1e-21)}}, "model1/default/T=1e-07/EF=-1e-21"},
 		{JobRequest{Model: &ModelSpec{Family: FamilyModel2, T: 187.33333333333334, EF: f(-0.123456789012345)}}, "model2/default/T=187.33333333333334/EF=-0.123456789012345"},
 		{JobRequest{Model: &ModelSpec{Device: "exotic"}}, "model1/exotic/T=0/EF=preset"},
@@ -36,6 +38,61 @@ func TestRouteKeyGolden(t *testing.T) {
 	} {
 		if got := RouteKey(tc.jr); got != tc.want {
 			t.Errorf("RouteKey(%+v) = %q, want %q", tc.jr.Model, got, tc.want)
+		}
+	}
+}
+
+// TestNegativeZeroEFIsOneIdentity is the regression test for "ef": -0:
+// Go map keys already put it on the same model as "ef": 0, but the
+// coalescing key wrote the raw EF bits and the route key rendered
+// EF=-0, so the two bodies never coalesced and could land on different
+// replicas. All four keys now agree.
+func TestNegativeZeroEFIsOneIdentity(t *testing.T) {
+	for _, family := range []string{FamilyReference, FamilyModel1} {
+		var pos, neg JobRequest
+		for body, jr := range map[string]*JobRequest{`0`: &pos, `-0`: &neg} {
+			raw := `{"kind": "iv-point", "model": {"family": "` + family + `", "ef": ` + body + `}, "vg": 0.5, "vd": 0.4}`
+			if !decodeJobRequest([]byte(raw), jr) {
+				t.Fatalf("body %s rejected", raw)
+			}
+		}
+		if !math.Signbit(*neg.Model.EF) {
+			t.Fatal("the -0 body decoded to +0: the test no longer exercises the fold")
+		}
+		p, n := identify(pos.Model), identify(neg.Model)
+		if p.key != n.key {
+			t.Errorf("%s: cache keys %+v and %+v differ", family, p.key, n.key)
+		}
+		if p.key.tableKey() != n.key.tableKey() {
+			t.Errorf("%s: table keys %+v and %+v differ", family, p.key.tableKey(), n.key.tableKey())
+		}
+		if jobKey(pos) != jobKey(neg) {
+			t.Errorf("%s: coalescing keys differ", family)
+		}
+		if rp, rn := RouteKey(pos), RouteKey(neg); rp != rn {
+			t.Errorf("%s: route keys %q and %q differ", family, rp, rn)
+		}
+	}
+}
+
+// TestTableWindow: the paper's three EFs share band 0's window exactly,
+// and every finite EF's window contains that EF's default table range —
+// at band edges, one ulp either side of them, and at extreme |EF|.
+func TestTableWindow(t *testing.T) {
+	for _, ef := range paperEFs {
+		if lo, hi := tableWindow(ef); lo != tableBandUMin || hi != tableBandUMax { //lint:allow floatcmp band 0's window is its exact constants
+			t.Errorf("tableWindow(%g) = [%g, %g], want band 0's [%g, %g]", ef, lo, hi, tableBandUMin, tableBandUMax)
+		}
+	}
+	efs := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64, 1e300, -1e300, 1e16, -1e16}
+	for j := -20.0; j <= 20; j++ {
+		edge := tableBandEF + j*tableBandWidth
+		efs = append(efs, edge, math.Nextafter(edge, math.Inf(1)), math.Nextafter(edge, math.Inf(-1)), edge+0.3)
+	}
+	for _, ef := range efs {
+		lo, hi := tableWindow(ef)
+		if dlo, dhi := fettoy.DefaultTableRange(ef); !(lo <= dlo && dhi <= hi) {
+			t.Errorf("tableWindow(%g) = [%g, %g] misses the default range [%g, %g]", ef, lo, hi, dlo, dhi)
 		}
 	}
 }
@@ -103,6 +160,8 @@ func FuzzCoalesceKey(f *testing.F) {
 			`{"kind": "monte-carlo", "model": {"family": "model9", "t": -4, "ef": -0.32}, "samples": 10, "seed": -1, "stream": true}`},
 		{`{"kind": "iv-point", "model": {"device": "javey"}, "workers": 1, "repeat": 2, "ef_sigma": 0.1, "diameter_sigma": -0}`,
 			`{"kind": "iv-point", "model": {"device": "javey", "t": 300, "ef": -0.05}, "workers": 1, "repeat": 2, "ef_sigma": 0.1}`},
+		{`{"kind": "rms-compare", "model": {"family": "reference", "ef": -0}, "ref": {"ef": -0}}`,
+			`{"kind": "rms-compare", "model": {"family": "reference", "ef": 0}, "ref": {"ef": 0}}`},
 	} {
 		f.Add([]byte(pair[0]), []byte(pair[1]))
 	}

@@ -102,10 +102,14 @@ func TestTraceCorrelation(t *testing.T) {
 		t.Fatalf("debug/trace: status %d", w.Code)
 	}
 	kinds := map[string]bool{}
+	var build map[string]any
 	for _, span := range decodeNDJSON(t, w.Body.Bytes()) {
 		if span[telemetry.FieldTrace] == trace {
 			kind, _ := span[telemetry.FieldKind].(string)
 			kinds[kind] = true
+			if kind == telemetry.SpanFettoyTableBuild {
+				build, _ = span["attrs"].(map[string]any)
+			}
 		}
 	}
 	for _, want := range []string{
@@ -116,6 +120,14 @@ func TestTraceCorrelation(t *testing.T) {
 		if !kinds[want] {
 			t.Fatalf("trace %s missing %q span; got kinds %v", trace, want, kinds)
 		}
+	}
+	// The build span names the shared table's window: the default
+	// model's EF (-0.32 eV) lies in EF band 0.
+	if nodes, _ := build[telemetry.AttrTableNodes].(float64); nodes < 1 {
+		t.Fatalf("table-build span has no %s: %v", telemetry.AttrTableNodes, build)
+	}
+	if lo, hi := build[telemetry.AttrTableUMin], build[telemetry.AttrTableUMax]; lo != tableBandUMin || hi != tableBandUMax {
+		t.Fatalf("table-build span window [%v, %v], want band 0's [%g, %g]", lo, hi, tableBandUMin, tableBandUMax)
 	}
 
 	// A second identical job reuses the cached model and says so.

@@ -6,8 +6,9 @@
 // core, PR 3's job API is the request surface, and this package adds
 // the production plumbing a multi-tenant deployment needs —
 //
-//   - a keyed model cache (cache.go) so charge tables and piecewise
-//     fits are built once per (family, device, T, EF) and shared;
+//   - a keyed model cache (cache.go) so models are built once per
+//     (family, device, T, EF) and charge tables once per (device, T,
+//     EF band), and shared;
 //   - admission control: a concurrency-limiting semaphore answering
 //     429 at saturation, and a request body-size cap;
 //   - per-request deadlines and client-disconnect cancellation, both

@@ -22,7 +22,7 @@ import (
 
 // post sends one job request body to a handler and returns the
 // recorded response.
-func post(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -31,7 +31,7 @@ func post(t *testing.T, h http.Handler, body string) *httptest.ResponseRecorder 
 	return w
 }
 
-func decodeJob(t *testing.T, w *httptest.ResponseRecorder) JobResponse {
+func decodeJob(t testing.TB, w *httptest.ResponseRecorder) JobResponse {
 	t.Helper()
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)

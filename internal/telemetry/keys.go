@@ -254,6 +254,10 @@ const (
 	AttrNewtonIters = "newton_iters"
 	// AttrTableNodes is the adaptive grid size of a table-build span.
 	AttrTableNodes = "table_nodes"
+	// AttrTableUMin and AttrTableUMax bound a table-build span's
+	// tabulated u window, in eV.
+	AttrTableUMin = "table_umin"
+	AttrTableUMax = "table_umax"
 	// AttrError carries a span's failure message.
 	AttrError = "error"
 )
