@@ -6,15 +6,16 @@ GATE_THRESHOLD ?= 0.15
 # FUZZTIME is how long make fuzz runs each fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check lint vet build test race fuzz bench benchgate benchsmoke scalebench servesmoke shardsmoke e2esmoke e2ebench
+.PHONY: check lint vet build test race fuzz bench benchgate benchsmoke scalebench e2esmoke e2ebench
 
 ## check: the tier-1 gate — vet + cntlint, build, plain tests (the
 ## zero-alloc kernel guards only assert outside -race), race-enabled
 ## tests, a build-only smoke of the sweep benchmark (tiny grid, no
-## timing assertion: timing under a loaded CI machine is noise), the
-## sweep-service smoke, the sharded-fleet smoke, and the end-to-end
-## benchmark module's race-enabled tests.
-check: lint build test race benchsmoke servesmoke shardsmoke e2esmoke
+## timing assertion: timing under a loaded CI machine is noise) and the
+## end-to-end benchmark module's race-enabled tests. The sweep service
+## and the two-replica fleet are checked end to end by the
+## internal/server and internal/cluster tests, under -race too.
+check: lint build test race benchsmoke e2esmoke
 
 ## lint: go vet plus the project analyzer suite (cmd/cntlint):
 ## telemetry key registry, context propagation, float comparisons,
@@ -79,30 +80,6 @@ scalebench:
 
 benchsmoke:
 	$(GO) run ./cmd/cntbench -sweepbench -points 9 -repeats 1 -out /dev/null
-
-## servesmoke: end-to-end smoke of the sweep service — cntserve binds
-## an ephemeral port, POSTs itself one family-sweep, asserts a 200
-## with a non-empty family, scrapes /metrics through the Prometheus
-## conformance checker, checks /metrics.json and /healthz, verifies
-## the job's trace ID correlates the access log, job log and
-## /debug/trace spans, re-runs the sweep streamed (incremental NDJSON
-## frames bit-identical to the buffered rows, Trace-Id header in the
-## log), and shuts down gracefully.
-servesmoke:
-	$(GO) run ./cmd/cntserve -selftest
-
-## shardsmoke: end-to-end smoke of the sharded fleet — cntshard boots
-## two in-process cntserve replicas behind the rendezvous router and
-## asserts the routing contract: N distinct model keys build exactly N
-## charge tables fleet-wide (affinity, stable Cntshard-Replica per
-## key; re-posts are zero-build local hits), a streamed family sweep
-## relays frame-by-frame bit-identical to the buffered rows, killing a
-## key's home replica fails the key over to the survivor in hash order
-## with a bit-identical answer, the router /healthz converges on the
-## kill, and /metrics passes the Prometheus conformance checker with
-## the cluster.route.* counters and per-replica health gauges.
-shardsmoke:
-	$(GO) run ./cmd/cntshard -selftest
 
 ## e2esmoke: the tests of the end-to-end benchmark, a Go module of its
 ## own under bench/ that the root ./... does not reach. They run all

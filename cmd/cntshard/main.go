@@ -9,13 +9,6 @@
 //	cntshard -replicas host1:8080,host2:8080          route on :8090
 //	cntshard -addr :9000 -replicas ...                route elsewhere
 //	cntshard -retries 2 -backoff 100ms -replicas ...  tighter failover
-//	cntshard -selftest                                one-shot smoke: boot
-//	                                                  two in-process
-//	                                                  replicas, verify
-//	                                                  affinity, streaming,
-//	                                                  failover and the
-//	                                                  operational
-//	                                                  endpoints, exit
 //
 // Endpoints:
 //
@@ -37,14 +30,10 @@
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -53,32 +42,21 @@ import (
 	"time"
 
 	"cntfet/internal/cluster"
-	"cntfet/internal/server"
 	"cntfet/internal/telemetry"
 )
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
-	replicas := flag.String("replicas", "", "comma-separated cntserve base URLs (required unless -selftest)")
+	replicas := flag.String("replicas", "", "comma-separated cntserve base URLs (required)")
 	retries := flag.Int("retries", 0, "max replicas one job may try, first attempt included (0 = all)")
 	backoff := flag.Duration("backoff", 50*time.Millisecond, "delay before the second attempt, doubling per retry (capped at 10x)")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "active health-check period (jittered ±25%)")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "deadline for one replica /healthz probe")
 	maxBody := flag.Int64("max-body", 1<<20, "request body size cap in bytes (bodies are buffered for retry replay)")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain budget for in-flight relays")
-	selftest := flag.Bool("selftest", false, "boot a two-replica in-process fleet, exercise routing end to end, exit")
 	flag.Parse()
 
 	telemetry.Enable()
-
-	if *selftest {
-		if err := runSelftest(*drain); err != nil {
-			fmt.Fprintln(os.Stderr, "cntshard: selftest:", err)
-			os.Exit(1)
-		}
-		fmt.Println("cntshard: selftest ok")
-		return
-	}
 
 	if *replicas == "" {
 		fmt.Fprintln(os.Stderr, "cntshard: -replicas is required (comma-separated cntserve base URLs)")
@@ -130,358 +108,4 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cntshard:", err)
 		os.Exit(1)
 	}
-}
-
-// replicaProc is one in-process cntserve replica the selftest can
-// address and kill.
-type replicaProc struct {
-	srv  *server.Server
-	base string
-	errc chan error
-}
-
-func startReplica() (*replicaProc, error) {
-	srv := server.New(server.Config{})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	p := &replicaProc{srv: srv, base: fmt.Sprintf("http://%s", l.Addr()), errc: make(chan error, 1)}
-	//lint:allow goroutine errc is buffered (cap 1) and Serve returns exactly once, so the send never blocks
-	go func() { p.errc <- srv.Serve(l) }()
-	return p, nil
-}
-
-func (p *replicaProc) kill(drainBudget time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), drainBudget)
-	defer cancel()
-	if err := p.srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	if err := <-p.errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
-// runSelftest is the `make shardsmoke` body: a two-replica in-process
-// fleet behind one router, asserting the whole routing contract.
-//
-//	(a) affinity   — N distinct model keys each build their charge
-//	                 table on exactly one replica: the fleet-wide
-//	                 fettoy.table.builds delta is exactly N, re-posting
-//	                 every key moves it by zero, and each key's
-//	                 Cntshard-Replica header is stable.
-//	(b) streaming  — a family sweep streamed through the router
-//	                 delivers the buffered rows bit-for-bit, frame by
-//	                 frame.
-//	(c) failover   — killing a key's home replica reroutes the key to
-//	                 the survivor in hash order, the answer is
-//	                 bit-identical, and the failover counter moves.
-//	(d) health     — the router's /healthz reports the dead replica
-//	                 out of rotation and the survivor in.
-//	(e) metrics    — /metrics is valid Prometheus exposition carrying
-//	                 the cluster.route.* counters and per-replica
-//	                 health gauges.
-//
-// The replicas live in one process, so all telemetry lands in one
-// registry: counter deltas below are fleet-wide sums, which is exactly
-// the quantity the sharding is supposed to minimise.
-func runSelftest(drainBudget time.Duration) error {
-	r0, err := startReplica()
-	if err != nil {
-		return err
-	}
-	r1, err := startReplica()
-	if err != nil {
-		return err
-	}
-	rt, err := cluster.New(cluster.Config{
-		Replicas:      []string{r0.base, r1.base},
-		Backoff:       5 * time.Millisecond,
-		ProbeInterval: 50 * time.Millisecond,
-		ProbeTimeout:  time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stopProbes := rt.StartProbes(ctx)
-	defer stopProbes()
-
-	fl, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	front := &http.Server{Handler: rt.Handler()}
-	fErrc := make(chan error, 1)
-	//lint:allow goroutine fErrc is buffered (cap 1) and Serve returns exactly once, so the send never blocks
-	go func() { fErrc <- front.Serve(fl) }()
-	base := fmt.Sprintf("http://%s", fl.Addr())
-	client := &http.Client{Timeout: 30 * time.Second}
-	reg := telemetry.Default()
-
-	// (a) One charge-table build per model key, fleet-wide. Reference
-	// models at distinct temperatures are distinct keys, each owning a
-	// full tabulation — the expensive object the routing shards.
-	keys := []string{
-		`{"kind": "iv-point", "model": {"family": "reference", "t": 250}, "vg": 0.5, "vd": 0.4}`,
-		`{"kind": "iv-point", "model": {"family": "reference", "t": 300}, "vg": 0.5, "vd": 0.4}`,
-		`{"kind": "iv-point", "model": {"family": "reference", "t": 350}, "vg": 0.5, "vd": 0.4}`,
-	}
-	buildsBefore := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	homes := make([]string, len(keys))
-	ids := make([]float64, len(keys))
-	for i, body := range keys {
-		ids[i], homes[i], err = postJob(client, base, body)
-		if err != nil {
-			return fmt.Errorf("key %d (cold): %w", i, err)
-		}
-		if homes[i] == "" {
-			return fmt.Errorf("key %d: response missing %s header", i, cluster.ReplicaHeader)
-		}
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != int64(len(keys)) {
-		return fmt.Errorf("fleet built %d charge tables for %d distinct keys, want exactly one each", d, len(keys))
-	}
-	localBefore := reg.Counter(telemetry.KeyClusterRouteLocalHit).Value()
-	for i, body := range keys {
-		again, rep, err := postJob(client, base, body)
-		if err != nil {
-			return fmt.Errorf("key %d (repeat): %w", i, err)
-		}
-		if rep != homes[i] {
-			return fmt.Errorf("key %d moved from %s to %s between posts: affinity broken", i, homes[i], rep)
-		}
-		if again != ids[i] { //lint:allow floatcmp a cached table must answer bit-identically
-			return fmt.Errorf("key %d repeat IDS %g differs from first answer %g", i, again, ids[i])
-		}
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != int64(len(keys)) {
-		return fmt.Errorf("re-posting cached keys built %d extra tables, want 0",
-			d-int64(len(keys)))
-	}
-	if d := reg.Counter(telemetry.KeyClusterRouteLocalHit).Value() - localBefore; d != int64(len(keys)) {
-		return fmt.Errorf("local_hit moved by %d across %d home-served repeats", d, len(keys))
-	}
-
-	// (b) Streaming through the router: buffered and streamed answers
-	// for the same sweep must agree frame by frame, bit for bit.
-	if err := checkStreamedSweep(client, base); err != nil {
-		return err
-	}
-
-	// (c) Failover: kill key 0's home and re-post. The survivor must
-	// answer — building its own table (builds +1, the cost of losing a
-	// replica) — with a bit-identical result, counted as a failover.
-	victim, survivor := r0, r1
-	if homes[0] == r1.base {
-		victim, survivor = r1, r0
-	}
-	if err := victim.kill(drainBudget); err != nil {
-		return fmt.Errorf("killing home replica: %w", err)
-	}
-	failoverBefore := reg.Counter(telemetry.KeyClusterRouteFailover).Value()
-	buildsBefore = reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	failedOver, rep, err := postJob(client, base, keys[0])
-	if err != nil {
-		return fmt.Errorf("key 0 after killing its home: %w", err)
-	}
-	if rep != survivor.base {
-		return fmt.Errorf("failover served by %s, want survivor %s", rep, survivor.base)
-	}
-	if failedOver != ids[0] { //lint:allow floatcmp failover must answer bit-identically to the lost home
-		return fmt.Errorf("failover IDS %g differs from home answer %g", failedOver, ids[0])
-	}
-	if d := reg.Counter(telemetry.KeyClusterRouteFailover).Value() - failoverBefore; d != 1 {
-		return fmt.Errorf("failover counter moved by %d, want 1", d)
-	}
-	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - buildsBefore; d != 1 {
-		return fmt.Errorf("survivor built %d tables for the failed-over key, want 1", d)
-	}
-
-	// (d) The router's health view converges on the kill: the victim
-	// out of rotation, the survivor in, overall status still ok.
-	if err := waitForHealthView(client, base, victim.base, survivor.base); err != nil {
-		return err
-	}
-
-	// (e) The scrape a real Prometheus would do, carrying the routing
-	// counters and the per-replica gauges.
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	prom, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != telemetry.PromContentType {
-		return fmt.Errorf("/metrics content type %q, want %q", ct, telemetry.PromContentType)
-	}
-	if err := telemetry.ValidatePrometheus(strings.NewReader(string(prom))); err != nil {
-		return fmt.Errorf("/metrics is not valid Prometheus exposition: %w", err)
-	}
-	for _, want := range []string{
-		"cntfet_cluster_route_local_hit_total",
-		"cntfet_cluster_route_failover_total",
-		"cntfet_cluster_replica_0_healthy",
-		"cntfet_cluster_replica_1_healthy",
-	} {
-		if !strings.Contains(string(prom), want) {
-			return fmt.Errorf("/metrics missing %s:\n%s", want, prom)
-		}
-	}
-
-	if err := survivor.kill(drainBudget); err != nil {
-		return fmt.Errorf("stopping survivor: %w", err)
-	}
-	shutCtx, shutCancel := context.WithTimeout(context.Background(), drainBudget)
-	defer shutCancel()
-	if err := front.Shutdown(shutCtx); err != nil {
-		return fmt.Errorf("stopping router: %w", err)
-	}
-	if err := <-fErrc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
-}
-
-// postJob posts one job body through the router and returns the
-// response IDS plus the replica that served it.
-func postJob(client *http.Client, base, body string) (float64, string, error) {
-	resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return 0, "", err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return 0, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, "", fmt.Errorf("status %d: %s", resp.StatusCode, raw)
-	}
-	var jr server.JobResponse
-	if err := json.Unmarshal(raw, &jr); err != nil {
-		return 0, "", err
-	}
-	return jr.IDS, resp.Header.Get(cluster.ReplicaHeader), nil
-}
-
-// checkStreamedSweep runs one family sweep buffered and once streamed,
-// both through the router, and asserts the streamed frames carry the
-// buffered rows bit-for-bit.
-func checkStreamedSweep(client *http.Client, base string) error {
-	body := `{
-		"kind": "family-sweep",
-		"model": {"family": "model2"},
-		"gates": [0.3, 0.45, 0.6],
-		"drains": [0, 0.2, 0.4, 0.6]
-	}`
-	resp, err := client.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		return err
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("buffered sweep via router: status %d: %s", resp.StatusCode, raw)
-	}
-	var buffered server.JobResponse
-	if err := json.Unmarshal(raw, &buffered); err != nil {
-		return err
-	}
-	if len(buffered.Family) != 3 {
-		return fmt.Errorf("degenerate family via router: %s", raw)
-	}
-
-	streamBody := strings.Replace(body, `"kind"`, `"stream": true, "kind"`, 1)
-	resp, err = client.Post(base+"/v1/jobs", "application/json", strings.NewReader(streamBody))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("streamed sweep via router: status %d: %s", resp.StatusCode, raw)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		return fmt.Errorf("streamed sweep content type %q, want application/x-ndjson", ct)
-	}
-	if resp.Header.Get(cluster.ReplicaHeader) == "" {
-		return fmt.Errorf("streamed sweep missing %s header", cluster.ReplicaHeader)
-	}
-
-	var rows int
-	var done bool
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		var frame server.StreamFrame
-		if err := json.Unmarshal(sc.Bytes(), &frame); err != nil {
-			return fmt.Errorf("bad stream frame %q: %w", sc.Text(), err)
-		}
-		switch {
-		case frame.Row != nil:
-			if frame.Row.Index != rows {
-				return fmt.Errorf("row %d arrived with index %d", rows, frame.Row.Index)
-			}
-			want := buffered.Family[rows]
-			for j := range want.IDS {
-				if frame.Row.IDS[j] != want.IDS[j] { //lint:allow floatcmp streamed rows must match buffered bit-for-bit
-					return fmt.Errorf("streamed row %d point %d: %g, buffered %g",
-						rows, j, frame.Row.IDS[j], want.IDS[j])
-				}
-			}
-			rows++
-		case frame.Done != nil:
-			done = true
-		case frame.Error != nil:
-			return fmt.Errorf("streamed sweep failed mid-stream: %s", frame.Error.Error)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	if rows != len(buffered.Family) || !done {
-		return fmt.Errorf("stream delivered %d of %d rows (done=%v)", rows, len(buffered.Family), done)
-	}
-	return nil
-}
-
-// waitForHealthView polls the router's /healthz until it reports the
-// victim out of rotation and the survivor in (the probe loop needs a
-// cycle or two to converge after a kill).
-func waitForHealthView(client *http.Client, base, victimBase, survivorBase string) error {
-	deadline := time.Now().Add(5 * time.Second)
-	var last []byte
-	for time.Now().Before(deadline) {
-		resp, err := client.Get(base + "/healthz")
-		if err != nil {
-			return err
-		}
-		last, err = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return err
-		}
-		var h cluster.Health
-		if err := json.Unmarshal(last, &h); err != nil {
-			return fmt.Errorf("router /healthz not JSON: %w: %s", err, last)
-		}
-		view := map[string]bool{}
-		for _, rep := range h.Replicas {
-			view[rep.Base] = rep.Healthy
-		}
-		if h.Status == "ok" && len(h.Replicas) == 2 && !view[victimBase] && view[survivorBase] {
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("router health never converged on the kill: %s", last)
 }

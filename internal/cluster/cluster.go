@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -128,11 +129,20 @@ func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	rt := &Router{cfg: cfg, start: time.Now()}
 	reg := telemetry.Default()
+	// Register the route counters up front, so a fresh router's
+	// /metrics carries them at zero before the first failover or error.
+	reg.Counter(telemetry.KeyClusterRouteLocalHit)
+	reg.Counter(telemetry.KeyClusterRouteFailover)
+	reg.Counter(telemetry.KeyClusterRouteRetries)
+	reg.Counter(telemetry.KeyClusterRouteErrors)
 	seen := map[string]bool{}
 	for i, base := range cfg.Replicas {
 		base = strings.TrimRight(base, "/")
 		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
 			base = "http://" + base
+		}
+		if u, err := url.Parse(base); err != nil || u.Host == "" {
+			return nil, fmt.Errorf("cluster: replica %d (%q) is not a host[:port] or base URL", i, cfg.Replicas[i])
 		}
 		if seen[base] {
 			return nil, fmt.Errorf("cluster: duplicate replica %s", base)

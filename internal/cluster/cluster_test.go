@@ -69,6 +69,36 @@ func postRouter(t *testing.T, rt *Router, body string) (*httptest.ResponseRecord
 	return w, w.Header().Get(ReplicaHeader)
 }
 
+// TestNewValidatesReplicas pins replica-list parsing: each entry must
+// name a host once the http:// prefix is added, so a trailing comma or
+// a space after a comma in -replicas is a startup error, not a replica
+// every job homed on it pays a failed dial for.
+func TestNewValidatesReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		replicas []string
+		wantErr  string
+	}{
+		{"empty entry", []string{"a:8080", ""}, `replica 1 ("")`},
+		{"leading space", []string{"a:8080", " b:8080"}, `replica 1 (" b:8080")`},
+		{"duplicate", []string{"a:8080", "http://a:8080/"}, "duplicate replica http://a:8080"},
+		{"good set", []string{"a:8080", "http://b:8080/", "https://c"}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := New(Config{Replicas: tc.replicas})
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("New(%q): %v", tc.replicas, err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("New(%q) error %v, want one containing %q", tc.replicas, err, tc.wantErr)
+			}
+		})
+	}
+}
+
 // TestRankDeterministic pins the rendezvous contract: the order is a
 // permutation of the replica set, stable across calls and across
 // router instances, keyed by the key bytes — and over many keys every

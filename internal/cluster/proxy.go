@@ -28,7 +28,7 @@ import (
 
 // ReplicaHeader names the response header carrying the base URL of
 // the replica that served a routed job — the observable half of the
-// affinity contract, and what the selftest asserts on.
+// affinity contract, and what the fleet tests assert on.
 const ReplicaHeader = "Cntshard-Replica"
 
 // errorResponse mirrors the backend's error body shape so router-made

@@ -34,7 +34,8 @@ func decodeNDJSON(t *testing.T, data []byte) []map[string]any {
 // and the /debug/trace span ring — with the span tree reaching from
 // server.request through engine.job down to the reference model's
 // charge-table build, and the job record carrying Newton-iteration
-// and cache-hit attribution.
+// and cache-hit attribution. The same job streamed carries its trace
+// ID in a Trace-Id header that names its job record.
 func TestTraceCorrelation(t *testing.T) {
 	tr := telemetry.DefaultTracer()
 	tr.Reset()
@@ -144,6 +145,30 @@ func TestTraceCorrelation(t *testing.T) {
 	}
 	if hit, _ := job[telemetry.AttrCacheHit].(bool); !hit {
 		t.Fatalf("second job should be a cache hit: %v", job)
+	}
+
+	// The same job streamed names its trace in the Trace-Id header, and
+	// the job record carries that ID: the correlation a streaming
+	// client relies on.
+	logBuf.Reset()
+	streamBody := strings.Replace(body, `"kind"`, `"stream": true, "kind"`, 1)
+	w = httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(streamBody)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("streamed job: status %d: %s", w.Code, w.Body)
+	}
+	streamTrace := w.Header().Get("Trace-Id")
+	if streamTrace == "" {
+		t.Fatal("streamed job has no Trace-Id header")
+	}
+	job = nil
+	for _, rec := range decodeNDJSON(t, logBuf.Bytes()) {
+		if rec["event"] == telemetry.LogEventJob && rec[telemetry.FieldTrace] == streamTrace {
+			job = rec
+		}
+	}
+	if job == nil {
+		t.Fatalf("no job record with the streamed Trace-Id %s:\n%s", streamTrace, logBuf.String())
 	}
 }
 

@@ -12,9 +12,9 @@
 //
 // Dots and other non-metric characters in instrument names become
 // underscores. ValidatePrometheus is the matching conformance checker
-// the servesmoke CI step and the server tests scrape /metrics through,
-// so a malformed exposition is a test failure, not a silent scrape
-// error in production.
+// the server and cluster tests scrape /metrics through, so a malformed
+// exposition is a test failure, not a silent scrape error in
+// production.
 package telemetry
 
 import (

@@ -59,7 +59,8 @@ func TestWritePrometheusEmpty(t *testing.T) {
 }
 
 // TestValidatePrometheusRejects feeds the validator the malformations
-// it exists to catch: the servesmoke gate is only as good as these.
+// it exists to catch: the /metrics conformance tests are only as good
+// as these.
 func TestValidatePrometheusRejects(t *testing.T) {
 	cases := map[string]string{
 		"bad metric name":  "1bad 3\n",

@@ -171,11 +171,8 @@ type Tracer struct {
 	enabled atomic.Bool
 	logger  atomic.Pointer[Logger]
 
-	mu      sync.Mutex
-	buf     []SpanData
-	next    int
-	wrapped bool
-	dropped int64
+	mu    sync.Mutex
+	spans ring[SpanData]
 }
 
 // DefaultSpanCapacity is the default tracer's ring size.
@@ -184,10 +181,7 @@ const DefaultSpanCapacity = 2048
 // NewTracer returns a disabled tracer retaining at most capacity
 // completed spans (minimum 1).
 func NewTracer(capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{buf: make([]SpanData, 0, capacity)}
+	return &Tracer{spans: newRing[SpanData](capacity)}
 }
 
 // defaultTracer is the process-wide tracer, disabled by default like
@@ -245,14 +239,7 @@ func (t *Tracer) record(data SpanData) {
 		return
 	}
 	t.mu.Lock()
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, data)
-	} else {
-		t.buf[t.next] = data
-		t.next = (t.next + 1) % cap(t.buf)
-		t.wrapped = true
-		t.dropped++
-	}
+	t.spans.push(data)
 	t.mu.Unlock()
 	if l := t.logger.Load(); l != nil {
 		l.Log(LogEventSpan, spanFields(data)...)
@@ -295,28 +282,21 @@ func spanFields(d SpanData) []Field {
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return len(t.spans.buf)
 }
 
 // Dropped returns how many spans were overwritten by ring wrap.
 func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.spans.dropped
 }
 
 // Spans returns the retained spans in completion order.
 func (t *Tracer) Spans() []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanData, 0, len(t.buf))
-	if t.wrapped {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
-	}
-	return out
+	return t.spans.items()
 }
 
 // Reset drops all retained spans (the drop counter survives, like
@@ -324,9 +304,7 @@ func (t *Tracer) Spans() []SpanData {
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.buf = t.buf[:0]
-	t.next = 0
-	t.wrapped = false
+	t.spans.reset()
 }
 
 // WriteJSON writes the retained spans as NDJSON, one span per line —

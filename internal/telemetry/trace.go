@@ -25,20 +25,14 @@ type Event struct {
 // A nil *Trace is a valid no-op sink, so call sites can hold one
 // unconditionally and emit without nil checks.
 type Trace struct {
-	mu      sync.Mutex
-	buf     []Event
-	next    int // ring write position
-	wrapped bool
-	seq     int64
-	dropped int64
+	mu     sync.Mutex
+	events ring[Event]
+	seq    int64
 }
 
 // NewTrace returns a trace holding at most capacity events (minimum 1).
 func NewTrace(capacity int) *Trace {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Trace{buf: make([]Event, 0, capacity)}
+	return &Trace{events: newRing[Event](capacity)}
 }
 
 // Enabled reports whether events will be recorded; callers can skip
@@ -71,16 +65,8 @@ func (t *Trace) Emit(kind string, simTime float64, kv ...any) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ev := Event{Seq: t.seq, Kind: kind, T: simTime, Fields: fields}
+	t.events.push(Event{Seq: t.seq, Kind: kind, T: simTime, Fields: fields})
 	t.seq++
-	if len(t.buf) < cap(t.buf) {
-		t.buf = append(t.buf, ev)
-		return
-	}
-	t.buf[t.next] = ev
-	t.next = (t.next + 1) % cap(t.buf)
-	t.wrapped = true
-	t.dropped++
 }
 
 // Len returns the number of retained events.
@@ -90,7 +76,7 @@ func (t *Trace) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.buf)
+	return len(t.events.buf)
 }
 
 // Dropped returns how many events were overwritten by ring wrap.
@@ -100,7 +86,7 @@ func (t *Trace) Dropped() int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.events.dropped
 }
 
 // Events returns the retained events in emission order.
@@ -110,14 +96,7 @@ func (t *Trace) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, len(t.buf))
-	if t.wrapped {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
-	}
-	return out
+	return t.events.items()
 }
 
 // Reset drops all retained events but keeps the sequence counter, so
@@ -128,9 +107,7 @@ func (t *Trace) Reset() {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.buf = t.buf[:0]
-	t.next = 0
-	t.wrapped = false
+	t.events.reset()
 }
 
 // WriteJSON writes the retained events as JSON Lines (one event object
