@@ -21,9 +21,13 @@ type FitOptions struct {
 	// the few degrees of freedom the C¹-constrained models have on
 	// curve regions no bias visits.
 	URange [2]float64
-	// Samples is the number of theory evaluations across URange
-	// (default 240). The theory curve is sampled once per fit; this is
-	// the only place the slow reference model is consulted.
+	// Samples is the number of grid points across URange (default
+	// 240). The theory curve is sampled once per fit, and this is the
+	// only place the slow reference model is consulted. Only the points
+	// a free piece covers are evaluated: with a zero tail and fixed
+	// breaks, the points above the last break fall in the fixed zero
+	// piece, so the fit never samples them (OptimizeBreaks samples the
+	// whole grid, because its last break can move).
 	Samples int
 	// OptimizeBreaks re-derives the region boundaries numerically by
 	// Nelder–Mead RMS minimisation (the paper's "purely numerical"
@@ -131,6 +135,9 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 	// the curve scale), but at EF = 0 the constant is what keeps the
 	// closed-form solve accurate in the zero region.
 	base := units.Linspace(opt.URange[0], opt.URange[1], opt.Samples)
+	if spec.ZeroTail && !opt.OptimizeBreaks {
+		base = base[:freeSamples(base, spec.Breaks[len(spec.Breaks)-1])]
+	}
 	var us, ys []float64
 	if len(opt.TrainTemps) == 0 {
 		us = base
@@ -175,6 +182,21 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 		return nil, err
 	}
 	return newModel(dev, spec, breaks, pw, ref.N0())
+}
+
+// freeSamples returns how many leading points of the ascending grid us
+// lie at or below last, the zero tail's break: the points a free piece
+// covers. Cutting the grid there changes no fitted bit, for three
+// reasons. The cut points are no design rows. A sample's q·NS depends
+// only on itself and the batch's highest Fermi level, which the lowest
+// u sets and the cut keeps. And q·NS falls as u rises, so the weights'
+// normalising maximum stays too.
+func freeSamples(us []float64, last float64) int {
+	n := len(us)
+	for n > 0 && us[n-1] > last {
+		n--
+	}
+	return n
 }
 
 // sampleQNS appends q·NS(u + EF) in C/m for every u of us to dst and

@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"cntfet/internal/fettoy"
+	"cntfet/internal/poly"
+	"cntfet/internal/telemetry"
 	"cntfet/internal/units"
 )
 
@@ -74,11 +77,84 @@ func TestFitSamplerMovesServedIDSLittle(t *testing.T) {
 	t.Logf("worst relative IDS move %.3g", worst)
 }
 
+// fitFullGrid is Fit with the charge curve sampled on the whole
+// Samples grid, zero tail included, through the same fitting kernel.
+func fitFullGrid(t *testing.T, ref *fettoy.Model, spec Spec, opt FitOptions) poly.Piecewise {
+	t.Helper()
+	opt.fill(ref.Device(), spec)
+	base := units.Linspace(opt.URange[0], opt.URange[1], opt.Samples)
+	var us, ys []float64
+	if len(opt.TrainTemps) == 0 {
+		us, ys = base, sampleQNS(ref, base, nil)
+	}
+	for _, temp := range opt.TrainTemps {
+		dev := ref.Device()
+		dev.T = temp
+		us, ys = append(us, base...), sampleQNS(refModel(t, dev), base, ys)
+	}
+	pw, err := fitU(spec, spec.Breaks, us, ys, opt.sampleWeights(ys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pw
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// TestFitSkipsZeroTailExactly: Fit samples the theory only at or below
+// the last break, and the fitted curve is bit-identical to the fit of
+// the whole grid, over (T, EF, family) including EF = 0 and 150 K, and
+// over a stacked-temperature fit.
+func TestFitSkipsZeroTailExactly(t *testing.T) {
+	type key struct {
+		temp, ef float64
+		opt      FitOptions
+	}
+	var keys []key
+	for _, temp := range []float64{150, 300, 450} {
+		for _, ef := range []float64{-0.5, -0.32, 0} {
+			keys = append(keys, key{temp, ef, FitOptions{}})
+		}
+	}
+	keys = append(keys, key{300, -0.32, FitOptions{TrainTemps: []float64{150, 450}}})
+	for _, k := range keys {
+		dev := fettoy.Default()
+		dev.T, dev.EF = k.temp, k.ef
+		ref := refModel(t, dev)
+		for _, spec := range []Spec{Model1Spec(), Model2Spec()} {
+			before, _ := ref.Counters()
+			m, err := Fit(ref, spec, k.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after, _ := ref.Counters()
+			opt := k.opt
+			opt.fill(dev, spec)
+			grid := units.Linspace(opt.URange[0], opt.URange[1], opt.Samples)
+			if len(k.opt.TrainTemps) == 0 {
+				if want := freeSamples(grid, spec.Breaks[len(spec.Breaks)-1]); after-before != want || want >= len(grid) {
+					t.Errorf("%s T=%g EF=%g: %d theory samples, want %d of %d", spec.Name, k.temp, k.ef, after-before, want, len(grid))
+				}
+			}
+			want := fitFullGrid(t, ref, spec, k.opt)
+			for i, p := range want.Pieces {
+				if !slices.EqualFunc(m.qsU.Pieces[i].Coef, p.Coef, sameBits) {
+					t.Fatalf("%s T=%g EF=%g %+v piece %d: %v, full-grid fit %v",
+						spec.Name, k.temp, k.ef, k.opt, i, m.qsU.Pieces[i].Coef, p.Coef)
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkFitColdModel measures what a model-cache miss pays for a
 // fitted family: a reference model for a never-seen (T, EF) plus its
-// fit, alternating model1 and model2.
+// fit, alternating model1 and model2. integral_evals/op counts the
+// theory samples (fettoy.integral_evals) each build pays.
 func BenchmarkFitColdModel(b *testing.B) {
 	specs := []Spec{Model1Spec(), Model2Spec()}
+	evals := telemetry.Default().Counter(telemetry.KeyFettoyIntegralEvals)
+	before := evals.Value()
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
@@ -95,4 +171,5 @@ func BenchmarkFitColdModel(b *testing.B) {
 		}
 		i++
 	}
+	b.ReportMetric(float64(evals.Value()-before)/float64(b.N), "integral_evals/op")
 }

@@ -57,11 +57,12 @@ func newModel(dev fettoy.Device, spec Spec, breaks []float64, qsU poly.Piecewise
 		width = 1
 	}
 	deriv := qsU.Deriv()
+	orders := spec.continuityOrders()
 	for i, b := range qsU.Breaks {
 		if c0 := math.Abs(qsU.Pieces[i+1].At(b) - qsU.Pieces[i].At(b)); c0 > 1e-6*scale {
 			return nil, fmt.Errorf("core: fitted curve discontinuous at break %d (jump %g)", i, c0)
 		}
-		if spec.continuityOrders()[i] >= 1 {
+		if orders[i] >= 1 {
 			if c1 := math.Abs(deriv.Pieces[i+1].At(b) - deriv.Pieces[i].At(b)); c1*width > 1e-4*scale {
 				return nil, fmt.Errorf("core: fitted curve slope jump %g at break %d", c1, i)
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -163,6 +164,46 @@ func TestLUSolveResidualProperty(t *testing.T) {
 		if NormInf(r) > 1e-10 {
 			t.Fatalf("trial %d: residual %g", trial, NormInf(r))
 		}
+	}
+}
+
+// TestSolveInPlaceMatchesSolveLU: the in-place entry point runs the
+// same factorisation and substitution as SolveLU, so on random systems
+// (pivoting on most steps, sizes past its stack scratch) it returns the
+// same bits, and SolveLU leaves its inputs alone.
+func TestSolveInPlaceMatchesSolveLU(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 2, 5, 12, 33, 40} {
+		a := NewMatrix(n, n)
+		b := make([]float64, n)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, rng.NormFloat64())
+			}
+			b[i] = rng.NormFloat64()
+		}
+		a0, b0 := a.Clone(), append([]float64(nil), b...)
+		want, err := SolveLU(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.data, a0.data) || !slices.Equal(b, b0) {
+			t.Fatalf("n=%d: SolveLU modified its inputs", n)
+		}
+		if err := SolveInPlace(n, a.data, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(b[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: x[%d] = %x in place, %x from SolveLU", n, i, b[i], want[i])
+			}
+		}
+	}
+	if err := SolveInPlace(2, []float64{1, 2, 2, 4}, []float64{1, 1}); err != ErrSingular {
+		t.Fatalf("singular system: err = %v", err)
+	}
+	if err := SolveInPlace(2, []float64{1, 0, 0}, []float64{1, 1}); err == nil {
+		t.Fatal("short matrix accepted")
 	}
 }
 

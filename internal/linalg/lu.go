@@ -14,9 +14,9 @@ var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 // The factors are stored compactly in a single matrix (unit lower
 // triangle implicit).
 type LU struct {
-	lu   *Matrix
-	piv  []int // row i of the factor came from row piv[i] of A
-	sign int   // +1/-1, parity of the permutation, for Det
+	lu    *Matrix
+	swaps []int // step k exchanged rows k and swaps[k]
+	sign  int   // +1/-1, parity of the permutation, for Det
 }
 
 // FactorLU computes the LU factorisation of a square matrix a using
@@ -25,49 +25,87 @@ func FactorLU(a *Matrix) (*LU, error) {
 	if a.Rows() != a.Cols() {
 		return nil, fmt.Errorf("linalg: LU needs a square matrix, got %dx%d", a.Rows(), a.Cols())
 	}
-	n := a.Rows()
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
-	for i := range f.piv {
-		f.piv[i] = i
+	f := &LU{lu: a.Clone(), swaps: make([]int, a.Rows())}
+	sign, err := factor(f.lu.data, f.lu.rows, f.swaps)
+	if err != nil {
+		return nil, err
 	}
-	lu := f.lu
+	f.sign = sign
+	return f, nil
+}
+
+// factor overwrites the n×n row-major matrix a with its LU factors
+// (unit lower triangle implicit), pivoting on the largest magnitude in
+// each column. swaps[k] receives the row exchanged with row k at step
+// k; the result is the permutation's parity.
+func factor(a []float64, n int, swaps []int) (int, error) {
+	sign := 1
 	for k := 0; k < n; k++ {
+		rk := a[k*n : (k+1)*n]
 		// Find the pivot row.
-		p, pmax := k, math.Abs(lu.At(k, k))
+		p, pmax := k, math.Abs(rk[k])
 		for i := k + 1; i < n; i++ {
-			if a := math.Abs(lu.At(i, k)); a > pmax {
-				p, pmax = i, a
+			if v := math.Abs(a[i*n+k]); v > pmax {
+				p, pmax = i, v
 			}
 		}
 		if pmax == 0 { //lint:allow floatcmp an exactly zero pivot column is singular
-			return nil, ErrSingular
+			return 0, ErrSingular
 		}
+		swaps[k] = p
 		if p != k {
-			swapRows(lu, p, k)
-			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
+			rp := a[p*n : (p+1)*n]
+			for j := range rk {
+				rk[j], rp[j] = rp[j], rk[j]
+			}
+			sign = -sign
 		}
-		pivot := lu.At(k, k)
+		pivot := rk[k]
 		for i := k + 1; i < n; i++ {
-			m := lu.At(i, k) / pivot
-			lu.Set(i, k, m)
+			ri := a[i*n : (i+1)*n]
+			m := ri[k] / pivot
+			ri[k] = m
 			if m == 0 { //lint:allow floatcmp exact zeros need no elimination
 				continue
 			}
 			for j := k + 1; j < n; j++ {
-				lu.Add(i, j, -m*lu.At(k, j))
+				ri[j] += -m * rk[j]
 			}
 		}
 	}
-	return f, nil
+	return sign, nil
 }
 
-func swapRows(m *Matrix, a, b int) {
-	for j := 0; j < m.Cols(); j++ {
-		va, vb := m.At(a, j), m.At(b, j)
-		m.Set(a, j, vb)
-		m.Set(b, j, va)
+// substitute solves L*U*x = P*b in place on x, which holds b on entry,
+// given factor's output lu and swaps.
+func substitute(lu []float64, n int, swaps []int, x []float64) error {
+	// Apply the row exchanges in factorisation order.
+	for k, p := range swaps {
+		x[k], x[p] = x[p], x[k]
 	}
+	// Forward substitution (unit lower).
+	for i := 1; i < n; i++ {
+		row := lu[i*n : i*n+i]
+		s := x[i]
+		for j, l := range row {
+			s -= l * x[j]
+		}
+		x[i] = s
+	}
+	// Backward substitution.
+	for i := n - 1; i >= 0; i-- {
+		row := lu[i*n : (i+1)*n]
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= row[j] * x[j]
+		}
+		d := row[i]
+		if d == 0 { //lint:allow floatcmp an exactly zero diagonal is singular
+			return ErrSingular
+		}
+		x[i] = s / d
+	}
+	return nil
 }
 
 // Solve solves A*x = b for one right-hand side.
@@ -77,34 +115,12 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		return nil, fmt.Errorf("linalg: rhs length %d, want %d", len(b), n)
 	}
 	x := make([]float64, n)
-	// Apply permutation.
-	for i := 0; i < n; i++ {
-		x[i] = b[f.pivSource(i)]
-	}
-	// Forward substitution (unit lower).
-	for i := 1; i < n; i++ {
-		s := x[i]
-		for j := 0; j < i; j++ {
-			s -= f.lu.At(i, j) * x[j]
-		}
-		x[i] = s
-	}
-	// Backward substitution.
-	for i := n - 1; i >= 0; i-- {
-		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= f.lu.At(i, j) * x[j]
-		}
-		d := f.lu.At(i, i)
-		if d == 0 { //lint:allow floatcmp an exactly zero diagonal is singular
-			return nil, ErrSingular
-		}
-		x[i] = s / d
+	copy(x, b)
+	if err := substitute(f.lu.data, n, f.swaps, x); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
-
-func (f *LU) pivSource(i int) int { return f.piv[i] }
 
 // Det returns the determinant of the factored matrix.
 func (f *LU) Det() float64 {
@@ -123,6 +139,27 @@ func SolveLU(a *Matrix, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.Solve(b)
+}
+
+// SolveInPlace solves the n×n row-major system a*x = b with the same
+// factorisation and substitution as SolveLU, so it returns the same
+// bits, but without SolveLU's copies: a is overwritten with its LU
+// factors and b with x. It suits callers that assemble a throwaway
+// system into scratch of their own.
+func SolveInPlace(n int, a, b []float64) error {
+	if len(a) != n*n || len(b) != n {
+		return fmt.Errorf("linalg: %d-element matrix and %d-element rhs for n = %d", len(a), len(b), n)
+	}
+	var buf [32]int
+	swaps := buf[:]
+	if n > len(buf) {
+		swaps = make([]int, n)
+	}
+	swaps = swaps[:n]
+	if _, err := factor(a, n, swaps); err != nil {
+		return err
+	}
+	return substitute(a, n, swaps, b)
 }
 
 // CondEstimate returns a cheap lower-bound estimate of the infinity-norm

@@ -78,7 +78,13 @@ func FitPiecewiseOrders(breaks []float64, specs []PieceSpec, xs, ys []float64, o
 // (nil means uniform): it minimises Σ w_i·(p(x_i) − y_i)². Weights let
 // the charge fit trade absolute accuracy in the high-charge region for
 // relative accuracy near the knee, where the subthreshold drain
-// current is exponentially sensitive.
+// current is exponentially sensitive. Every weight must be finite and
+// non-negative, even on samples a fixed piece covers. A negative
+// continuity order means 0; orders itself is left as passed.
+//
+// The KKT system is assembled in one flat row-major workspace and
+// solved in place. Samples in ascending order are routed to their
+// pieces in one forward pass; any order gives the same result.
 func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights []float64, orders []int) (Piecewise, error) {
 	if weights != nil && len(weights) != len(xs) {
 		return Piecewise{}, fmt.Errorf("poly: %d weights for %d samples", len(weights), len(xs))
@@ -92,14 +98,14 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 	if len(xs) != len(ys) {
 		return Piecewise{}, fmt.Errorf("poly: sample length mismatch")
 	}
+	for k, w := range weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return Piecewise{}, fmt.Errorf("poly: weight %g at sample %d is not a finite non-negative number", w, k)
+		}
+	}
 	maxOrder := 0
-	for i, o := range orders {
-		if o < 0 {
-			orders[i] = 0
-		}
-		if o > maxOrder {
-			maxOrder = o
-		}
+	for _, o := range orders {
+		maxOrder = max(maxOrder, o)
 	}
 	for i := 1; i < len(breaks); i++ {
 		if !(breaks[i] > breaks[i-1]) {
@@ -138,117 +144,128 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 		return pw, nil
 	}
 
-	pw := Piecewise{Breaks: breaks} // for PieceIndex routing only
-
-	// Usable samples (those in free pieces) are the design rows.
-	var rows int
-	for _, x := range xs {
-		if specs[pw.PieceIndex(x)].Fixed == nil {
-			rows++
-		}
-	}
-	if rows < nUnknown {
-		return Piecewise{}, fmt.Errorf("poly: %d usable samples cannot determine %d coefficients", rows, nUnknown)
-	}
-
-	// Constraint rows: for each break b between pieces i, i+1 and each
-	// derivative order ord = 0..continuity:
-	//   p_i^(ord)(b) - p_{i+1}^(ord)(b) = 0
-	// with fixed-piece contributions moved to the right-hand side.
-	type conRow struct {
-		cols []int
-		vals []float64
-		rhs  float64
-	}
-	var cons []conRow
-	for bi, b := range breaks {
-		left, right := bi, bi+1
-		for ord := 0; ord <= orders[bi]; ord++ {
-			var c conRow
-			addSide := func(pi int, sign float64) {
-				s := specs[pi]
-				if s.Fixed != nil {
-					c.rhs -= sign * nthDerivAt(*s.Fixed, ord, b)
-					return
-				}
-				for j := ord; j <= s.Degree; j++ {
-					c.cols = append(c.cols, offset[pi]+j)
-					c.vals = append(c.vals, sign*derivMonomial(j, ord, b))
-				}
+	// Constraint rows follow the unknowns: one per break b between
+	// pieces i, i+1 and derivative order ord ≤ orders[i] that touches an
+	// unknown (see constrainSide).
+	nc := 0
+	for bi := range breaks {
+		for ord := 0; ord <= max(orders[bi], 0); ord++ {
+			if constrains(specs[bi], ord) || constrains(specs[bi+1], ord) {
+				nc++
 			}
-			addSide(left, 1)
-			addSide(right, -1)
-			if len(c.cols) == 0 {
-				// Both sides fixed: verify consistency instead.
-				if math.Abs(c.rhs) > 1e-9 {
-					return Piecewise{}, fmt.Errorf("poly: fixed pieces violate continuity at break %g", b)
-				}
-				continue
-			}
-			cons = append(cons, c)
 		}
 	}
 
 	// Assemble and solve the KKT system: 2·AᵀA and 2·Aᵀy first.
-	nc := len(cons)
 	n := nUnknown + nc
-	kkt := linalg.NewMatrix(n, n)
-	rhs := make([]float64, n)
-	if err := normalEquations(kkt, rhs, pw, specs, offset, xs, ys, weights); err != nil {
-		return Piecewise{}, err
+	work := make([]float64, n*n+n)
+	kkt, rhs := work[:n*n], work[n*n:]
+	rows := normalEquations(kkt, n, rhs, breaks, specs, offset, xs, ys, weights)
+	if rows < nUnknown {
+		return Piecewise{}, fmt.Errorf("poly: %d usable samples cannot determine %d coefficients", rows, nUnknown)
 	}
 	for i := 0; i < nUnknown; i++ {
-		for j := 0; j < nUnknown; j++ {
-			kkt.Set(i, j, 2*kkt.At(i, j))
+		row := kkt[i*n : i*n+nUnknown]
+		for j := range row {
+			row[j] = 2 * row[j]
 		}
 		rhs[i] *= 2
 	}
-	for ci, c := range cons {
-		for k, col := range c.cols {
-			kkt.Set(nUnknown+ci, col, c.vals[k])
-			kkt.Set(col, nUnknown+ci, c.vals[k])
+	r := nUnknown
+	for bi, b := range breaks {
+		left, right := specs[bi], specs[bi+1]
+		for ord := 0; ord <= max(orders[bi], 0); ord++ {
+			if !constrains(left, ord) && !constrains(right, ord) {
+				// Nothing to fit: verify the fixed sides agree instead.
+				d := constrainSide(nil, 0, left, 0, ord, b, 1)
+				if d = constrainSide(nil, d, right, 0, ord, b, -1); math.Abs(d) > 1e-9 {
+					return Piecewise{}, fmt.Errorf("poly: fixed pieces violate continuity at break %g", b)
+				}
+				continue
+			}
+			con := kkt[r*n : r*n+nUnknown]
+			rhs[r] = constrainSide(con, rhs[r], left, offset[bi], ord, b, 1)
+			rhs[r] = constrainSide(con, rhs[r], right, offset[bi+1], ord, b, -1)
+			for c, v := range con {
+				kkt[c*n+r] = v
+			}
+			r++
 		}
-		rhs[nUnknown+ci] = c.rhs
 	}
-	sol, err := linalg.SolveLU(kkt, rhs)
-	if err != nil {
+	if err := linalg.SolveInPlace(n, kkt, rhs); err != nil {
 		return Piecewise{}, fmt.Errorf("poly: constrained fit: %w", err)
 	}
 
+	coef := append([]float64(nil), rhs[:nUnknown]...)
 	pieces := make([]Poly, nPieces)
 	for i, s := range specs {
 		if s.Fixed != nil {
 			pieces[i] = *s.Fixed
 			continue
 		}
-		coef := make([]float64, s.Degree+1)
-		copy(coef, sol[offset[i]:offset[i]+s.Degree+1])
-		pieces[i] = New(coef...)
+		lo, hi := offset[i], offset[i]+s.Degree+1
+		pieces[i] = Poly{Coef: coef[lo:hi:hi]}
+		pieces[i].trim()
 	}
-	return NewPiecewise(breaks, pieces)
+	return Piecewise{Breaks: append([]float64(nil), breaks...), Pieces: pieces}, nil
 }
 
-// normalEquations adds AᵀA to the top-left unknowns block of kkt and
-// Aᵀy to the head of rhs, where A is the weighted block Vandermonde
-// design matrix (row r = √w·[1, x, x², …] in the columns of the piece
-// containing sample x, zero elsewhere) and y the weighted targets. It
-// accumulates one design row at a time instead of materialising A and
-// its transpose, visiting only the row's own piece. Every (i, j) entry
-// still sums its row products in sample order, and rows whose A[r][i] is
-// exactly zero are skipped for AᵀA, so the result is bit-identical to
-// A.T().Mul(A) and A.T().MulVec(y).
-func normalEquations(kkt *linalg.Matrix, rhs []float64, pw Piecewise, specs []PieceSpec, offset []int, xs, ys, weights []float64) error {
+// constrains reports whether the ord-th derivative matching at a break
+// touches an unknown of piece s.
+func constrains(s PieceSpec, ord int) bool {
+	return s.Fixed == nil && ord <= s.Degree
+}
+
+// constrainSide adds piece s's side of the ord-th derivative matching
+// p_i^(ord)(b) − p_{i+1}^(ord)(b) = 0 at break b (sign +1 for the left
+// piece, −1 for the right): a free piece's monomial derivatives fill its
+// columns (from off) of the constraint row con, and a fixed piece's
+// value moves to the right-hand side rhs, which is returned.
+func constrainSide(con []float64, rhs float64, s PieceSpec, off, ord int, b, sign float64) float64 {
+	if s.Fixed != nil {
+		return rhs - sign*nthDerivAt(*s.Fixed, ord, b)
+	}
+	for j := ord; j <= s.Degree; j++ {
+		con[off+j] = sign * derivMonomial(j, ord, b)
+	}
+	return rhs
+}
+
+// pieceOf returns Piecewise{Breaks: breaks}.PieceIndex(x), searching
+// from piece pi (the previous sample's), so ascending samples are
+// routed in one forward pass. NaN, like in PieceIndex, lands in the
+// last piece.
+func pieceOf(breaks []float64, pi int, x float64) int {
+	for pi > 0 && x <= breaks[pi-1] {
+		pi--
+	}
+	for pi < len(breaks) && !(x <= breaks[pi]) {
+		pi++
+	}
+	return pi
+}
+
+// normalEquations adds AᵀA to the top-left unknowns block of the n×n
+// row-major kkt and Aᵀy to the head of rhs, and returns the number of
+// design rows, where A is the weighted block Vandermonde design matrix
+// (row r = √w·[1, x, x², …] in the columns of the piece containing
+// sample x, zero elsewhere; samples in fixed pieces are no rows) and y
+// the weighted targets. It accumulates one design row at a time instead
+// of materialising A and its transpose, visiting only the row's own
+// piece. Every (i, j) entry still sums its row products in sample
+// order, and rows whose A[r][i] is exactly zero are skipped for AᵀA, so
+// the result is bit-identical to A.T().Mul(A) and A.T().MulVec(y).
+func normalEquations(kkt []float64, n int, rhs, breaks []float64, specs []PieceSpec, offset []int, xs, ys, weights []float64) int {
+	rows, pi := 0, 0
 	for k, x := range xs {
-		pi := pw.PieceIndex(x)
+		pi = pieceOf(breaks, pi, x)
 		s := specs[pi]
 		if s.Fixed != nil {
 			continue
 		}
+		rows++
 		w := 1.0
 		if weights != nil {
-			if weights[k] < 0 {
-				return fmt.Errorf("poly: negative weight at sample %d", k)
-			}
 			w = math.Sqrt(weights[k])
 		}
 		yr := w * ys[k]
@@ -257,16 +274,17 @@ func normalEquations(kkt *linalg.Matrix, rhs []float64, pw Piecewise, specs []Pi
 		for i := 0; i <= s.Degree; i++ {
 			rhs[off+i] += ai * yr
 			if ai != 0 { //lint:allow floatcmp mirrors Matrix.Mul's exact-zero skip
+				row := kkt[(off+i)*n+off : (off+i)*n+off+s.Degree+1]
 				aj := w
-				for j := 0; j <= s.Degree; j++ {
-					kkt.Add(off+i, off+j, ai*aj)
+				for j := range row {
+					row[j] += ai * aj
 					aj *= x
 				}
 			}
 			ai *= x
 		}
 	}
-	return nil
+	return rows
 }
 
 // derivMonomial returns d^ord/dx^ord [x^j] evaluated at x.

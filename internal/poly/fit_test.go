@@ -40,70 +40,251 @@ func designMatrix(pw Piecewise, specs []PieceSpec, offset []int, nUnknown int, x
 	return a, y
 }
 
-// TestNormalEquationsMatchDesignMatrix pins the row-by-row accumulation
-// bit for bit against A.T().Mul(A) and A.T().MulVec(y) on the charge
-// models' region structures, weighted and unweighted. The samples
-// include x = 0 and a zero-weight sample, which exercise the exact-zero
-// skip.
-func TestNormalEquationsMatchDesignMatrix(t *testing.T) {
-	zero := Poly{}
-	cases := []struct {
-		name   string
-		breaks []float64
-		specs  []PieceSpec
-		orders []int
-	}{
+// fitCase is one region structure of the charge models, with the
+// flavours of fixed piece the fit must route around.
+type fitCase struct {
+	name   string
+	breaks []float64
+	specs  []PieceSpec
+	orders []int
+}
+
+func fitCases() []fitCase {
+	zero, knee := Poly{}, New(2e-12, -1e-11, 4e-11)
+	return []fitCase{
 		{"model1", []float64{-0.08, 0.08}, []PieceSpec{{Degree: 1}, {Degree: 2}, {Fixed: &zero}}, []int{1, 0}},
 		{"model2", []float64{-0.28, -0.03, 0.12}, []PieceSpec{{Degree: 1}, {Degree: 2}, {Degree: 3}, {Fixed: &zero}}, []int{1, 1, 0}},
 		{"tail-C1", []float64{-0.08, 0.08}, []PieceSpec{{Degree: 1}, {Degree: 2}, {Fixed: &zero}}, []int{1, 1}},
+		// A fixed non-zero piece between free ones moves its values to
+		// the constraint right-hand side from both sides.
+		{"fixed-middle", []float64{-0.3, 0, 0.1}, []PieceSpec{{Degree: 2}, {Fixed: &knee}, {Degree: 1}, {Fixed: &zero}}, []int{1, 0, 0}},
 	}
-	// A charge-like curve: softplus of -u at a 26 meV width, in C/m.
-	xs := append(units.Linspace(-0.65, 0.35, 240), 0)
-	ys := make([]float64, len(xs))
+}
+
+// chargeSamples is a charge-like curve (softplus of -u at a 26 meV
+// width, in C/m) with relative-error weights. The samples include
+// x = 0, out of order at the end, and a zero-weight sample, which
+// exercise the backward piece search and the exact-zero skip.
+func chargeSamples() (xs, ys, weights []float64) {
+	xs = append(units.Linspace(-0.65, 0.35, 240), 0)
+	ys = make([]float64, len(xs))
 	ymax := 0.0
 	for i, x := range xs {
 		ys[i] = 1e-10 * 0.026 * math.Log1p(math.Exp(-x/0.026))
 		ymax = math.Max(ymax, ys[i])
 	}
-	weights := make([]float64, len(xs))
+	weights = make([]float64, len(xs))
 	for i, y := range ys {
 		d := y + 0.05*ymax
 		weights[i] = 1 / (d * d)
 	}
 	weights[17] = 0
+	return xs, ys, weights
+}
 
-	for _, c := range cases {
+func layout(specs []PieceSpec) (offset []int, nUnknown int) {
+	offset = make([]int, len(specs))
+	for i, s := range specs {
+		offset[i] = nUnknown
+		if s.Fixed == nil {
+			nUnknown += s.Degree + 1
+		}
+	}
+	return offset, nUnknown
+}
+
+// TestNormalEquationsMatchDesignMatrix pins the row-by-row accumulation
+// into the flat workspace bit for bit against A.T().Mul(A) and
+// A.T().MulVec(y), weighted and unweighted, at the block's own width and
+// inside a wider KKT stride.
+func TestNormalEquationsMatchDesignMatrix(t *testing.T) {
+	xs, ys, weights := chargeSamples()
+	for _, c := range fitCases() {
 		for _, w := range [][]float64{nil, weights} {
-			offset := make([]int, len(c.specs))
-			nUnknown := 0
-			for i, s := range c.specs {
-				offset[i] = nUnknown
-				if s.Fixed == nil {
-					nUnknown += s.Degree + 1
-				}
-			}
+			offset, nUnknown := layout(c.specs)
 			pw := Piecewise{Breaks: c.breaks}
 			a, y := designMatrix(pw, c.specs, offset, nUnknown, xs, ys, w)
 			ata, aty := a.T().Mul(a), a.T().MulVec(y)
 
-			kkt := linalg.NewMatrix(nUnknown, nUnknown)
-			rhs := make([]float64, nUnknown)
-			if err := normalEquations(kkt, rhs, pw, c.specs, offset, xs, ys, w); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < nUnknown; i++ {
-				if math.Float64bits(rhs[i]) != math.Float64bits(aty[i]) {
-					t.Fatalf("%s weighted=%v: Aᵀy[%d] = %x, want %x", c.name, w != nil, i, rhs[i], aty[i])
+			for _, n := range []int{nUnknown, nUnknown + 3} {
+				kkt := make([]float64, n*n)
+				rhs := make([]float64, n)
+				if rows := normalEquations(kkt, n, rhs, c.breaks, c.specs, offset, xs, ys, w); rows != a.Rows() {
+					t.Fatalf("%s: %d design rows, want %d", c.name, rows, a.Rows())
 				}
-				for j := 0; j < nUnknown; j++ {
-					if math.Float64bits(kkt.At(i, j)) != math.Float64bits(ata.At(i, j)) {
-						t.Fatalf("%s weighted=%v: AᵀA[%d][%d] = %x, want %x", c.name, w != nil, i, j, kkt.At(i, j), ata.At(i, j))
+				for i := 0; i < n; i++ {
+					want := 0.0
+					if i < nUnknown {
+						want = aty[i]
+					}
+					if math.Float64bits(rhs[i]) != math.Float64bits(want) {
+						t.Fatalf("%s weighted=%v n=%d: Aᵀy[%d] = %x, want %x", c.name, w != nil, n, i, rhs[i], want)
+					}
+					for j := 0; j < n; j++ {
+						want := 0.0
+						if i < nUnknown && j < nUnknown {
+							want = ata.At(i, j)
+						}
+						if got := kkt[i*n+j]; math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("%s weighted=%v n=%d: AᵀA[%d][%d] = %x, want %x", c.name, w != nil, n, i, j, got, want)
+						}
 					}
 				}
 			}
-			if _, err := FitPiecewiseWeighted(c.breaks, c.specs, xs, ys, w, c.orders); err != nil {
+		}
+	}
+}
+
+// denseKKT assembles the constrained fit's KKT system the plain way: a
+// dense linalg.Matrix from A.T().Mul(A), and one constraint row per
+// (break, order) built from its column list. FitPiecewiseWeighted's flat
+// assembly must reproduce it bit for bit.
+func denseKKT(c fitCase, xs, ys, weights []float64) (*linalg.Matrix, []float64) {
+	offset, nUnknown := layout(c.specs)
+	pw := Piecewise{Breaks: c.breaks}
+	a, y := designMatrix(pw, c.specs, offset, nUnknown, xs, ys, weights)
+	ata, aty := a.T().Mul(a), a.T().MulVec(y)
+	type conRow struct {
+		cols []int
+		vals []float64
+		rhs  float64
+	}
+	var cons []conRow
+	for bi, b := range c.breaks {
+		for ord := 0; ord <= max(c.orders[bi], 0); ord++ {
+			var r conRow
+			for _, side := range [2]struct {
+				pi   int
+				sign float64
+			}{{bi, 1}, {bi + 1, -1}} {
+				pi, sign := side.pi, side.sign
+				s := c.specs[pi]
+				if s.Fixed != nil {
+					r.rhs -= sign * nthDerivAt(*s.Fixed, ord, b)
+					continue
+				}
+				for j := ord; j <= s.Degree; j++ {
+					r.cols = append(r.cols, offset[pi]+j)
+					r.vals = append(r.vals, sign*derivMonomial(j, ord, b))
+				}
+			}
+			if len(r.cols) > 0 {
+				cons = append(cons, r)
+			}
+		}
+	}
+	n := nUnknown + len(cons)
+	kkt := linalg.NewMatrix(n, n)
+	rhs := make([]float64, n)
+	for i := 0; i < nUnknown; i++ {
+		for j := 0; j < nUnknown; j++ {
+			kkt.Set(i, j, 2*ata.At(i, j))
+		}
+		rhs[i] = 2 * aty[i]
+	}
+	for ci, r := range cons {
+		for k, col := range r.cols {
+			kkt.Set(nUnknown+ci, col, r.vals[k])
+			kkt.Set(col, nUnknown+ci, r.vals[k])
+		}
+		rhs[nUnknown+ci] = r.rhs
+	}
+	return kkt, rhs
+}
+
+// TestFitPiecewiseMatchesDenseKKT compares the in-place fit, coefficient
+// for coefficient, with SolveLU on the dense KKT system: the flat
+// assembly and in-place solve change no bits.
+func TestFitPiecewiseMatchesDenseKKT(t *testing.T) {
+	xs, ys, weights := chargeSamples()
+	for _, c := range fitCases() {
+		for _, w := range [][]float64{nil, weights} {
+			got, err := FitPiecewiseWeighted(c.breaks, c.specs, xs, ys, w, c.orders)
+			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
+			kkt, rhs := denseKKT(c, xs, ys, w)
+			sol, err := linalg.SolveLU(kkt, rhs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			offset, _ := layout(c.specs)
+			for i, s := range c.specs {
+				var want Poly
+				if s.Fixed != nil {
+					want = *s.Fixed
+				} else {
+					want = New(sol[offset[i] : offset[i]+s.Degree+1]...)
+				}
+				if len(got.Pieces[i].Coef) != len(want.Coef) {
+					t.Fatalf("%s weighted=%v piece %d: %v, want %v", c.name, w != nil, i, got.Pieces[i].Coef, want.Coef)
+				}
+				for j, v := range want.Coef {
+					if math.Float64bits(got.Pieces[i].Coef[j]) != math.Float64bits(v) {
+						t.Fatalf("%s weighted=%v piece %d coef %d: %x, want %x", c.name, w != nil, i, j, got.Pieces[i].Coef[j], v)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPieceOfMatchesPieceIndex routes samples in every order, including
+// exact breaks, infinities and NaN, the way PieceIndex does.
+func TestPieceOfMatchesPieceIndex(t *testing.T) {
+	breaks := []float64{-0.28, -0.03, 0.12}
+	pw := Piecewise{Breaks: breaks}
+	xs := []float64{-1, -0.28, -0.2, -0.03, 0, 0.12, 0.5, math.Inf(1), -0.28, math.NaN(), 0.12,
+		math.Inf(-1), 0.05, math.NaN(), -0.5, 1e300, -0.03}
+	pi := 0
+	for _, x := range xs {
+		pi = pieceOf(breaks, pi, x)
+		if want := pw.PieceIndex(x); pi != want {
+			t.Fatalf("x = %g: piece %d, PieceIndex %d", x, pi, want)
+		}
+	}
+}
+
+// TestFitPiecewiseLeavesOrders: a negative continuity order means 0 but
+// is not written back to the caller's slice.
+func TestFitPiecewiseLeavesOrders(t *testing.T) {
+	xs, ys, _ := chargeSamples()
+	c := fitCases()[0]
+	orders := []int{-1, 0}
+	got, err := FitPiecewiseWeighted(c.breaks, c.specs, xs, ys, nil, orders)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orders[0] != -1 || orders[1] != 0 {
+		t.Fatalf("orders changed to %v", orders)
+	}
+	want, err := FitPiecewiseWeighted(c.breaks, c.specs, xs, ys, nil, []int{0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Pieces {
+		for j, v := range want.Pieces[i].Coef {
+			if got.Pieces[i].Coef[j] != v { //lint:allow floatcmp order -1 must fit exactly as order 0
+				t.Fatalf("piece %d coef %d: order -1 gives %g, order 0 %g", i, j, got.Pieces[i].Coef[j], v)
+			}
+		}
+	}
+}
+
+// TestFitPiecewiseRejectsBadWeights: a NaN or infinite weight, or a
+// negative one on a sample that only a fixed piece covers, is an error,
+// not NaN coefficients or silently ignored.
+func TestFitPiecewiseRejectsBadWeights(t *testing.T) {
+	xs, ys, weights := chargeSamples()
+	c := fitCases()[0]
+	for _, bad := range []struct {
+		k int
+		w float64
+	}{{3, math.NaN()}, {5, math.Inf(1)}, {len(xs) - 2, -1}} {
+		w := append([]float64(nil), weights...)
+		w[bad.k] = bad.w
+		if _, err := FitPiecewiseWeighted(c.breaks, c.specs, xs, ys, w, c.orders); err == nil {
+			t.Errorf("weight %g at sample %d (x = %g) accepted", bad.w, bad.k, xs[bad.k])
 		}
 	}
 }

@@ -195,7 +195,6 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 	bs, batch := m.(device.BatchSolver)
 	done := ctxDone(ctx)
 	on := telemetry.On()
-	reg := telemetry.Default()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -208,9 +207,9 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 			// largest chunk. Lazy so non-batch models pay nothing.
 			var biasBuf []fettoy.Bias
 			if on {
-				defer reg.Timer(fmt.Sprintf(telemetry.KeySweepWorkerTimeFmt, w)).Start()()
+				defer workerTimer(w).Start()()
 			}
-			defer func() { countPoints(reg, on, w, points, errs) }()
+			defer func() { countPoints(on, w, points, errs) }()
 		drain:
 			for ck := range tasks {
 				// One span per chunk — the scheduler's work unit — keeps

@@ -66,3 +66,22 @@ func TestFamilyParallelHammersTelemetry(t *testing.T) {
 		t.Fatalf("sweep.errors = %d, want 0", got)
 	}
 }
+
+// TestWorkerInstrumentsCached: a worker's attribution timer and points
+// counter are the default registry's own, and once created they are
+// served from the cache without formatting or allocating.
+func TestWorkerInstrumentsCached(t *testing.T) {
+	reg := telemetry.Default()
+	if workerPoints(5) != reg.Counter(fmt.Sprintf(telemetry.KeySweepWorkerPointsFmt, 5)) {
+		t.Fatal("cached points counter is not the registry's")
+	}
+	if workerTimer(5) != reg.Timer(fmt.Sprintf(telemetry.KeySweepWorkerTimeFmt, 5)) {
+		t.Fatal("cached timer is not the registry's")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		workerPoints(5)
+		workerTimer(5)
+	}); allocs != 0 {
+		t.Fatalf("cached lookups allocate %.1f times", allocs)
+	}
+}

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"cntfet/internal/telemetry"
 )
@@ -11,7 +12,8 @@ import (
 // accounting. Totals (sweep.points, sweep.errors) are recorded
 // unconditionally — partial failures must never be silent — while the
 // per-worker attribution counter stays behind the telemetry gate.
-func countPoints(reg *telemetry.Registry, gateOn bool, worker int, points, errs int64) {
+func countPoints(gateOn bool, worker int, points, errs int64) {
+	reg := telemetry.Default()
 	if points != 0 {
 		reg.Counter(telemetry.KeySweepPoints).Add(points)
 	}
@@ -19,8 +21,48 @@ func countPoints(reg *telemetry.Registry, gateOn bool, worker int, points, errs 
 		reg.Counter(telemetry.KeySweepErrors).Add(errs)
 	}
 	if gateOn && points != 0 {
-		reg.Counter(fmt.Sprintf(telemetry.KeySweepWorkerPointsFmt, worker)).Add(points)
+		workerPoints(worker).Add(points)
 	}
+}
+
+// workerInstruments caches each worker index's attribution timer and
+// points counter in the default registry, so a worker's names are
+// formatted and looked up once per process rather than on every sweep.
+// Each instrument is still created on its first use.
+var workerInstruments struct {
+	mu     sync.Mutex
+	timers []*telemetry.Timer
+	points []*telemetry.Counter
+}
+
+// workerTimer returns worker w's sweep.worker.<w>.time timer.
+func workerTimer(w int) *telemetry.Timer {
+	workerInstruments.mu.Lock()
+	defer workerInstruments.mu.Unlock()
+	return cachedInstrument(&workerInstruments.timers, w, func() *telemetry.Timer {
+		return telemetry.Default().Timer(fmt.Sprintf(telemetry.KeySweepWorkerTimeFmt, w))
+	})
+}
+
+// workerPoints returns worker w's sweep.worker.<w>.points counter.
+func workerPoints(w int) *telemetry.Counter {
+	workerInstruments.mu.Lock()
+	defer workerInstruments.mu.Unlock()
+	return cachedInstrument(&workerInstruments.points, w, func() *telemetry.Counter {
+		return telemetry.Default().Counter(fmt.Sprintf(telemetry.KeySweepWorkerPointsFmt, w))
+	})
+}
+
+// cachedInstrument returns (*cache)[w], growing the cache and filling
+// the entry with mk on first use. The caller holds workerInstruments.mu.
+func cachedInstrument[T any](cache *[]*T, w int, mk func() *T) *T {
+	if w >= len(*cache) {
+		*cache = append(*cache, make([]*T, w+1-len(*cache))...)
+	}
+	if (*cache)[w] == nil {
+		(*cache)[w] = mk()
+	}
+	return (*cache)[w]
 }
 
 // endChunkSpan finishes one sweep chunk span with its worker
