@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -328,29 +330,117 @@ func TestTableIDSMatchesPrecise(t *testing.T) {
 }
 
 // TestIDSBatchThreadsContinuation checks the batch path end to end: one
-// IDSBatch row must reproduce per-point IDS calls bit-for-bit cheaper —
-// the warm-started solves land on the same roots.
+// IDSBatch row must reproduce the warm-started chain of per-point
+// IDSFrom calls bit for bit, with the same solves, Newton iterations
+// and table hits and misses, and the same trace events when a trace is
+// attached. It covers a model without a table, one with a table, one
+// with a table and a trace, and a row that leaves a narrow table's
+// window partway.
 func TestIDSBatchThreadsContinuation(t *testing.T) {
-	m := newDefault(t)
-	m.EnableTable(TableOptions{})
-	const n = 25
-	bias := make([]Bias, n)
-	for i := range bias {
-		bias[i] = Bias{VG: 0.55, VD: 0.6 * float64(i) / (n - 1)}
+	counters := []*telemetry.Counter{metrics.solves, metrics.newtonIters, metrics.tableHits, metrics.tableMisses}
+	read := func() []int64 {
+		v := make([]int64, len(counters))
+		for i, c := range counters {
+			v[i] = c.Value()
+		}
+		return v
 	}
-	out := make([]float64, n)
-	if err := m.IDSBatch(bias, out); err != nil {
+	delta := func(before []int64) []int64 {
+		v := read()
+		for i := range v {
+			v[i] -= before[i]
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name  string
+		table *TableOptions
+		trace bool
+	}{
+		{name: "quadrature"},
+		{name: "table", table: &TableOptions{}},
+		{name: "table+trace", table: &TableOptions{}, trace: true},
+		{name: "leaves window", table: &TableOptions{UMin: -0.45, UMax: 0.3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 25
+			bias := make([]Bias, n)
+			for i := range bias {
+				bias[i] = Bias{VG: 0.55, VD: 0.6 * float64(i) / (n - 1)}
+			}
+			// Two identical models, so each path starts from the same
+			// state (a built table, an empty trace).
+			var models [2]*Model
+			var traces [2]*telemetry.Trace
+			for k := range models {
+				models[k] = newDefault(t)
+				if tc.table != nil {
+					models[k].EnableTable(*tc.table).Build()
+				}
+				if tc.trace {
+					traces[k] = telemetry.NewTrace(1 << 12)
+					models[k].SetTrace(traces[k])
+				}
+			}
+
+			before := read()
+			out := make([]float64, n)
+			if err := models[0].IDSBatch(bias, out); err != nil {
+				t.Fatal(err)
+			}
+			batch := delta(before)
+
+			before = read()
+			guess := math.NaN()
+			for i, b := range bias {
+				ids, vsc, err := models[1].IDSFrom(b, guess)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(out[i]) != math.Float64bits(ids) {
+					t.Fatalf("point %d %+v: batch %g vs point solve %g", i, b, out[i], ids)
+				}
+				guess = vsc
+			}
+			chain := delta(before)
+
+			if !slices.Equal(batch, chain) {
+				t.Fatalf("solves/iters/hits/misses: batch %v, chain %v", batch, chain)
+			}
+			if misses := batch[3]; tc.name == "leaves window" && (misses == 0 || misses == n) {
+				t.Fatalf("narrow window missed %d of %d points, want some", misses, n)
+			}
+			if tc.trace {
+				evBatch, evChain := traces[0].Events(), traces[1].Events()
+				if len(evBatch) == 0 || len(evBatch) != len(evChain) {
+					t.Fatalf("trace events: batch %d, chain %d", len(evBatch), len(evChain))
+				}
+				for i := range evBatch {
+					a, b := evBatch[i], evChain[i]
+					if a.Kind != b.Kind || !maps.Equal(a.Fields, b.Fields) {
+						t.Fatalf("event %d: batch %+v, chain %+v", i, a, b)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestQuadratureSolveIntegralCount: a quadrature solve evaluates N at
+// both terminals per residual evaluation and N' at both per iteration,
+// and nothing else: 2·FuncEvals + 2·Iterations integrals.
+func TestQuadratureSolveIntegralCount(t *testing.T) {
+	m := newDefault(t)
+	i0, _ := m.Counters()
+	_, st, err := m.SolveVSC(Bias{VG: 0.5, VD: 0.3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i, b := range bias {
-		want, err := m.IDS(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(out[i]-want) > 1e-9*math.Abs(want)+1e-18 {
-			t.Fatalf("point %d %+v: batch %g vs point solve %g", i, b, out[i], want)
-		}
+	i1, _ := m.Counters()
+	if got, want := i1-i0, 2*st.FuncEvals+2*st.Iterations; got != want {
+		t.Fatalf("%d integrals for %+v, want 2·FuncEvals + 2·Iterations = %d", got, st, want)
 	}
+	t.Logf("%d integrals, %+v", i1-i0, st)
 }
 
 // TestCountersExactUnderConcurrency pins the per-model attribution
@@ -398,7 +488,7 @@ func TestCountersExactUnderConcurrency(t *testing.T) {
 }
 
 // TestTableLookupZeroAlloc pins the hot-path allocation budget: a
-// tabulated warm solve must not allocate (the closures in solveVSCTable
+// tabulated warm solve must not allocate (the closures in solvePoint
 // must not escape). Skipped under -race, whose instrumentation
 // allocates.
 func TestTableLookupZeroAlloc(t *testing.T) {

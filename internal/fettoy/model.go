@@ -1,6 +1,7 @@
 package fettoy
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -242,7 +243,9 @@ type Bias struct {
 // SolveStats reports the work one SolveVSC call performed.
 type SolveStats struct {
 	Iterations int
-	FuncEvals  int
+	// FuncEvals counts residual evaluations: the bracket ends, every
+	// bracket growth, and one per Newton iteration.
+	FuncEvals int
 }
 
 // SolveVSC solves the self-consistent voltage equation (paper eq. 7,
@@ -256,7 +259,7 @@ type SolveStats struct {
 // Newton iterations interpolate the tabulated state density instead of
 // re-integrating it.
 func (m *Model) SolveVSC(b Bias) (float64, SolveStats, error) {
-	return m.solveVSCAt(b, 0, false)
+	return m.SolveVSCFrom(b, math.NaN())
 }
 
 // SolveVSCFrom is SolveVSC warm-started from a neighbouring solution —
@@ -264,68 +267,108 @@ func (m *Model) SolveVSC(b Bias) (float64, SolveStats, error) {
 // VDS row start from the previous root instead of re-bracketing around
 // the zero-charge estimate. A NaN guess degrades to the cold start.
 func (m *Model) SolveVSCFrom(b Bias, guess float64) (float64, SolveStats, error) {
-	return m.solveVSCAt(b, guess, !math.IsNaN(guess))
+	var c tally
+	vsc, st, err := m.solvePoint(b, guess, &c)
+	m.flush(&c)
+	return vsc, st, err
 }
 
-func (m *Model) solveVSCAt(b Bias, guess float64, warm bool) (float64, SolveStats, error) {
+// tally accumulates the shared work counters of one call or one
+// IDSBatch row, so they reach the registry in one flush.
+type tally struct {
+	solves, iters, hits, misses int64
+}
+
+// flush adds the tallied work to the registry and the model's own
+// Newton count.
+func (m *Model) flush(c *tally) {
+	metrics.solves.Add(c.solves)
+	if c.hits != 0 {
+		metrics.tableHits.Add(c.hits)
+	}
+	if c.misses != 0 {
+		metrics.tableMisses.Add(c.misses)
+	}
+	if c.iters != 0 {
+		metrics.newtonIters.Add(c.iters)
+		m.localNewton.Add(c.iters)
+	}
+}
+
+// solvePoint is the one eq.-7 solve behind every entry point: Newton
+// from the guess (NaN = cold start from the zero-charge solution -UL)
+// on the attached table's interpolated density, redone on exact
+// quadrature when a lookup leaves the grid or the tabulated solve
+// fails. It tallies counters into c, records the solve time and
+// iteration histogram, and emits the trace events. With a table and
+// no trace it does not allocate: its closures never escape.
+func (m *Model) solvePoint(b Bias, guess float64, c *tally) (float64, SolveStats, error) {
 	alphaS := 1 - m.dev.AlphaG - m.dev.AlphaD
 	ul := m.dev.AlphaG*b.VG + m.dev.AlphaD*b.VD + alphaS*b.VS
 	vds := b.VD - b.VS
 	qcs := units.Q / m.csigma
-
-	metrics.solves.Inc()
-	if telemetry.On() {
-		defer metrics.solveTime.Start()()
+	on := telemetry.On()
+	var t0 time.Time
+	if on {
+		t0 = time.Now()
 	}
+	c.solves++
 
-	if t := m.table; t != nil {
-		if v, st, ok := m.solveVSCTable(t, b, ul, vds, qcs, guess, warm); ok {
-			return v, st, nil
+	tab := m.table
+	// g is eq. 7's residual at v and, when deriv is set, its derivative:
+	// N and N' by one Hermite lookup per terminal while tab is set, by
+	// the quadrature integrals otherwise.
+	g := func(v float64, deriv bool) (gv, dgv float64, ok bool) {
+		us, ud := m.dev.EF-v, m.dev.EF-v-vds
+		var ns, nd, nps, npd float64
+		if tab != nil {
+			if ns, nps, ok = tab.eval(us); !ok {
+				return 0, 0, false
+			}
+			if nd, npd, ok = tab.eval(ud); !ok {
+				return 0, 0, false
+			}
+			c.hits += 2
+		} else {
+			ns, nd = m.N(us), m.N(ud)
+			if deriv {
+				nps, npd = m.NPrime(us), m.NPrime(ud)
+			}
 		}
-		// A lookup left the tabulated range (or the bracket search
-		// failed inside it): redo the point on exact quadrature.
+		return v + ul - qcs*(0.5*(ns+nd)-m.n0), 1 + 0.5*qcs*(nps+npd), true
 	}
-	return m.solveVSCQuad(b, ul, vds, qcs, guess, warm)
-}
-
-// solveVSCQuad is the exact-quadrature solve: safeguarded Newton on
-// the direct state-density integrals. It records the quadrature-side
-// work counters itself but leaves solve counting and timing to its
-// callers (solveVSCAt per point, IDSBatch once per row).
-func (m *Model) solveVSCQuad(b Bias, ul, vds, qcs, guess float64, warm bool) (float64, SolveStats, error) {
-	g := func(v float64) float64 {
-		ns := 0.5 * m.N(m.dev.EF-v)
-		nd := 0.5 * m.N(m.dev.EF-v-vds)
-		return v + ul - qcs*(ns+nd-m.n0)
-	}
-	dg := func(v float64) float64 {
-		return 1 + 0.5*qcs*(m.NPrime(m.dev.EF-v)+m.NPrime(m.dev.EF-v-vds))
-	}
-
-	// The zero-charge solution -UL is the natural cold start; a warm
-	// start brackets tightly around the neighbouring root instead (g is
-	// strictly increasing, so ExpandBracket recovers from a bad guess).
+	// A warm start brackets tightly around the neighbouring root; g is
+	// strictly increasing, so the bracket growth recovers from a bad
+	// guess.
 	x0, half := -ul, 0.5
-	if warm {
+	if !math.IsNaN(guess) {
 		x0, half = guess, 0.05
 	}
-	lo, hi, err := rootfind.ExpandBracket(g, x0-half, x0+half, 40)
-	if err != nil {
-		metrics.bracketFailures.Inc()
-		return 0, SolveStats{}, fmt.Errorf("fettoy: no bracket for VSC at %+v: %w", b, err)
-	}
-	opt := rootfind.Options{XTol: 1e-12, MaxIter: 100}
+	opt := rootfind.Options{XTol: 1e-12, MaxIter: 100, MaxGrow: 40}
 	if m.trace.Enabled() {
-		opt.OnIter = func(iter int, v, fv float64) {
-			m.trace.Emit(telemetry.KindFettoyNewton, 0, "iter", iter, "v", v, "residual", fv, "vg", b.VG, "vd", b.VD)
+		opt.OnIter = func(iter int, v, gv float64) {
+			m.trace.Emit(telemetry.KindFettoyNewton, 0, "iter", iter, "v", v, "residual", gv, "vg", b.VG, "vd", b.VD)
 		}
 	}
-	res, err := rootfind.Newton(g, dg, x0, lo, hi, opt)
+	res, err := rootfind.Newton(g, x0, half, opt)
+	if err != nil && tab != nil {
+		// A lookup left the tabulated range (or the tabulated solve
+		// failed inside it): redo the point on exact quadrature.
+		c.misses++
+		tab = nil
+		res, err = rootfind.Newton(g, x0, half, opt)
+	}
+	if on {
+		metrics.solveTime.Observe(time.Since(t0))
+	}
 	if err != nil {
+		if errors.Is(err, rootfind.ErrBadBracket) {
+			metrics.bracketFailures.Inc()
+			return 0, SolveStats{}, fmt.Errorf("fettoy: no bracket for VSC at %+v: %w", b, err)
+		}
 		return 0, SolveStats{}, fmt.Errorf("fettoy: VSC solve failed at %+v: %w", b, err)
 	}
-	metrics.newtonIters.Add(int64(res.Iterations))
-	m.localNewton.Add(int64(res.Iterations))
+	c.iters += int64(res.Iterations)
 	metrics.solveIters.Observe(float64(res.Iterations))
 	if m.trace.Enabled() {
 		m.trace.Emit(telemetry.KindFettoySolve, 0,
@@ -333,125 +376,6 @@ func (m *Model) solveVSCQuad(b Bias, ul, vds, qcs, guess float64, warm bool) (fl
 			"iters", res.Iterations, "fevals", res.FuncEvals)
 	}
 	return res.Root, SolveStats{Iterations: res.Iterations, FuncEvals: res.FuncEvals}, nil
-}
-
-// solveVSCTable is the tabulated twin of the quadrature solve; it
-// wraps tableNewton with the per-point metric flush the single-solve
-// path wants (the batch kernel accumulates across the row instead).
-func (m *Model) solveVSCTable(t *ChargeTable, b Bias, ul, vds, qcs, guess float64, warm bool) (float64, SolveStats, bool) {
-	root, st, hits, ok := m.tableNewton(t, b, ul, vds, qcs, guess, warm)
-	metrics.tableHits.Add(hits)
-	if !ok {
-		metrics.tableMisses.Inc()
-		return 0, st, false
-	}
-	metrics.newtonIters.Add(int64(st.Iterations))
-	m.localNewton.Add(int64(st.Iterations))
-	metrics.solveIters.Observe(float64(st.Iterations))
-	return root, st, true
-}
-
-// tableNewton is the tabulated Newton iteration itself: the same
-// safeguarded scheme as the quadrature solve, with N and N' served
-// together by one Hermite lookup per terminal. It is allocation-free
-// (the closures below never escape), touches no shared telemetry —
-// lookup hits are returned for the caller to flush — and reports
-// ok=false, leaving the caller to fall back to quadrature, whenever a
-// lookup lands outside the grid or the bracket search fails.
-func (m *Model) tableNewton(t *ChargeTable, b Bias, ul, vds, qcs, guess float64, warm bool) (float64, SolveStats, int64, bool) {
-	hits := int64(0)
-	// eval returns the residual and its derivative at v from two table
-	// lookups (source and drain effective Fermi levels).
-	eval := func(v float64) (gv, dgv float64, ok bool) {
-		ns, nps, ok := t.eval(m.dev.EF - v)
-		if !ok {
-			return 0, 0, false
-		}
-		nd, npd, ok := t.eval(m.dev.EF - v - vds)
-		if !ok {
-			return 0, 0, false
-		}
-		hits += 2
-		gv = v + ul - qcs*(0.5*(ns+nd)-m.n0)
-		dgv = 1 + 0.5*qcs*(nps+npd)
-		return gv, dgv, true
-	}
-	st := SolveStats{}
-	x0, half := -ul, 0.5
-	if warm {
-		x0, half = guess, 0.05
-	}
-	lo, hi := x0-half, x0+half
-	glo, _, ok := eval(lo)
-	if !ok {
-		return 0, st, hits, false
-	}
-	ghi, _, ok := eval(hi)
-	if !ok {
-		return 0, st, hits, false
-	}
-	st.FuncEvals = 2
-	for grow := 0; glo*ghi > 0; grow++ {
-		if grow == 40 {
-			return 0, st, hits, false
-		}
-		w := hi - lo
-		lo -= w
-		hi += w
-		if glo, _, ok = eval(lo); !ok {
-			return 0, st, hits, false
-		}
-		if ghi, _, ok = eval(hi); !ok {
-			return 0, st, hits, false
-		}
-		st.FuncEvals += 2
-	}
-
-	x := x0
-	if x < lo || x > hi {
-		x = 0.5 * (lo + hi)
-	}
-	traceOn := m.trace.Enabled()
-	for iter := 1; iter <= 100; iter++ {
-		st.Iterations = iter
-		gx, dgx, ok := eval(x)
-		if !ok {
-			return 0, st, hits, false
-		}
-		st.FuncEvals++
-		if traceOn {
-			m.trace.Emit(telemetry.KindFettoyNewton, 0, "iter", iter, "v", x, "residual", gx, "vg", b.VG, "vd", b.VD)
-		}
-		root, done := x, gx == 0 //lint:allow floatcmp residual exactly zero is an exact root
-		if !done {
-			// Maintain the bracket, then take the Newton step with a
-			// bisection safeguard (mirrors rootfind.Newton).
-			if glo*gx < 0 {
-				hi = x
-			} else {
-				lo, glo = x, gx
-			}
-			next := 0.5 * (lo + hi)
-			if dgx != 0 { //lint:allow floatcmp exact-zero derivative guard before the Newton step
-				if n := x - gx/dgx; n > lo && n < hi {
-					next = n
-				}
-			}
-			if math.Abs(next-x) < 1e-12 {
-				root, done = next, true
-			}
-			x = next
-		}
-		if done {
-			if traceOn {
-				m.trace.Emit(telemetry.KindFettoySolve, 0,
-					"vg", b.VG, "vd", b.VD, "vs", b.VS, "vsc", root,
-					"iters", st.Iterations, "fevals", st.FuncEvals)
-			}
-			return root, st, hits, true
-		}
-	}
-	return 0, st, hits, false
 }
 
 // CurrentAtVSC evaluates the ballistic drain current (paper eqs. 12-14)
@@ -472,11 +396,8 @@ func (m *Model) CurrentAtVSC(vsc float64, b Bias) float64 {
 // IDS solves the operating point and returns the drain-source current
 // in amperes.
 func (m *Model) IDS(b Bias) (float64, error) {
-	vsc, _, err := m.SolveVSC(b)
-	if err != nil {
-		return 0, err
-	}
-	return m.CurrentAtVSC(vsc, b), nil
+	ids, _, err := m.IDSFrom(b, math.NaN())
+	return ids, err
 }
 
 // IDSFrom solves with a warm-start guess (NaN = cold start) and returns
@@ -484,7 +405,7 @@ func (m *Model) IDS(b Bias) (float64, error) {
 // solution into the next point of its row. It implements the sweep
 // package's warm-start interface.
 func (m *Model) IDSFrom(b Bias, guess float64) (ids, vsc float64, err error) {
-	vsc, _, err = m.solveVSCAt(b, guess, !math.IsNaN(guess))
+	vsc, _, err = m.SolveVSCFrom(b, guess)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -497,89 +418,31 @@ func (m *Model) IDSFrom(b Bias, guess float64) (ids, vsc float64, err error) {
 // costs a fraction of len(bias) independent cold solves. It implements
 // the sweep package's batch interface.
 //
-// With a charge table attached the row runs as a zero-alloc kernel
-// (testing.AllocsPerRun == 0, telemetry on or off): the one-time
-// tabulation is hoisted ahead of the row, every point drives the
-// tabulated Newton core directly, per-solve timing uses explicit
-// time.Now/Observe pairs instead of the closure-allocating timer
-// helper, and the work counters accumulate locally with one atomic
-// flush after the row. Points whose lookups leave the tabulated range
-// fall back to exact quadrature individually, exactly like the
-// per-point path; counter totals match it either way.
+// Every point runs the per-point solve; the work counters accumulate
+// locally with one flush after the row, so the totals match a chain of
+// IDSFrom calls. With a charge table attached and no trace the row
+// allocates nothing (testing.AllocsPerRun == 0, telemetry on or off):
+// the one-time tabulation is hoisted ahead of the row.
 //
 //perf:zeroalloc
 func (m *Model) IDSBatch(bias []Bias, out []float64) error {
-	t := m.table
-	if t == nil || m.trace.Enabled() {
-		// No table to amortise (or per-iteration tracing wants the
-		// fully instrumented path): plain warm-started row.
-		guess := math.NaN()
-		for i, b := range bias {
-			//lint:allow zeroalloc the no-table path is the fully instrumented one; only the table path below is the zero-alloc kernel
-			ids, vsc, err := m.IDSFrom(b, guess)
-			if err != nil {
-				return err
-			}
-			out[i] = ids
-			guess = vsc
-		}
-		return nil
+	if t := m.table; t != nil {
+		//lint:allow zeroalloc one-time table build, amortised over every subsequent row
+		t.tab() // pay the one-time build before the row, not inside point 0
 	}
-
-	//lint:allow zeroalloc one-time table build, amortised over every subsequent row
-	t.tab() // pay the one-time build before the row, not inside point 0
-	alphaS := 1 - m.dev.AlphaG - m.dev.AlphaD
-	qcs := units.Q / m.csigma
-	on := telemetry.On()
-	var solves, iters, hits, misses int64
-	//lint:allow zeroalloc flush never escapes: it stays a stack closure (the alloc test covers telemetry on and off)
-	flush := func() {
-		metrics.solves.Add(solves)
-		metrics.tableHits.Add(hits)
-		if misses != 0 {
-			metrics.tableMisses.Add(misses)
-		}
-		if iters != 0 {
-			metrics.newtonIters.Add(iters)
-			m.localNewton.Add(iters)
-		}
-	}
-	guess, warm := math.NaN(), false
+	var c tally
+	guess := math.NaN()
 	for i, b := range bias {
-		ul := m.dev.AlphaG*b.VG + m.dev.AlphaD*b.VD + alphaS*b.VS
-		vds := b.VD - b.VS
-		var t0 time.Time
-		if on {
-			t0 = time.Now()
+		//lint:allow zeroalloc solvePoint's closures never escape; the alloc test covers the table path, telemetry on and off
+		vsc, _, err := m.solvePoint(b, guess, &c)
+		if err != nil {
+			m.flush(&c)
+			return err
 		}
-		solves++
-		//lint:allow zeroalloc tableNewton's closures never escape (see its doc; the alloc test covers this path)
-		root, st, nhits, ok := m.tableNewton(t, b, ul, vds, qcs, guess, warm)
-		hits += nhits
-		if !ok {
-			// This point left the grid (or the bracket search failed):
-			// redo it on exact quadrature, which records its own
-			// quadrature-side counters.
-			misses++
-			var err error
-			//lint:allow zeroalloc cold off-grid fallback to exact quadrature, per miss, not per point
-			if root, st, err = m.solveVSCQuad(b, ul, vds, qcs, guess, warm); err != nil {
-				//lint:allow zeroalloc flush is the local stack closure above
-				flush()
-				return err
-			}
-		} else {
-			iters += int64(st.Iterations)
-			metrics.solveIters.Observe(float64(st.Iterations))
-		}
-		if on {
-			metrics.solveTime.Observe(time.Since(t0))
-		}
-		out[i] = m.CurrentAtVSC(root, b)
-		guess, warm = root, true
+		out[i] = m.CurrentAtVSC(vsc, b)
+		guess = vsc
 	}
-	//lint:allow zeroalloc flush is the local stack closure above
-	flush()
+	m.flush(&c)
 	return nil
 }
 

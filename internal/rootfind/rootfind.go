@@ -1,7 +1,6 @@
-// Package rootfind provides the scalar root-finding used by the
-// reference CNT model: damped Newton–Raphson with a bisection safeguard
-// (the solver the paper's technique eliminates), plus plain bisection
-// and Brent's method for robust brackets.
+// Package rootfind provides the scalar root finder of the reference
+// CNT model: bracket-growing, bisection-safeguarded Newton–Raphson, the
+// solver the paper's technique eliminates.
 package rootfind
 
 import (
@@ -13,92 +12,77 @@ import (
 // ErrMaxIter is returned when the iteration budget runs out.
 var ErrMaxIter = errors.New("rootfind: iteration limit reached")
 
-// ErrBadBracket is returned when [a,b] does not bracket a sign change.
+// ErrBadBracket is returned when no sign change is found.
 var ErrBadBracket = errors.New("rootfind: interval does not bracket a root")
 
-// Options configures the iterative solvers.
+// ErrRefused is returned when the evaluator refuses a point, such as a
+// table lookup off its grid.
+var ErrRefused = errors.New("rootfind: evaluator refused a point")
+
+// Options configures Newton. Zero fields select the defaults.
 type Options struct {
-	// XTol is the absolute step-size convergence threshold.
+	// XTol is the absolute step-size convergence threshold (default
+	// 1e-12).
 	XTol float64
-	// FTol is the absolute residual convergence threshold.
-	FTol float64
-	// MaxIter bounds the iteration count.
+	// MaxIter bounds the Newton iteration count (default 100).
 	MaxIter int
+	// MaxGrow bounds the bracket growths (default 40).
+	MaxGrow int
 	// OnIter, when non-nil, observes each Newton iteration after the
 	// residual evaluation: iteration number (1-based), current iterate
 	// and residual. Used by telemetry tracing; leave nil on hot paths.
 	OnIter func(iter int, x, fx float64)
 }
 
-// Default returns the options used throughout the library when the
-// caller does not care: tight tolerances, generous budget.
-func Default() Options {
-	return Options{XTol: 1e-12, FTol: 0, MaxIter: 200}
-}
-
-func (o *Options) fill() {
-	if o.MaxIter == 0 {
-		o.MaxIter = 200
-	}
-	if o.XTol == 0 && o.FTol == 0 { //lint:allow floatcmp both exactly zero selects the default tolerances
-		o.XTol = 1e-12
-	}
-}
-
 // Result carries a root and solver diagnostics.
 type Result struct {
 	Root       float64
 	Iterations int
-	// FuncEvals counts calls to f (and f' for Newton).
+	// FuncEvals counts residual evaluations: the bracket ends, every
+	// bracket growth, and one per iteration.
 	FuncEvals int
 }
 
-// Bisect finds a root of f in the bracketing interval [a, b].
-func Bisect(f func(float64) float64, a, b float64, opt Options) (Result, error) {
-	opt.fill()
-	fa, fb := f(a), f(b)
-	res := Result{FuncEvals: 2}
-	if fa == 0 { //lint:allow floatcmp residual exactly zero is an exact root
-		res.Root = a
-		return res, nil
+// Newton finds a root of the function eval describes. eval returns the
+// residual at x and, when deriv is set, its derivative; ok=false
+// refuses x. The bracket starts at [x0-half, x0+half] (half > 0) and
+// triples in width around its centre, at most MaxGrow times, until the
+// residual changes sign. Newton then starts from x0; steps that leave
+// the bracket, or meet a vanishing derivative, fall back to bisection
+// of the bracket, which shrinks with each evaluated sign. It stops
+// when a step is below XTol or a residual is exactly zero.
+func Newton(eval func(x float64, deriv bool) (f, df float64, ok bool), x0, half float64, opt Options) (Result, error) {
+	if opt.XTol == 0 { //lint:allow floatcmp exactly zero selects the default tolerance
+		opt.XTol = 1e-12
 	}
-	if fb == 0 { //lint:allow floatcmp residual exactly zero is an exact root
-		res.Root = b
-		return res, nil
+	if opt.MaxIter == 0 {
+		opt.MaxIter = 100
 	}
-	if fa*fb > 0 {
-		return res, ErrBadBracket
+	if opt.MaxGrow == 0 {
+		opt.MaxGrow = 40
 	}
-	for i := 0; i < opt.MaxIter; i++ {
-		res.Iterations = i + 1
-		m := 0.5 * (a + b)
-		fm := f(m)
-		res.FuncEvals++
-		if fm == 0 || math.Abs(b-a) < 2*opt.XTol || (opt.FTol > 0 && math.Abs(fm) < opt.FTol) { //lint:allow floatcmp residual exactly zero is an exact root
-			res.Root = m
-			return res, nil
-		}
-		if fa*fm < 0 {
-			b = m
-		} else {
-			a, fa = m, fm
-		}
-	}
-	res.Root = 0.5 * (a + b)
-	return res, ErrMaxIter
-}
-
-// Newton finds a root of f with derivative df, starting from x0 and
-// safeguarded by the bracket [lo, hi]: steps leaving the bracket, or
-// meeting a vanishing derivative, fall back to bisection of the current
-// bracket, which is shrunk using each evaluated sign. f must be
-// monotone-free to benefit fully, but correctness only needs the
-// initial bracket to contain a sign change.
-func Newton(f, df func(float64) float64, x0, lo, hi float64, opt Options) (Result, error) {
-	opt.fill()
 	res := Result{}
-	flo, fhi := f(lo), f(hi)
-	res.FuncEvals = 2
+	lo, hi := x0-half, x0+half
+	var flo, fhi float64
+	for grow := 0; ; grow++ {
+		var ok bool
+		if flo, _, ok = eval(lo, false); !ok {
+			return res, ErrRefused
+		}
+		if fhi, _, ok = eval(hi, false); !ok {
+			return res, ErrRefused
+		}
+		res.FuncEvals += 2
+		if flo == 0 || fhi == 0 || flo*fhi < 0 { //lint:allow floatcmp an exact root at a bracket end is a valid bracket
+			break
+		}
+		if grow == opt.MaxGrow {
+			return res, fmt.Errorf("rootfind: %w after %d expansions", ErrBadBracket, opt.MaxGrow)
+		}
+		w := hi - lo
+		lo -= w
+		hi += w
+	}
 	if flo == 0 { //lint:allow floatcmp residual exactly zero is an exact root
 		res.Root = lo
 		return res, nil
@@ -107,39 +91,35 @@ func Newton(f, df func(float64) float64, x0, lo, hi float64, opt Options) (Resul
 		res.Root = hi
 		return res, nil
 	}
-	if flo*fhi > 0 {
-		return res, ErrBadBracket
-	}
 	x := x0
 	if x < lo || x > hi {
 		x = 0.5 * (lo + hi)
 	}
-	for i := 0; i < opt.MaxIter; i++ {
-		res.Iterations = i + 1
-		fx := f(x)
+	for i := 1; i <= opt.MaxIter; i++ {
+		res.Iterations = i
+		fx, dfx, ok := eval(x, true)
+		if !ok {
+			return res, ErrRefused
+		}
 		res.FuncEvals++
 		if opt.OnIter != nil {
-			opt.OnIter(i+1, x, fx)
+			opt.OnIter(i, x, fx)
 		}
-		if fx == 0 || (opt.FTol > 0 && math.Abs(fx) < opt.FTol) { //lint:allow floatcmp residual exactly zero is an exact root
+		if fx == 0 { //lint:allow floatcmp residual exactly zero is an exact root
 			res.Root = x
 			return res, nil
 		}
-		// Maintain the bracket.
+		// Maintain the bracket, then take the Newton step with a
+		// bisection safeguard.
 		if flo*fx < 0 {
 			hi = x
 		} else {
 			lo, flo = x, fx
 		}
-		dx := df(x)
-		res.FuncEvals++
-		var next float64
-		if dx == 0 { //lint:allow floatcmp exact-zero derivative guard before dividing
-			next = 0.5 * (lo + hi)
-		} else {
-			next = x - fx/dx
-			if next <= lo || next >= hi {
-				next = 0.5 * (lo + hi)
+		next := 0.5 * (lo + hi)
+		if dfx != 0 { //lint:allow floatcmp exact-zero derivative guard before dividing
+			if n := x - fx/dfx; n > lo && n < hi {
+				next = n
 			}
 		}
 		if math.Abs(next-x) < opt.XTol {
@@ -150,99 +130,4 @@ func Newton(f, df func(float64) float64, x0, lo, hi float64, opt Options) (Resul
 	}
 	res.Root = x
 	return res, ErrMaxIter
-}
-
-// Brent finds a root of f in the bracket [a, b] using Brent's method
-// (inverse quadratic interpolation with bisection fallback).
-func Brent(f func(float64) float64, a, b float64, opt Options) (Result, error) {
-	opt.fill()
-	fa, fb := f(a), f(b)
-	res := Result{FuncEvals: 2}
-	if fa == 0 { //lint:allow floatcmp residual exactly zero is an exact root
-		res.Root = a
-		return res, nil
-	}
-	if fb == 0 { //lint:allow floatcmp residual exactly zero is an exact root
-		res.Root = b
-		return res, nil
-	}
-	if fa*fb > 0 {
-		return res, ErrBadBracket
-	}
-	if math.Abs(fa) < math.Abs(fb) {
-		a, b, fa, fb = b, a, fb, fa
-	}
-	c, fc := a, fa
-	mflag := true
-	var d float64
-	for i := 0; i < opt.MaxIter; i++ {
-		res.Iterations = i + 1
-		if fb == 0 || math.Abs(b-a) < opt.XTol || (opt.FTol > 0 && math.Abs(fb) < opt.FTol) { //lint:allow floatcmp residual exactly zero is an exact root
-			res.Root = b
-			return res, nil
-		}
-		var s float64
-		if fa != fc && fb != fc { //lint:allow floatcmp inverse quadratic needs exactly distinct ordinates
-			// Inverse quadratic interpolation.
-			s = a*fb*fc/((fa-fb)*(fa-fc)) +
-				b*fa*fc/((fb-fa)*(fb-fc)) +
-				c*fa*fb/((fc-fa)*(fc-fb))
-		} else {
-			// Secant.
-			s = b - fb*(b-a)/(fb-fa)
-		}
-		lo, hi := (3*a+b)/4, b
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		cond := s < lo || s > hi ||
-			(mflag && math.Abs(s-b) >= math.Abs(b-c)/2) ||
-			(!mflag && math.Abs(s-b) >= math.Abs(c-d)/2) ||
-			(mflag && math.Abs(b-c) < opt.XTol) ||
-			(!mflag && math.Abs(c-d) < opt.XTol)
-		if cond {
-			s = 0.5 * (a + b)
-			mflag = true
-		} else {
-			mflag = false
-		}
-		fs := f(s)
-		res.FuncEvals++
-		d, c, fc = c, b, fb
-		if fa*fs < 0 {
-			b, fb = s, fs
-		} else {
-			a, fa = s, fs
-		}
-		if math.Abs(fa) < math.Abs(fb) {
-			a, b, fa, fb = b, a, fb, fa
-		}
-	}
-	res.Root = b
-	return res, ErrMaxIter
-}
-
-// ExpandBracket grows [a, b] geometrically around its centre until f
-// changes sign, up to maxGrow doublings. It returns the bracket found.
-func ExpandBracket(f func(float64) float64, a, b float64, maxGrow int) (float64, float64, error) {
-	if a == b { //lint:allow floatcmp degenerate bracket guard
-		b = a + 1e-6
-	}
-	if b < a {
-		a, b = b, a
-	}
-	fa, fb := f(a), f(b)
-	for i := 0; i < maxGrow; i++ {
-		if fa == 0 || fb == 0 || fa*fb < 0 { //lint:allow floatcmp an exact root at a bracket end is a valid bracket
-			return a, b, nil
-		}
-		w := b - a
-		a -= w
-		b += w
-		fa, fb = f(a), f(b)
-	}
-	if fa*fb <= 0 {
-		return a, b, nil
-	}
-	return a, b, fmt.Errorf("rootfind: %w after %d expansions", ErrBadBracket, maxGrow)
 }
