@@ -260,6 +260,23 @@ func TestWarmStartRecoversFromBadGuess(t *testing.T) {
 	}
 }
 
+// TestTableSolveKeepsConvergedIterate: at this bias a cold table solve
+// reaches a residual of ~2.5e-17 at its fourth iterate, on the low side
+// of the root. Newton must stop there, not bisect the rest of the
+// bracket for another ~35 iterations.
+func TestTableSolveKeepsConvergedIterate(t *testing.T) {
+	m := newDefault(t)
+	m.EnableTable(TableOptions{})
+	b := Bias{VG: 0.3, VD: 0.59}
+	_, st, err := m.SolveVSC(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Iterations > 6 {
+		t.Fatalf("%+v: cold table solve took %d iterations, want at most 6", b, st.Iterations)
+	}
+}
+
 // TestTableSolveMatchesDirect checks the headline accuracy bar: IDS
 // through the tabulated solve path agrees with direct quadrature to
 // well below the 0.1 % target across the paper's bias grid.

@@ -118,7 +118,14 @@ func Newton(eval func(x float64, deriv bool) (f, df float64, ok bool), x0, half 
 		}
 		next := 0.5 * (lo + hi)
 		if dfx != 0 { //lint:allow floatcmp exact-zero derivative guard before dividing
-			if n := x - fx/dfx; n > lo && n < hi {
+			n := x - fx/dfx
+			// A step below XTol has converged, even one that rounds
+			// back onto the bracket end x just became.
+			if math.Abs(n-x) < opt.XTol {
+				res.Root = n
+				return res, nil
+			}
+			if n > lo && n < hi {
 				next = n
 			}
 		}

@@ -104,6 +104,22 @@ func TestExpandBracketFailure(t *testing.T) {
 	}
 }
 
+// TestNewtonKeepsConvergedIterate: an iterate whose residual is tiny
+// and of the bracket's low-end sign becomes that end, and its Newton
+// step rounds back onto it. The step is below XTol, so the iterate is
+// the root; it must not be discarded for a bisection of the far side.
+func TestNewtonKeepsConvergedIterate(t *testing.T) {
+	// The residual at 0.3 is -1e-20 and the root rounds to 0.3.
+	f := func(x float64) float64 { return (x - 0.3) - 1e-20 }
+	r, err := Newton(fn(f, func(float64) float64 { return 1 }), 0.3, 0.5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Root != 0.3 || r.Iterations != 1 {
+		t.Fatalf("root %.17g after %d iterations, want 0.3 after 1", r.Root, r.Iterations)
+	}
+}
+
 // TestNewtonRefusedPoint: a point the evaluator refuses, in the bracket
 // search or in an iteration, ends the solve with ErrRefused.
 func TestNewtonRefusedPoint(t *testing.T) {
