@@ -205,6 +205,9 @@ func run(ctx context.Context, counts []int, points int, opt options) error {
 		if err := tr.WriteJSON(f); err != nil {
 			return fmt.Errorf("trace export: %w", err)
 		}
+		if n := tr.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "cntbench: trace ring dropped %d oldest events\n", n)
+		}
 		if err := telemetry.DefaultTracer().WriteJSON(f); err != nil {
 			return fmt.Errorf("span export: %w", err)
 		}

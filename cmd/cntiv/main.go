@@ -78,6 +78,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cntiv: trace export:", err)
 			os.Exit(1)
 		}
+		if n := traceSink.Dropped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "cntiv: trace ring dropped %d oldest events\n", n)
+		}
 	}
 	if *metrics {
 		fmt.Println("# solver metrics:")
