@@ -52,14 +52,17 @@ fuzz:
 
 ## bench: telemetry overhead + solver benchmarks, a cold fitted-model
 ## build (core.Fit on a fresh key, with its theory samples as
-## integral_evals/op), the served Table-I answer's encode cost (whole
-## response, and per float: strconv against internal/jsonenc), the nine
-## reference cells' cold set-up (charge tables built per warm-up), then
-## the before/after sweep-engine comparison.
+## integral_evals/op), one reference eq.-7 solve per path (quadrature,
+## table, warm start; with newton_iters/op and integral_evals/op), the
+## served Table-I answer's encode cost (whole response, and per float:
+## strconv against internal/jsonenc), the nine reference cells' cold
+## set-up (charge tables built per warm-up), then the before/after
+## sweep-engine comparison.
 ## Writes BENCH_sweep.json at the repo root and fails if the batched
 ## engine is slower than the legacy scheduler.
 bench:
 	$(GO) test -bench='IDSTelemetry|FitColdModel' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench='SolveVSC_' -benchmem .
 	$(GO) test -run '^$$' -bench='EncodeFamilyResponse|AppendFloat|ReferenceWarmup' -benchmem ./internal/server/
 	$(GO) run ./cmd/cntbench -sweepbench -assert-faster -out BENCH_sweep.json
 

@@ -14,6 +14,7 @@ package cntfet
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"cntfet/internal/circuit"
@@ -22,6 +23,7 @@ import (
 	"cntfet/internal/logic"
 	"cntfet/internal/netlist"
 	"cntfet/internal/sweep"
+	"cntfet/internal/telemetry"
 	"cntfet/internal/units"
 	"cntfet/internal/variation"
 )
@@ -471,44 +473,43 @@ func BenchmarkFamilySerial_FETToy(b *testing.B) {
 // One self-consistent solve through each path. -benchmem is the
 // allocation assertion for the tabulated paths: Table and WarmStart
 // must report 0 B/op (the hard guarantee is TestTableLookupZeroAlloc
-// in internal/fettoy).
+// in internal/fettoy). newton_iters/op and integral_evals/op are the
+// fettoy.newton_iters and fettoy.integral_evals deltas of the timed
+// loop: the solver work one solve pays.
 func BenchmarkSolveVSC_Direct(b *testing.B) {
-	s := getShared(b)
-	bias := Bias{VG: 0.5, VD: 0.3}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.ref.SolveVSC(bias); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSolveVSC(b, getShared(b).ref, math.NaN())
 }
 
 func BenchmarkSolveVSC_Table(b *testing.B) {
-	s := getShared(b)
-	bias := Bias{VG: 0.5, VD: 0.3}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := s.refTab.SolveVSC(bias); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchSolveVSC(b, getShared(b).refTab, math.NaN())
 }
 
 func BenchmarkSolveVSC_WarmStart(b *testing.B) {
 	s := getShared(b)
-	bias := Bias{VG: 0.5, VD: 0.3}
-	vsc, _, err := s.refTab.SolveVSC(bias)
+	vsc, _, err := s.refTab.SolveVSC(Bias{VG: 0.5, VD: 0.3})
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchSolveVSC(b, s.refTab, vsc)
+}
+
+// benchSolveVSC times SolveVSCFrom(guess) at VG 0.5 V, VD 0.3 V (a NaN
+// guess is the cold start) and reports its solver work per op.
+func benchSolveVSC(b *testing.B, ref *Reference, guess float64) {
+	bias := Bias{VG: 0.5, VD: 0.3}
+	iters := telemetry.Default().Counter(telemetry.KeyFettoyNewtonIters)
+	integrals := telemetry.Default().Counter(telemetry.KeyFettoyIntegralEvals)
+	iters0, integrals0 := iters.Value(), integrals.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := s.refTab.SolveVSCFrom(bias, vsc); err != nil {
+		if _, _, err := ref.SolveVSCFrom(bias, guess); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(iters.Value()-iters0)/float64(b.N), "newton_iters/op")
+	b.ReportMetric(float64(integrals.Value()-integrals0)/float64(b.N), "integral_evals/op")
 }
 
 // Analytic vs finite-difference conductances: the Jacobian-assembly
