@@ -91,10 +91,7 @@ func Newton(eval func(x float64, deriv bool) (f, df float64, ok bool), x0, half 
 		res.Root = hi
 		return res, nil
 	}
-	x := x0
-	if x < lo || x > hi {
-		x = 0.5 * (lo + hi)
-	}
+	x := x0 // the bracket grows around x0, so it holds x0
 	for i := 1; i <= opt.MaxIter; i++ {
 		res.Iterations = i
 		fx, dfx, ok := eval(x, true)
