@@ -203,6 +203,70 @@ func TestNewtonAgainstKnownRoots(t *testing.T) {
 	}
 }
 
+// bracketOnly adapts f to Newton's evaluator with a zero derivative, so
+// every step is the bisection fallback: a derivative-free bracketed
+// solve. The Bisect and Brent tests below are named for the bracketed
+// solvers these cases were first written for.
+func bracketOnly(f func(float64) float64) func(float64, bool) (float64, float64, bool) {
+	return func(x float64, _ bool) (float64, float64, bool) { return f(x), 0, true }
+}
+
+func TestBisectSimple(t *testing.T) {
+	f := func(x float64) float64 { return x*x - 2 }
+	r, err := Newton(bracketOnly(f), 1, 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(r.Root-math.Sqrt2) > 1e-10 {
+		t.Fatalf("root = %.15g", r.Root)
+	}
+	// Pure bisection of [0, 2] down to a 1e-12 step: ~41 halvings.
+	if r.Iterations < 35 || r.Iterations > 45 {
+		t.Fatalf("bisection took %d iterations", r.Iterations)
+	}
+}
+
+func TestBisectBadBracket(t *testing.T) {
+	f := func(x float64) float64 { return x*x + 1 }
+	if _, err := Newton(bracketOnly(f), 0, 1, Options{}); !errors.Is(err, ErrBadBracket) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+func TestBrentAgainstKnownRoots(t *testing.T) {
+	cases := []struct {
+		f        func(float64) float64
+		a, b, rt float64
+	}{
+		{func(x float64) float64 { return x*x*x - 2*x - 5 }, 2, 3, 2.0945514815423265},
+		{func(x float64) float64 { return math.Cos(x) - x }, 0, 1, 0.7390851332151607},
+		{func(x float64) float64 { return math.Exp(-x) - x }, 0, 1, 0.5671432904097838},
+	}
+	for i, c := range cases {
+		r, err := Newton(bracketOnly(c.f), (c.a+c.b)/2, (c.b-c.a)/2, Options{})
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if math.Abs(r.Root-c.rt) > 1e-9 {
+			t.Fatalf("case %d: root = %.15g want %.15g", i, r.Root, c.rt)
+		}
+		// The bracket already holds the root: no growth.
+		if r.FuncEvals != 2+r.Iterations {
+			t.Fatalf("case %d: FuncEvals = %d after %d iterations", i, r.FuncEvals, r.Iterations)
+		}
+	}
+}
+
+func TestBrentBadBracket(t *testing.T) {
+	r, err := Newton(bracketOnly(func(x float64) float64 { return 1 + x*x }), 0, 1, Options{MaxGrow: 3})
+	if !errors.Is(err, ErrBadBracket) {
+		t.Fatalf("err = %v", err)
+	}
+	if r.Iterations != 0 || r.FuncEvals != 2*4 {
+		t.Fatalf("rootless: %+v; want no iteration and 8 evaluations", r)
+	}
+}
+
 // Property: on random monotone cubics a·x³ + a·x + c, Newton agrees
 // with Cardano's closed-form root.
 func TestSolversAgreeProperty(t *testing.T) {
