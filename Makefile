@@ -6,16 +6,21 @@ GATE_THRESHOLD ?= 0.15
 # FUZZTIME is how long make fuzz runs each fuzz target.
 FUZZTIME ?= 10s
 
-.PHONY: check lint vet build test race fuzz bench benchgate benchsmoke scalebench e2esmoke e2ebench
+# RACESTRESS_RUN selects the server's cancellation, coalescing and
+# shutdown tests that make racestress repeats.
+RACESTRESS_RUN = Cancel|Coalesce|Shutdown|Disconnect|FollowerLeaving
+
+.PHONY: check lint vet build test race racestress fuzz bench benchgate benchsmoke scalebench e2esmoke e2ebench
 
 ## check: the tier-1 gate — vet + cntlint, build, plain tests (the
 ## zero-alloc kernel guards only assert outside -race), race-enabled
-## tests, a build-only smoke of the sweep benchmark (tiny grid, no
-## timing assertion: timing under a loaded CI machine is noise) and the
+## tests, the server's timing-sensitive tests repeated under -race, a
+## build-only smoke of the sweep benchmark (tiny grid, no timing
+## assertion: timing under a loaded CI machine is noise) and the
 ## end-to-end benchmark module's race-enabled tests. The sweep service
 ## and the two-replica fleet are checked end to end by the
 ## internal/server and internal/cluster tests, under -race too.
-check: lint build test race benchsmoke e2esmoke
+check: lint build test race racestress benchsmoke e2esmoke
 
 ## lint: go vet plus the project analyzer suite (cmd/cntlint):
 ## telemetry key registry, context propagation, float comparisons,
@@ -38,6 +43,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+## racestress: the server's cancellation, coalescing and shutdown tests
+## (RACESTRESS_RUN) under -race, ten times over, so a timing-dependent
+## regression fails the gate instead of passing on a rerun.
+racestress:
+	$(GO) test -race -count=10 -run '$(RACESTRESS_RUN)' ./internal/server
 
 ## fuzz: every Fuzz* target in the module, run past its seed corpus for
 ## FUZZTIME each (make test replays only the seeds). A failing input is

@@ -120,7 +120,7 @@ type row struct {
 	SpeedupM2  float64 `json:"speedup_m2"`
 }
 
-func run(ctx context.Context, counts []int, points int, opt options) error {
+func run(ctx context.Context, counts []int, points int, opt options) (err error) {
 	if opt.metrics {
 		telemetry.Enable()
 	}
@@ -138,6 +138,13 @@ func run(ctx context.Context, counts []int, points int, opt options) error {
 		// any other instrumented stage land as span records after the
 		// solver events.
 		telemetry.DefaultTracer().SetEnabled(true)
+		// The file is written on every exit path: a failed or
+		// interrupted run keeps the events that explain it.
+		defer func() {
+			if werr := writeTrace(opt.traceFile, tr); werr != nil {
+				err = errors.Join(err, werr)
+			}
+		}()
 	}
 	m1, err := cntfet.FitFrom(ref, cntfet.Model1Spec(), cntfet.FitOptions{})
 	if err != nil {
@@ -196,23 +203,6 @@ func run(ctx context.Context, counts []int, points int, opt options) error {
 		})
 	}
 
-	if tr != nil {
-		f, err := os.Create(opt.traceFile)
-		if err != nil {
-			return fmt.Errorf("trace file: %w", err)
-		}
-		defer f.Close()
-		if err := tr.WriteJSON(f); err != nil {
-			return fmt.Errorf("trace export: %w", err)
-		}
-		if n := tr.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "cntbench: trace ring dropped %d oldest events\n", n)
-		}
-		if err := telemetry.DefaultTracer().WriteJSON(f); err != nil {
-			return fmt.Errorf("span export: %w", err)
-		}
-	}
-
 	if opt.metrics {
 		snap := telemetry.Default().Snapshot()
 		doc := struct {
@@ -239,5 +229,28 @@ func run(ctx context.Context, counts []int, points int, opt options) error {
 	}
 	tb.Render(os.Stdout)
 	fmt.Println("\npaper reference: FETToy 64.4s..1287s; Model 1 ~3400x faster; Model 2 ~1100x faster")
+	return nil
+}
+
+// writeTrace writes tr's solver events, then the span tracer's
+// completed spans, to a new file at path as JSON lines.
+func writeTrace(path string, tr *telemetry.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("trace file: %w", err)
+	}
+	err = tr.WriteJSON(f)
+	if err == nil {
+		err = telemetry.DefaultTracer().WriteJSON(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trace export: %w", err)
+	}
+	if n := tr.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "cntbench: trace ring dropped %d oldest events\n", n)
+	}
 	return nil
 }

@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cntfet/internal/telemetry"
@@ -276,5 +280,52 @@ func TestRunScaleBenchJSON(t *testing.T) {
 	}
 	if m1Pt.Counters["core.solves"] != wantPoints {
 		t.Fatalf("model1 core.solves = %d, want %d", m1Pt.Counters["core.solves"], wantPoints)
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// (n+1)-th check on, so a run stops at a known point of its loop.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestTraceWrittenOnCancel is the trace-on-failure regression: a Table
+// I run canceled after two reference curves (as SIGINT cancels it, exit
+// 130) still writes the -trace file, holding exactly those curves'
+// solves.
+func TestTraceWrittenOnCancel(t *testing.T) {
+	const points = 13
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	ctx := &cancelAfter{Context: context.Background()}
+	ctx.n.Store(2)
+	err := run(ctx, []int{1}, points, options{traceFile: path})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled run returned %v, want context.Canceled", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("canceled run left no trace file: %v", err)
+	}
+	defer f.Close()
+	solves := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		var ev struct{ Kind string }
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("trace line is not JSON: %q", sc.Text())
+		}
+		if ev.Kind == "fettoy.solve" {
+			solves++
+		}
+	}
+	if solves != 2*points {
+		t.Fatalf("trace holds %d reference solves, want the %d of the two curves run", solves, 2*points)
 	}
 }

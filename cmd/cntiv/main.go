@@ -55,32 +55,17 @@ func main() {
 	if *metrics {
 		telemetry.Enable()
 	}
-	if *traceFile != "" {
-		telemetry.Enable()
-		traceSink = telemetry.NewTrace(1 << 16)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *fig, *temp, *ef, *vgList, *modelNo, *points, *plot); err != nil {
+	err := traced(*traceFile, func() error {
+		return run(ctx, *fig, *temp, *ef, *vgList, *modelNo, *points, *plot)
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "cntiv:", err)
 		if errors.Is(err, engine.ErrCanceled) {
 			os.Exit(130)
 		}
 		os.Exit(1)
-	}
-	if traceSink != nil {
-		f, err := os.Create(*traceFile)
-		if err == nil {
-			err = traceSink.WriteJSON(f)
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cntiv: trace export:", err)
-			os.Exit(1)
-		}
-		if n := traceSink.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "cntiv: trace ring dropped %d oldest events\n", n)
-		}
 	}
 	if *metrics {
 		fmt.Println("# solver metrics:")
@@ -89,6 +74,35 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// traced runs fn with traceSink logging the reference model's solves
+// when path is set, then writes what the ring holds to path as JSON
+// lines — whether fn succeeded, failed or was interrupted: the events
+// of a failed run are the ones that explain it. An empty path just
+// runs fn.
+func traced(path string, fn func() error) error {
+	if path == "" {
+		return fn()
+	}
+	telemetry.Enable()
+	traceSink = telemetry.NewTrace(1 << 16)
+	defer func() { traceSink = nil }()
+	err := fn()
+	f, werr := os.Create(path)
+	if werr == nil {
+		werr = traceSink.WriteJSON(f)
+		if cerr := f.Close(); werr == nil {
+			werr = cerr
+		}
+	}
+	if werr != nil {
+		return errors.Join(err, fmt.Errorf("trace export: %w", werr))
+	}
+	if n := traceSink.Dropped(); n > 0 {
+		fmt.Fprintf(os.Stderr, "cntiv: trace ring dropped %d oldest events\n", n)
+	}
+	return err
 }
 
 func run(ctx context.Context, fig int, temp, ef float64, vgList string, modelNo, points int, plot bool) error {

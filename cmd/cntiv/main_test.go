@@ -1,12 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"cntfet/internal/engine"
+	"cntfet/internal/telemetry"
 )
 
 // capture runs fn with os.Stdout redirected and returns what it wrote.
@@ -57,5 +65,44 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run(context.Background(), 0, 300, -0.32, "abc", 2, 13, false); err == nil {
 		t.Fatal("bad gate list accepted")
+	}
+}
+
+// TestTraceWrittenOnCancel is the trace-on-failure regression: a run
+// interrupted mid-sweep (as SIGINT does, exit 130) still writes the
+// -trace file, holding the solver events the ring collected up to the
+// cancellation.
+func TestTraceWrittenOnCancel(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := traced(path, func() error {
+		// Cancel once the sweep has logged its first reference solve;
+		// 7 rows of 2000 points leave it far from done.
+		go func(sink *telemetry.Trace) {
+			for sink.Len() == 0 && ctx.Err() == nil {
+				time.Sleep(100 * time.Microsecond)
+			}
+			cancel()
+		}(traceSink)
+		return run(ctx, 7, 300, -0.32, "", 2, 2000, false)
+	})
+	if !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("canceled run returned %v, want ErrCanceled", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatalf("canceled run left no trace file: %v", err)
+	}
+	defer f.Close()
+	events := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); events++ {
+		var ev struct{ Kind string }
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil || ev.Kind == "" {
+			t.Fatalf("trace line %d is not an event: %q", events+1, sc.Text())
+		}
+	}
+	if events == 0 {
+		t.Fatal("canceled run's trace file holds no events")
 	}
 }

@@ -29,7 +29,7 @@ func TestCanceledTableBuildRetries(t *testing.T) {
 	cache := NewModelCache()
 
 	builds := reg.Counter(telemetry.KeyFettoyTableBuilds).Value()
-	short := New(Config{Timeout: 5 * time.Microsecond, Resolver: cache})
+	short := holdUntilDeadline(New(Config{Timeout: 5 * time.Microsecond, Resolver: cache}))
 	w := post(t, short.Handler(), body)
 	if w.Code != StatusClientClosedRequest {
 		t.Fatalf("timed-out reference job answered %d, want %d: %s", w.Code, StatusClientClosedRequest, w.Body)
@@ -38,7 +38,6 @@ func TestCanceledTableBuildRetries(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Class != "canceled" {
 		t.Fatalf("499 body not classified canceled: %s", w.Body)
 	}
-	waitFlightsDone(t, short)
 	if d := reg.Counter(telemetry.KeyFettoyTableBuilds).Value() - builds; d != 0 {
 		t.Fatalf("canceled job published %d charge tables, want 0", d)
 	}
@@ -251,11 +250,10 @@ func TestCanceledSharedBuildRetriedByAnotherEF(t *testing.T) {
 	builds := telemetry.Default().Counter(telemetry.KeyFettoyTableBuilds)
 	cache := NewModelCache()
 	before := builds.Value()
-	short := New(Config{Timeout: 5 * time.Microsecond, Resolver: cache})
+	short := holdUntilDeadline(New(Config{Timeout: 5 * time.Microsecond, Resolver: cache}))
 	if w := post(t, short.Handler(), referenceIVBody(150, -0.5)); w.Code != StatusClientClosedRequest {
 		t.Fatalf("timed-out reference job answered %d, want %d: %s", w.Code, StatusClientClosedRequest, w.Body)
 	}
-	waitFlightsDone(t, short)
 	if d := builds.Value() - before; d != 0 {
 		t.Fatalf("canceled job published %d charge tables, want 0", d)
 	}
@@ -278,22 +276,12 @@ func TestCanceledSharedBuildRetriedByAnotherEF(t *testing.T) {
 	}
 }
 
-// waitFlightsDone waits until s has no flight in progress: a canceled
-// job's flight may still be unwinding after its 499, and once it has
-// gone its build has either aborted or published.
-func waitFlightsDone(t *testing.T, s *Server) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
-		s.flights.mu.Lock()
-		n := len(s.flights.flights)
-		s.flights.mu.Unlock()
-		if n == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("canceled job's flight never finished")
-		}
-	}
+// holdUntilDeadline makes every engine run of s wait for its job's
+// deadline before it starts, so a 5 µs deadline deterministically
+// lands before the charge-table build, however loaded the machine.
+func holdUntilDeadline(s *Server) *Server {
+	s.flights.beforeRun = func(ctx context.Context) { <-ctx.Done() }
+	return s
 }
 
 // TestSharedTableAccuracy: in every cell, reference IDS through the

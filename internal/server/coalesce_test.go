@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -9,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -135,13 +138,12 @@ func TestCoalescedSpellingsShareOneRun(t *testing.T) {
 	}
 }
 
-// TestShutdownCancelsOrphanedFlight is the drain-bound regression: a
-// coalesced flight is detached from its leader's connection, so before
-// the drain context existed it would keep computing after an
-// over-budget Shutdown returned. Now Shutdown's return must cancel the
-// flight promptly — the waiting client gets its 499 long before the
-// sweep could have finished, the solver stops mid-grid, and the
-// canceled counter moves.
+// TestShutdownCancelsOrphanedFlight is the drain-bound regression for
+// buffered jobs: a flight must not keep computing after an over-budget
+// Shutdown returned. Shutdown's return cancels every request context
+// (they derive from the drain context), so the waiting client gets its
+// 499 long before the sweep could have finished, the solver stops
+// mid-grid, and the canceled counter moves.
 func TestShutdownCancelsOrphanedFlight(t *testing.T) {
 	// 800 points x 5ms = 4s if the sweep ran to completion.
 	m := &blockingSolver{started: make(chan struct{}), delay: 5 * time.Millisecond}
@@ -201,6 +203,233 @@ func TestShutdownCancelsOrphanedFlight(t *testing.T) {
 	}
 	if got := telemetry.Default().Counter(telemetry.KeyServerCanceled).Value(); got <= canceledBefore {
 		t.Fatalf("server.canceled did not move: %d -> %d", canceledBefore, got)
+	}
+	if err := <-serveDone; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+}
+
+// postAsync posts body to url under ctx on its own goroutine; the
+// returned channel yields the status and body (or the client error).
+func postAsync(ctx context.Context, url, body string) <-chan coalesceAnswer {
+	out := make(chan coalesceAnswer, 1)
+	go func() {
+		var a coalesceAnswer
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/jobs", strings.NewReader(body))
+		if err == nil {
+			var resp *http.Response
+			if resp, err = http.DefaultClient.Do(req); err == nil {
+				var raw []byte
+				raw, err = io.ReadAll(resp.Body)
+				resp.Body.Close()
+				a.status, a.body = resp.StatusCode, string(raw)
+			}
+		}
+		a.err = err
+		out <- a
+	}()
+	return out
+}
+
+type coalesceAnswer struct {
+	status int
+	body   string
+	err    error
+}
+
+// waitCounter polls c until it has moved by at least delta from
+// before, failing the test after 5 s.
+func waitCounter(t *testing.T, c *telemetry.Counter, before, delta int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); c.Value()-before < delta; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter moved by %d, want %d", c.Value()-before, delta)
+		}
+	}
+}
+
+// TestLeaderDisconnectRerunsForFollower pins the orphaned-flight retry:
+// the leader runs the job under its own request context, so when it
+// hangs up mid-sweep its run fails; the follower waiting on that
+// flight must not share the leader's cancellation but run the job
+// afresh and answer a 200 bit-identical to an unshared run. The solver
+// work is the leader's partial run plus exactly one full run, and the
+// coalesce counters count one join (the follower) and two led flights.
+func TestLeaderDisconnectRerunsForFollower(t *testing.T) {
+	m := &blockingSolver{started: make(chan struct{}), delay: time.Millisecond}
+	srv := New(Config{MaxInFlight: 8, Resolver: fakeResolver{m}})
+	// callsAtRun records the solver calls made before each led run.
+	var mu sync.Mutex
+	var callsAtRun []int64
+	srv.flights.beforeRun = func(context.Context) {
+		mu.Lock()
+		callsAtRun = append(callsAtRun, m.calls.Load())
+		mu.Unlock()
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	reg := telemetry.Default()
+	hits, misses := reg.Counter(telemetry.KeyServerCoalesceHits), reg.Counter(telemetry.KeyServerCoalesceMisses)
+	hitsBefore, missesBefore := hits.Value(), misses.Value()
+
+	leaderCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	leader := postAsync(leaderCtx, ts.URL, sweepBody)
+	<-m.started
+	follower := postAsync(context.Background(), ts.URL, sweepBody)
+	waitCounter(t, hits, hitsBefore, 1) // the follower has joined
+	hangUp()
+	if a := <-leader; a.err == nil {
+		t.Fatalf("leader's client got status %d after hanging up", a.status)
+	}
+
+	a := <-follower
+	if a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("follower of a hung-up leader answered %d (%v): %s", a.status, a.err, a.body)
+	}
+	if d := hits.Value() - hitsBefore; d != 1 {
+		t.Fatalf("coalesce hits delta %d, want 1 (the follower joining)", d)
+	}
+	if d := misses.Value() - missesBefore; d != 2 {
+		t.Fatalf("coalesce misses delta %d, want 2 (the leader's run and the follower's re-run)", d)
+	}
+	// Bit-identical but for elapsed_ns and metrics: the metrics are
+	// process-wide counter deltas over the run, which the leader's own
+	// 499 accounting can land in. The answer's JSON spells every float
+	// exactly, so equal bytes mean equal bits.
+	var got JobResponse
+	if err := json.Unmarshal([]byte(a.body), &got); err != nil {
+		t.Fatal(err)
+	}
+	want := decodeJob(t, post(t, New(Config{Resolver: fakeResolver{&blockingSolver{started: make(chan struct{})}}}).Handler(), sweepBody))
+	if got.Metrics[telemetry.KeySweepPoints] != 800 {
+		t.Fatalf("follower's answer reports %d sweep points, want 800", got.Metrics[telemetry.KeySweepPoints])
+	}
+	got.ElapsedNS, want.ElapsedNS = 0, 0
+	got.Metrics, want.Metrics = nil, nil
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatal("follower's re-run answered differently from an unshared run")
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(callsAtRun) != 2 || callsAtRun[0] != 0 {
+		t.Fatalf("led runs started after %v solver calls, want [0 partial]", callsAtRun)
+	}
+	partial := callsAtRun[1]
+	if partial == 0 || partial >= 800 {
+		t.Fatalf("leader's run made %d of 800 calls before it was canceled", partial)
+	}
+	if calls := m.calls.Load(); calls != partial+800 {
+		t.Fatalf("solver made %d calls, want the leader's %d plus one full run of 800", calls, partial)
+	}
+}
+
+// TestFollowerLeavingKeepsLeaderRunning: a follower that hangs up
+// answers its own 499 and leaves, and the leader's run — which belongs
+// to the leader's request alone — completes with one full sweep.
+func TestFollowerLeavingKeepsLeaderRunning(t *testing.T) {
+	m := &blockingSolver{started: make(chan struct{}), delay: time.Millisecond}
+	srv := New(Config{MaxInFlight: 8, Resolver: fakeResolver{m}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	reg := telemetry.Default()
+	hits, misses := reg.Counter(telemetry.KeyServerCoalesceHits), reg.Counter(telemetry.KeyServerCoalesceMisses)
+	canceled := reg.Counter(telemetry.KeyServerCanceled)
+	hitsBefore, missesBefore, canceledBefore := hits.Value(), misses.Value(), canceled.Value()
+
+	leader := postAsync(context.Background(), ts.URL, sweepBody)
+	<-m.started
+	followerCtx, hangUp := context.WithCancel(context.Background())
+	defer hangUp()
+	follower := postAsync(followerCtx, ts.URL, sweepBody)
+	waitCounter(t, hits, hitsBefore, 1)
+	hangUp()
+	if a := <-follower; a.err == nil {
+		t.Fatalf("follower's client got status %d after hanging up", a.status)
+	}
+	waitCounter(t, canceled, canceledBefore, 1) // the follower's 499
+
+	a := <-leader
+	if a.err != nil || a.status != http.StatusOK {
+		t.Fatalf("leader answered %d (%v) after its follower left: %s", a.status, a.err, a.body)
+	}
+	if calls := m.calls.Load(); calls != 800 {
+		t.Fatalf("solver made %d calls, want one full run of 800", calls)
+	}
+	if d := misses.Value() - missesBefore; d != 1 {
+		t.Fatalf("coalesce misses delta %d, want 1", d)
+	}
+	if d := hits.Value() - hitsBefore; d != 1 {
+		t.Fatalf("coalesce hits delta %d, want 1", d)
+	}
+}
+
+// TestShutdownCancelsStreamedJob is the drain bound for streams, which
+// never coalesce: a streamed 800-point sweep (4 s at 5 ms a point)
+// caught by a Shutdown with a 50 ms budget must stop within 1 s of the
+// Shutdown call, ending its stream with a canceled error frame, instead
+// of running to completion after Shutdown gave up.
+func TestShutdownCancelsStreamedJob(t *testing.T) {
+	m := &blockingSolver{started: make(chan struct{}), delay: 5 * time.Millisecond}
+	srv := New(Config{Resolver: fakeResolver{m}})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(l) }()
+
+	var streamEnd atomic.Int64 // unix ns when the client saw the stream end
+	last := make(chan string, 1)
+	go func() {
+		req, err := http.NewRequest(http.MethodPost, fmt.Sprintf("http://%s/v1/jobs", l.Addr()), strings.NewReader(sweepBody))
+		if err != nil {
+			last <- err.Error()
+			return
+		}
+		req.Header.Set("Accept", "application/x-ndjson")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			last <- err.Error()
+			return
+		}
+		defer resp.Body.Close()
+		var line string
+		for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+			line = sc.Text()
+		}
+		streamEnd.Store(time.Now().UnixNano())
+		last <- line
+	}()
+	<-m.started
+
+	shutCtx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if err := srv.Shutdown(shutCtx); err == nil {
+		t.Fatal("Shutdown drained a 4s stream inside a 50ms budget")
+	}
+
+	var frame string
+	select {
+	case frame = <-last:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream kept running after shutdown: no end within 5s")
+	}
+	if took := time.Duration(streamEnd.Load() - start.UnixNano()); took > time.Second {
+		t.Fatalf("stream ended %s after Shutdown began, want under 1s", took)
+	}
+	var f StreamFrame
+	if err := json.Unmarshal([]byte(frame), &f); err != nil || f.Error == nil || f.Error.Class != "canceled" {
+		t.Fatalf("stream's last frame is not a canceled error: %q", frame)
+	}
+	if calls := m.calls.Load(); calls == 0 || calls >= 800 {
+		t.Fatalf("evaluated %d of 800 points; shutdown did not cancel mid-stream", calls)
 	}
 	if err := <-serveDone; err != http.ErrServerClosed {
 		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)

@@ -103,9 +103,9 @@ type Server struct {
 	log     *telemetry.Logger
 	start   time.Time
 	flights flightGroup
-	// drainCtx ends when Shutdown finishes draining (or gives up);
-	// coalesced flight leaders derive from it so a detached engine run
-	// cannot outlive the server.
+	// drainCtx ends when Shutdown finishes draining (or gives up). It
+	// is the base of every request context the listener hands out, so
+	// no job — buffered, coalesced or streamed — outlives the drain.
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 }
@@ -135,6 +135,7 @@ func New(cfg Config) *Server {
 		Addr:              cfg.Addr,
 		Handler:           s.observe(mux),
 		ReadHeaderTimeout: 10 * time.Second,
+		BaseContext:       func(net.Listener) context.Context { return s.drainCtx },
 	}
 	return s
 }
@@ -156,8 +157,10 @@ func (s *Server) Serve(l net.Listener) error { return s.http.Serve(l) }
 // waiting until they finish or ctx expires. In-flight job contexts
 // stay live during the drain: a request already computing completes
 // and its client gets the answer. Once the drain ends — either way —
-// any coalesced flight still running is cancelled, so a detached
-// leader cannot keep computing past an over-budget shutdown.
+// every request context still open is cancelled (they all derive from
+// drainCtx), so no buffered, coalesced or streamed job keeps computing
+// past an over-budget shutdown: each answers 499 (or ends its stream
+// with an error frame) within one cancellation check.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.http.Shutdown(ctx)
 	s.drainCancel()
@@ -247,9 +250,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The job context is the request context — net/http cancels it on
-	// client disconnect — tightened by the per-request deadline. It is
-	// established before model resolution, so a cache-miss build is
-	// attributed to (and bounded by) the request that pays for it.
+	// client disconnect, Shutdown when the drain is over — tightened by
+	// the per-request deadline. It is established before model
+	// resolution, so a cache-miss build is attributed to (and bounded
+	// by) the request that pays for it.
 	ctx := r.Context()
 	if s.cfg.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -283,8 +287,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Buffered identical requests in flight at the same time share one
-	// engine run (coalesce.go), keyed by the job's canonical identity.
-	res, coalesced, err := s.flights.run(ctx, s.drainCtx, coalesceKey(&jr, model, ref), req)
+	// engine run (coalesce.go), keyed by the job's canonical identity;
+	// the leader runs it here, under ctx.
+	res, coalesced, err := s.flights.run(ctx, coalesceKey(&jr, model, ref), req)
 	if coalesced {
 		span.Set(telemetry.Bool(telemetry.AttrCoalesced, true))
 	}
