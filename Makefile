@@ -67,14 +67,16 @@ fuzz:
 ## table, warm start; with newton_iters/op and integral_evals/op), the
 ## served Table-I answer's encode cost (whole response, and per float:
 ## strconv against internal/jsonenc), the nine reference cells' cold
-## set-up (charge tables built per warm-up), then the before/after
-## sweep-engine comparison.
+## set-up (charge tables built per warm-up), one served Table-I job
+## through engine.Run (B/op and allocs/op: the sweep path's heap cost
+## per request), then the before/after sweep-engine comparison.
 ## Writes BENCH_sweep.json at the repo root and fails if the batched
 ## engine is slower than the legacy scheduler.
 bench:
 	$(GO) test -bench='IDSTelemetry|FitColdModel' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench='SolveVSC_' -benchmem .
 	$(GO) test -run '^$$' -bench='EncodeFamilyResponse|AppendFloat|ReferenceWarmup' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench='EngineRunTableI' -benchmem ./internal/engine/
 	$(GO) run ./cmd/cntbench -sweepbench -assert-faster -out BENCH_sweep.json
 
 ## benchgate: the perf-regression gate — re-runs the sweep benchmark

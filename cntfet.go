@@ -170,7 +170,10 @@ func Trace(m Transistor, vg float64, vds []float64) (Curve, error) {
 // the vgs and vds grids are in volts (V). workers <= 0 uses GOMAXPROCS;
 // workers == 1 sweeps each VDS row as one batch on a single goroutine,
 // which keeps the reference model's warm-start continuation unbroken
-// along every row. The context cancels the sweep between chunks.
+// along every row. The context cancels the sweep between chunks. The
+// returned curves share one read-only copy of vds as their VDS (each
+// owns its IDS), so treat VDS as read-only; vds itself stays the
+// caller's to reuse.
 func Family(ctx context.Context, m Transistor, vgs, vds []float64, workers int) ([]Curve, error) {
 	fam := make([]Curve, 0, len(vgs))
 	if err := sweep.FamilyParallelTo(ctx, m, vgs, vds, workers, sweep.Collect(&fam)); err != nil {

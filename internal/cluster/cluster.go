@@ -48,7 +48,10 @@ type Config struct {
 	Replicas []string
 	// Client performs the upstream requests. Nil means a client with no
 	// overall timeout (streamed responses are open-ended; per-request
-	// deadlines belong to the backend).
+	// deadlines belong to the backend) on a clone of Go's default
+	// transport whose per-replica idle pool is as large as its total
+	// one, so concurrent jobs reuse their connections instead of
+	// re-dialling.
 	Client *http.Client
 	// MaxBody caps the request body the router will buffer for routing
 	// and replay. Zero means 1 MiB, matching the backend default.
@@ -69,7 +72,12 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Client == nil {
-		c.Client = &http.Client{}
+		// A replica admits GOMAXPROCS jobs at once; Go's default of two
+		// idle connections per host would close all but two of them
+		// after each burst and dial them again for the next.
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = tr.MaxIdleConns
+		c.Client = &http.Client{Transport: tr}
 	}
 	if c.MaxBody <= 0 {
 		c.MaxBody = 1 << 20

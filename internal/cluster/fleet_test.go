@@ -3,12 +3,16 @@ package cluster
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -216,5 +220,50 @@ func TestRouterMetricsConformance(t *testing.T) {
 		if !strings.Contains(prom, want) {
 			t.Fatalf("/metrics missing %s:\n%s", want, prom)
 		}
+	}
+}
+
+// TestDefaultClientReusesConnections pins the nil-Client default on a
+// real replica: concurrent jobs through one router keep their
+// router→replica connections instead of re-dialling them. Go's
+// default transport keeps two idle connections per host, so 8 clients
+// posting 200 iv-point jobs each opened hundreds of connections (513
+// in one run); the default client's per-host idle pool must hold one
+// per concurrent job.
+func TestDefaultClientReusesConnections(t *testing.T) {
+	const clients, jobs = 8, 200
+	var dials atomic.Int64
+	replica := httptest.NewUnstartedServer(server.New(server.Config{MaxInFlight: clients}).Handler())
+	replica.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	replica.Start()
+	t.Cleanup(replica.Close)
+	rt := newRouter(t, Config{Replicas: []string{replica.URL}})
+	t.Cleanup(rt.cfg.Client.CloseIdleConnections)
+
+	var wg sync.WaitGroup
+	errs := make(chan string, clients)
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range jobs {
+				if w, _ := postRouter(t, rt, jobBody); w.Code != http.StatusOK {
+					errs <- fmt.Sprintf("status %d: %s", w.Code, w.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if n := dials.Load(); n > clients+2 {
+		t.Fatalf("%d router→replica connections for %d concurrent clients, want <= %d", n, clients, clients+2)
 	}
 }

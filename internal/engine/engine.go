@@ -129,7 +129,8 @@ type Result struct {
 	OP  fettoy.OperatingPoint
 
 	// Family answers FamilySweep and RMSCompare; RefFamily and
-	// RMSPercent (one entry per gate voltage) answer RMSCompare.
+	// RMSPercent (one entry per gate voltage) answer RMSCompare. The
+	// curves of a swept family share one read-only VDS grid.
 	Family     []sweep.Curve
 	RefFamily  []sweep.Curve
 	RMSPercent []float64
@@ -140,11 +141,17 @@ type Result struct {
 	// Metrics holds the per-job telemetry counter deltas (quadrature
 	// points, Newton iterations, sweep points, ...). Deltas are exact
 	// for a job running alone and attributably approximate under
-	// concurrent jobs (the registry is process-wide).
+	// concurrent jobs (the registry is process-wide). The counters the
+	// front ends own (server.*, cluster.*) are left out: they count
+	// requests, not job work, so another request's outcome — a
+	// concurrent 499, say — never lands in this job's Metrics.
 	Metrics map[string]int64
 	// Elapsed is the wall-clock job duration.
 	Elapsed time.Duration
 }
+
+// frontEndCounters are the key prefixes Result.Metrics leaves out.
+var frontEndCounters = []string{telemetry.PrefixServer, telemetry.PrefixCluster}
 
 // markPool recycles the per-job counter marks Run diffs Metrics
 // against, so a job's bookkeeping costs two passes over the counters
@@ -168,7 +175,7 @@ func Run(ctx context.Context, req Request) (Result, error) {
 	start := time.Now()
 	res, err := dispatch(ctx, req)
 	res.Elapsed = time.Since(start)
-	res.Metrics = reg.CounterDelta(*mark)
+	res.Metrics = reg.CounterDelta(*mark, frontEndCounters...)
 	markPool.Put(mark)
 	reg.Histogram(telemetry.KeyEngineJobSeconds, telemetry.LatencyBuckets).
 		Observe(res.Elapsed.Seconds())

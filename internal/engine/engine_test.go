@@ -7,6 +7,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -424,6 +425,58 @@ func TestMetricsDelta(t *testing.T) {
 	}
 }
 
+// heldSolver blocks its first solve until release is closed, so a test
+// can act while the job is running.
+type heldSolver struct {
+	once             sync.Once
+	started, release chan struct{}
+}
+
+func (h *heldSolver) IDS(b fettoy.Bias) (float64, error) {
+	h.once.Do(func() {
+		close(h.started)
+		<-h.release
+	})
+	return b.VG * b.VD, nil
+}
+
+// TestMetricsLeaveOutFrontEndCounters checks that a job's Metrics keep
+// the front ends' request counters out: a server.canceled or cluster
+// counter bumped by another request while the job runs is not the
+// job's work, while the job's own sweep.points still is.
+func TestMetricsLeaveOutFrontEndCounters(t *testing.T) {
+	m := &heldSolver{started: make(chan struct{}), release: make(chan struct{})}
+	type outcome struct {
+		res Result
+		err error
+	}
+	out := make(chan outcome, 1)
+	go func() {
+		res, err := Run(context.Background(), Request{
+			Kind: FamilySweep, Model: m, Workers: 1,
+			Gates: []float64{0.5}, Drains: []float64{0.1, 0.2, 0.3},
+		})
+		out <- outcome{res, err}
+	}()
+	<-m.started
+	reg := telemetry.Default()
+	reg.Counter(telemetry.KeyServerCanceled).Inc()
+	reg.Counter(telemetry.KeyClusterRouteRetries).Inc()
+	close(m.release)
+	o := <-out
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	for _, k := range []string{telemetry.KeyServerCanceled, telemetry.KeyClusterRouteRetries} {
+		if v, ok := o.res.Metrics[k]; ok {
+			t.Errorf("job metrics carry another request's %s = %d", k, v)
+		}
+	}
+	if got := o.res.Metrics[telemetry.KeySweepPoints]; got != 3 {
+		t.Errorf("sweep.points = %d, want 3 (metrics: %v)", got, o.res.Metrics)
+	}
+}
+
 // TestPrebuildCancellation checks that a charge-table build scheduled
 // by the engine is itself cancellable (device.ContextBuilder), and
 // that the aborted build retries cleanly on the next job.
@@ -540,6 +593,86 @@ func BenchmarkEngineRunIVPoint(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(ctx, req); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEngineRunTableI measures one served Table-I family through
+// Run — Model 1, the seven paper gates by the 61-point drain grid, at
+// Workers 0 — with telemetry on, as a server runs it. Its B/op and
+// allocs/op are the sweep path's whole heap cost per request. Before
+// the family shared one drain grid and the scheduler pooled its state,
+// it read about 12,000 B in 35 allocations on a 2-core Xeon; now about
+// 4,850 B in 15.
+func BenchmarkEngineRunTableI(b *testing.B) {
+	ref, err := fettoy.New(fettoy.Default())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m1, err := core.Model1(ref)
+	if err != nil {
+		b.Fatal(err)
+	}
+	telemetry.Enable()
+	defer telemetry.Disable()
+	ctx := context.Background()
+	req := Request{Kind: FamilySweep, Model: m1, Gates: sweep.PaperGates(), Drains: sweep.Grid()}
+	if _, err := Run(ctx, req); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunTableIAllocBudget holds a served Table-I job — Model 1, seven
+// gates by 61 drains, telemetry on — to the answer it returns plus a
+// fixed overhead: at most 16 allocations (testing.AllocsPerRun, which
+// runs at GOMAXPROCS 1, so Workers 0 is one worker there) and 5.5 KiB
+// per job (TotalAlloc over repeated jobs at the real GOMAXPROCS, 64 B
+// more per worker beyond two). The parent, which copied the grid into
+// every row and built its scheduler state per sweep, took 32
+// allocations at Workers 0 and 1 under AllocsPerRun, and 12,056 and
+// 10,656 B per job on a 2-core Xeon.
+func TestRunTableIAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	ref, err := fettoy.New(fettoy.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1, err := core.Model1(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	telemetry.Enable()
+	defer telemetry.Disable()
+	for _, workers := range []int{0, 1} {
+		req := Request{Kind: FamilySweep, Model: m1, Gates: sweep.PaperGates(), Drains: sweep.Grid(), Workers: workers}
+		run := func() {
+			if _, err := Run(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // fill the pools
+		if allocs := testing.AllocsPerRun(50, run); allocs > 16 {
+			t.Errorf("Workers %d: %.1f allocations per job, want <= 16", workers, allocs)
+		}
+		const runs = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		limit := uint64(5632 + 64*max(runtime.GOMAXPROCS(0)-2, 0))
+		if bytes := (after.TotalAlloc - before.TotalAlloc) / runs; bytes > limit {
+			t.Errorf("Workers %d: %d B per job, want <= %d", workers, bytes, limit)
 		}
 	}
 }

@@ -18,6 +18,10 @@ import (
 //     reference rows before model rows in an RMSCompare; Monte Carlo
 //     partials by ascending Done) at any Workers — the scheduler
 //     reorders internally before emitting.
+//   - Ownership of an emitted row's slices transfers to the sink, and
+//     rows are never recycled. The rows of one family share one
+//     read-only VDS grid (the sweep's own copy of Request.Drains); each
+//     row owns its IDS.
 //   - The rows streamed for a FamilySweep are bit-for-bit the curves
 //     the buffered Result.Family would hold. Result.Family stays nil
 //     when a Sink is set and emitted rows are released, so the job
@@ -53,7 +57,8 @@ type Event struct {
 // RowEvent is one finished IDS(VDS) curve. Index is the row's position
 // in the request's Gates grid; Ref marks the reference family of an
 // RMSCompare (reference rows stream before model rows). Ownership of
-// the Curve's slices transfers to the sink.
+// the Curve's slices transfers to the sink; its VDS is the read-only
+// grid every row of the family shares.
 type RowEvent struct {
 	Index int
 	Ref   bool

@@ -5,11 +5,14 @@
 // for its own sweep. Here the first request becomes the leader and
 // runs the job on its own goroutine, under its own request context;
 // followers arriving while it is in flight wait for its Result and
-// share it (engine results are immutable once returned). The flight
-// is keyed by the canonical re-encoding of the decoded JobRequest, so
-// requests coalesce exactly when they are semantically identical —
-// field order or whitespace on the wire doesn't matter, any differing
-// parameter does.
+// share it (engine results are immutable once returned). A flight is
+// identified by the job's binary coalescing key (key.go), so requests
+// coalesce exactly when they are semantically identical — field order
+// or whitespace on the wire doesn't matter, any differing parameter
+// does. The flight map is keyed by a maphash digest of those bytes;
+// the flight keeps the leader's key bytes, and a request joins it only
+// when its own key bytes are equal. A digest collision between two
+// different jobs just runs the newcomer unshared.
 //
 // Only buffered requests coalesce. A streamed response is an
 // interactive byte stream owned by one connection; sharing it would
@@ -29,8 +32,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"cntfet/internal/engine"
@@ -39,6 +44,10 @@ import (
 
 // flight is one in-progress engine run.
 type flight struct {
+	// key is the leader's coalescing key. The leader's buffer outlives
+	// the flight: run deletes the flight before it returns, and only
+	// then may the leader recycle the buffer.
+	key  []byte
 	done chan struct{} // closed after res/err/orphaned are set
 	res  engine.Result
 	err  error
@@ -51,26 +60,30 @@ type flight struct {
 // is ready.
 type flightGroup struct {
 	mu      sync.Mutex
-	flights map[string]*flight
+	seed    maphash.Seed
+	flights map[uint64]*flight // by digest of the key bytes
 	// beforeRun, when set (tests only), runs on the leader's goroutine
 	// just before its engine run starts.
 	beforeRun func(ctx context.Context)
 }
 
-// run executes req, sharing the result with any concurrent identical
-// request. coalesced reports whether the result came from a flight
-// another request led.
-func (g *flightGroup) run(ctx context.Context, key string, req engine.Request) (res engine.Result, coalesced bool, err error) {
+// run executes req, sharing the result with any concurrent request
+// whose coalescing key equals key. The caller keeps key unchanged
+// until run returns. coalesced reports whether the result came from a
+// flight another request led.
+func (g *flightGroup) run(ctx context.Context, key []byte, req engine.Request) (res engine.Result, coalesced bool, err error) {
 	reg := telemetry.Default()
 	for {
 		g.mu.Lock()
 		if g.flights == nil {
-			g.flights = map[string]*flight{}
+			g.flights = map[uint64]*flight{}
+			g.seed = maphash.MakeSeed()
 		}
-		f := g.flights[key]
+		h := maphash.Bytes(g.seed, key)
+		f := g.flights[h]
 		if f == nil {
-			f = &flight{done: make(chan struct{})}
-			g.flights[key] = f
+			f = &flight{key: key, done: make(chan struct{})}
+			g.flights[h] = f
 			g.mu.Unlock()
 			reg.Counter(telemetry.KeyServerCoalesceMisses).Inc()
 			if g.beforeRun != nil {
@@ -80,11 +93,19 @@ func (g *flightGroup) run(ctx context.Context, key string, req engine.Request) (
 			g.mu.Lock()
 			// Delete before close so a request arriving after completion
 			// starts fresh instead of reading a finished flight.
-			delete(g.flights, key)
+			delete(g.flights, h)
 			f.res, f.err = res, err
 			f.orphaned = err != nil && ctx.Err() != nil
+			f.key = nil
 			g.mu.Unlock()
 			close(f.done)
+			return res, false, err
+		}
+		if !bytes.Equal(f.key, key) {
+			// Another job holds this digest: run unshared.
+			g.mu.Unlock()
+			reg.Counter(telemetry.KeyServerCoalesceMisses).Inc()
+			res, err := engine.Run(ctx, req)
 			return res, false, err
 		}
 		g.mu.Unlock()

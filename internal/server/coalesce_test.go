@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"net"
 	"net/http"
@@ -15,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"cntfet/internal/engine"
 	"cntfet/internal/fettoy"
 	"cntfet/internal/telemetry"
 )
@@ -64,6 +67,44 @@ func TestCoalesceKeyCanonical(t *testing.T) {
 	refB := JobRequest{Kind: "rms-compare", Model: &ModelSpec{Family: FamilyModel2}, Ref: &ModelSpec{Family: FamilyModel1, T: dev.T}, Gates: base.Gates, Drains: base.Drains}
 	if key(refA) != key(refB) {
 		t.Errorf("equivalent ref spellings did not coalesce:\n%s\nvs\n%s", key(refA), key(refB))
+	}
+}
+
+// TestCoalesceDigestCollisionRunsUnshared pins the hashed flight map:
+// a request whose digest names another job's flight runs unshared
+// instead of waiting for (or sharing) that job's answer, and a request
+// with the flight's own key bytes still joins it.
+func TestCoalesceDigestCollisionRunsUnshared(t *testing.T) {
+	g := &flightGroup{flights: map[uint64]*flight{}, seed: maphash.MakeSeed()}
+	ours, theirs := []byte("job b"), []byte("job a")
+	// Another job's flight, still running, under our digest.
+	other := &flight{key: theirs, done: make(chan struct{})}
+	h := maphash.Bytes(g.seed, ours)
+	g.flights[h] = other
+	req := engine.Request{Kind: engine.IVPoint, Model: &blockingSolver{started: make(chan struct{})}, Bias: fettoy.Bias{VG: 0.5, VD: 0.4}}
+
+	// Bounded, so a group that wrongly joins the never-ending flight
+	// fails instead of hanging.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	res, coalesced, err := g.run(ctx, ours, req)
+	if err != nil || coalesced {
+		t.Fatalf("colliding job: coalesced=%v err=%v, want an unshared run", coalesced, err)
+	}
+	if res.IDS != 0.5*0.4 { //lint:allow floatcmp the fake solver's product, computed the same way
+		t.Fatalf("colliding job answered %g, want its own run's %g", res.IDS, 0.5*0.4)
+	}
+	if len(g.flights) != 1 || g.flights[h] != other {
+		t.Fatal("the unshared run disturbed the other job's flight")
+	}
+
+	// Equal key bytes join the flight under its own digest (and give
+	// up when their context ends, since the fake flight never finishes).
+	g.flights[maphash.Bytes(g.seed, theirs)] = other
+	short, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer stop()
+	if _, coalesced, err := g.run(short, append([]byte(nil), theirs...), req); !coalesced || !errors.Is(err, engine.ErrCanceled) {
+		t.Fatalf("equal key: coalesced=%v err=%v, want to join and be abandoned", coalesced, err)
 	}
 }
 
@@ -295,8 +336,8 @@ func TestLeaderDisconnectRerunsForFollower(t *testing.T) {
 		t.Fatalf("coalesce misses delta %d, want 2 (the leader's run and the follower's re-run)", d)
 	}
 	// Bit-identical but for elapsed_ns and metrics: the metrics are
-	// process-wide counter deltas over the run, which the leader's own
-	// 499 accounting can land in. The answer's JSON spells every float
+	// process-wide counter deltas over the run, which other jobs'
+	// engine counters can land in. The answer's JSON spells every float
 	// exactly, so equal bytes mean equal bits.
 	var got JobResponse
 	if err := json.Unmarshal([]byte(a.body), &got); err != nil {

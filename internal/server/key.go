@@ -190,11 +190,11 @@ const (
 	tagText                 // the Key (or RouteKey) text
 )
 
-// coalesceKey is the flight-group key of a buffered job. Two jobs get
-// the same key exactly when they resolve to the same engine run: same
-// kind, same model identities as ModelSpec.Key renders them, same
-// grids and scheduling parameters. Stream is absent — streamed
-// responses never enter the flight group.
+// appendCoalesceKey appends the flight-group key of a buffered job to
+// b. Two jobs get the same key exactly when they resolve to the same
+// engine run: same kind, same model identities as ModelSpec.Key renders
+// them, same grids and scheduling parameters. Stream is absent —
+// streamed responses never enter the flight group.
 //
 // The key is binary rather than text. Known kind, family and preset
 // names are one-byte codes (others are spelled out), each number is
@@ -206,10 +206,8 @@ const (
 // family, a missing model) is its Key text. The two forms never name
 // the same identity: a resolved spec under known names renders with a
 // positive temperature, which no other spec renders with those names.
-func coalesceKey(jr *JobRequest, model, ref specID) string {
-	buf := getEncodeBuf()
-	defer putEncodeBuf(buf)
-	b := appendName((*buf)[:0], jr.Kind)
+func appendCoalesceKey(b []byte, jr *JobRequest, model, ref specID) []byte {
+	b = appendName(b, jr.Kind)
 	if model.spec == nil {
 		b = appendText(append(b, tagText), RouteKey(*jr))
 	} else {
@@ -235,9 +233,7 @@ func coalesceKey(jr *JobRequest, model, ref specID) string {
 	b = appendOmittable(b, jr.EFSigma)
 	b = appendOmittable(b, jr.DiameterSigma)
 	b = binary.AppendVarint(b, int64(jr.Samples))
-	b = binary.AppendVarint(b, jr.Seed)
-	*buf = b
-	return string(b)
+	return binary.AppendVarint(b, jr.Seed)
 }
 
 // nameCode is the one-byte code of an interned wire name, 0 for any

@@ -11,7 +11,7 @@ import (
 // jobKey is the coalescing key of a decoded request, as the handler
 // computes it.
 func jobKey(jr JobRequest) string {
-	return coalesceKey(&jr, identify(jr.Model), identify(jr.Ref))
+	return string(appendCoalesceKey(nil, &jr, identify(jr.Model), identify(jr.Ref)))
 }
 
 // TestRouteKeyGolden pins server.RouteKey's text for representative
@@ -213,9 +213,11 @@ func BenchmarkCoalesceKey(b *testing.B) {
 		}
 	})
 	b.Run("binary", func(b *testing.B) {
+		model, ref := identify(jr.Model), identify(jr.Ref)
+		var buf []byte
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_ = jobKey(jr)
+			buf = appendCoalesceKey(buf[:0], &jr, model, ref)
 		}
 	})
 }

@@ -289,7 +289,10 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// Buffered identical requests in flight at the same time share one
 	// engine run (coalesce.go), keyed by the job's canonical identity;
 	// the leader runs it here, under ctx.
-	res, coalesced, err := s.flights.run(ctx, coalesceKey(&jr, model, ref), req)
+	key := getEncodeBuf()
+	defer putEncodeBuf(key)
+	*key = appendCoalesceKey((*key)[:0], &jr, model, ref)
+	res, coalesced, err := s.flights.run(ctx, *key, req)
 	if coalesced {
 		span.Set(telemetry.Bool(telemetry.AttrCoalesced, true))
 	}

@@ -97,35 +97,11 @@ func (m ModelSpec) device() (fettoy.Device, error) {
 	return dev, nil
 }
 
-// Curve is the wire form of one IDS(VDS) sweep at fixed VG. Voltages
-// are in volts, currents in amperes.
-type Curve struct {
-	VG  float64   `json:"vg"`
-	VDS []float64 `json:"vds"`
-	IDS []float64 `json:"ids"`
-}
-
-func curvesToWire(fam []sweep.Curve) []Curve {
-	if fam == nil {
-		return nil
-	}
-	out := make([]Curve, len(fam))
-	for i, c := range fam {
-		out[i] = Curve{VG: c.VG, VDS: c.VDS, IDS: c.IDS}
-	}
-	return out
-}
-
-func curvesFromWire(fam []Curve) []sweep.Curve {
-	if fam == nil {
-		return nil
-	}
-	out := make([]sweep.Curve, len(fam))
-	for i, c := range fam {
-		out[i] = sweep.Curve{VG: c.VG, VDS: c.VDS, IDS: c.IDS}
-	}
-	return out
-}
+// Curve is the wire form of one IDS(VDS) sweep at fixed VG: the
+// engine's own sweep.Curve, whose JSON tags spell "vg", "vds" and
+// "ids". Voltages are in volts, currents in amperes. The curves of one
+// answer's family share one read-only drain grid.
+type Curve = sweep.Curve
 
 // JobRequest is the body of POST /v1/jobs. Kind selects the job;
 // per-kind field requirements mirror engine.Request (the engine's own
@@ -253,7 +229,7 @@ func (jr JobRequest) toEngine(ctx context.Context, res Resolver, model, ref spec
 			}
 			req.Ref = r
 		case jr.RefFamily != nil:
-			req.RefFamily = curvesFromWire(jr.RefFamily)
+			req.RefFamily = jr.RefFamily
 		default:
 			return engine.Request{}, meta, fmt.Errorf("%s needs ref or ref_family", jr.Kind)
 		}
@@ -307,8 +283,8 @@ func toWire(kind string, res engine.Result) JobResponse {
 	out := JobResponse{
 		Kind:       kind,
 		IDS:        res.IDS,
-		Family:     curvesToWire(res.Family),
-		RefFamily:  curvesToWire(res.RefFamily),
+		Family:     res.Family,
+		RefFamily:  res.RefFamily,
 		RMSPercent: res.RMSPercent,
 		Metrics:    res.Metrics,
 		ElapsedNS:  int64(res.Elapsed),

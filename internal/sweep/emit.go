@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"cntfet/internal/device"
 	"cntfet/internal/fettoy"
@@ -14,7 +17,8 @@ import (
 
 // Collect returns an emit callback that appends each row to *fam —
 // the buffered form of FamilyParallelTo. Rows arrive in gate order, so
-// *fam ends up indexed like vgs.
+// *fam ends up indexed like vgs, and every row's VDS is the family's
+// one shared, read-only drain grid (see Curve).
 func Collect(fam *[]Curve) func(gi int, c Curve) error {
 	return func(_ int, c Curve) error {
 		*fam = append(*fam, c)
@@ -36,32 +40,19 @@ func Collect(fam *[]Curve) func(gi int, c Curve) error {
 // bad one) without stopping the workers, which still drain to count
 // every failure.
 type rowEmitter struct {
-	mu        sync.Mutex
-	remaining []int // points not yet attempted, per row
-	bad       []bool
-	out       []Curve
-	next      int // frontier: first row not yet emitted
-	emit      func(gi int, c Curve) error
-	failed    error // first emit error; sticky
-	stopped   bool  // a bad row reached the frontier
+	mu      sync.Mutex
+	rows    []rowSlot
+	next    int // frontier: first row not yet emitted
+	emit    func(gi int, c Curve) error
+	failed  error // first emit error; sticky
+	stopped bool  // a bad row reached the frontier
 }
 
-func newRowEmitter(rows, rowLen int, emit func(gi int, c Curve) error) *rowEmitter {
-	e := &rowEmitter{
-		remaining: make([]int, rows),
-		bad:       make([]bool, rows),
-		out:       make([]Curve, rows),
-		emit:      emit,
-	}
-	for i := range e.remaining {
-		e.remaining[i] = rowLen
-	}
-	return e
-}
-
-// newRow allocates the result curve of one gate voltage.
-func newRow(vg float64, vds []float64) Curve {
-	return Curve{VG: vg, VDS: append([]float64(nil), vds...), IDS: make([]float64, len(vds))}
+// rowSlot is the emitter's state of one gate row.
+type rowSlot struct {
+	remaining int   // points not yet attempted
+	bad       bool  // a point of the row failed
+	c         Curve // the row's result until it is emitted
 }
 
 // complete records n attempted points (successes and failures alike)
@@ -75,23 +66,24 @@ func (e *rowEmitter) complete(gi, n, errs int) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if errs > 0 {
-		e.bad[gi] = true
+		e.rows[gi].bad = true
 	}
-	e.remaining[gi] -= n
+	e.rows[gi].remaining -= n
 	if e.failed != nil {
 		return e.failed
 	}
-	for !e.stopped && e.next < len(e.out) && e.remaining[e.next] == 0 {
-		if e.bad[e.next] {
+	for !e.stopped && e.next < len(e.rows) && e.rows[e.next].remaining == 0 {
+		row := &e.rows[e.next]
+		if row.bad {
 			e.stopped = true
 			break
 		}
 		//lint:allow zeroalloc the emit callback's allocation budget belongs to its owner, not this scheduler
-		if err := e.emit(e.next, e.out[e.next]); err != nil {
+		if err := e.emit(e.next, row.c); err != nil {
 			e.failed = err
 			return err
 		}
-		e.out[e.next] = Curve{}
+		row.c = Curve{}
 		e.next++
 	}
 	return nil
@@ -103,26 +95,59 @@ func (e *rowEmitter) err() error {
 	return e.failed
 }
 
+// familyJob is one FamilyParallelTo call: its inputs, the chunk
+// counter the workers claim work from, and the bookkeeping they share.
+type familyJob struct {
+	ctx  context.Context
+	m    device.Solver
+	vgs  []float64
+	grid []float64 // the family's copy of the drain grid, shared by every row
+	on   bool      // telemetry gate, read once per sweep
+
+	// Chunk k covers points [lo, lo+span) of row k/perRow, lo =
+	// (k%perRow)·span; next is the first unclaimed k.
+	span, perRow int
+	chunks       int64
+	next         atomic.Int64
+
+	em       rowEmitter
+	errOnce  sync.Once
+	firstErr error // first numerical error, in order of discovery
+	wg       sync.WaitGroup
+	// scratch[w] is worker w's bias buffer for the batched chunk path,
+	// sized on its first batched chunk and kept across pooled reuse.
+	scratch [][]fettoy.Bias
+}
+
+// jobPool recycles a sweep's bookkeeping — the job, its row states
+// and the workers' bias scratch — across sweeps, so once buffers of
+// the family's size exist the scheduler allocates only the curves it
+// hands out.
+var jobPool = sync.Pool{New: func() any { return new(familyJob) }}
+
 // FamilyParallelTo is the family scheduler: it evaluates one IDS(VDS)
 // curve per gate voltage on the shared vds grid and hands each
 // completed row to emit, always in gate order (index gi into vgs) even
 // though workers finish chunks out of order. Ownership of the emitted
-// Curve (its VDS and IDS slices) transfers to the callback. Buffered
-// callers pass Collect.
+// Curve's IDS transfers to the callback; its VDS is the family's one
+// read-only copy of vds, shared by every row (see Curve), so the
+// caller may reuse vds once the call returns. Buffered callers pass
+// Collect.
 //
-// Scheduling: tasks are [lo, hi) index blocks of one VDS row, drained
-// by worker goroutines from a buffered channel, so the per-point cost
-// is the solve itself rather than a channel hand-off. workers <= 0
-// selects GOMAXPROCS. One worker runs whole rows as its chunks, so the
-// reference model's warm-start chain never restarts mid-row and the
-// output is bit-for-bit a whole-row IDSBatch; more workers split the
-// grid into about four chunks per worker. When the model exposes
-// device.BatchSolver each chunk goes to the row kernel (the zero-alloc
-// closed form for the piecewise family, the warm-started table Newton
-// for the reference) through a per-worker scratch buffer; otherwise
-// points run one by one with warm-start continuation when the model
-// supports it (device.WarmStarter). Both library models are safe for
-// concurrent use after construction.
+// Scheduling: tasks are [lo, hi) index blocks of one VDS row, claimed
+// in gate-major order from an atomic chunk counter, so the per-point
+// cost is the solve itself rather than a hand-off. workers <= 0
+// selects GOMAXPROCS; worker 0 runs on the calling goroutine. One
+// worker runs whole rows as its chunks, so the reference model's
+// warm-start chain never restarts mid-row and the output is bit-for-bit
+// a whole-row IDSBatch; more workers split the grid into about four
+// chunks per worker. When the model exposes device.BatchSolver each
+// chunk goes to the row kernel (the zero-alloc closed form for the
+// piecewise family, the warm-started table Newton for the reference)
+// through a per-worker scratch buffer kept with the pooled job;
+// otherwise points run one by one with warm-start continuation when
+// the model supports it (device.WarmStarter). Both library models are
+// safe for concurrent use after construction.
 //
 // Cancellation is honoured per chunk on the batched path and per point
 // otherwise: every goroutine is joined before return, and the error
@@ -142,43 +167,19 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Chunks never span rows, so a row's completion is observable at
-	// chunk granularity. About four chunks per worker balance load
-	// without paying a hand-off per point; one worker takes whole rows.
-	span := len(vds)
-	if workers > 1 {
-		span = (len(vgs)*len(vds) + 4*workers - 1) / (4 * workers)
-		if span < 8 {
-			span = 8
-		}
-		if span > len(vds) {
-			span = len(vds)
-		}
-	}
-	if span < 1 {
-		span = 1
-	}
-
-	type chunk struct{ gi, lo, hi int }
+	span := chunkSpan(workers, len(vgs), len(vds))
 	perRow := (len(vds) + span - 1) / span
-	tasks := make(chan chunk, perRow*len(vgs))
-	for gi := range vgs {
-		for lo := 0; lo < len(vds); lo += span {
-			hi := lo + span
-			if hi > len(vds) {
-				hi = len(vds)
-			}
-			tasks <- chunk{gi, lo, hi}
-		}
+	j := jobPool.Get().(*familyJob)
+	defer j.release()
+	j.ctx, j.m, j.vgs, j.on = ctx, m, vgs, telemetry.On()
+	j.grid = append(make([]float64, 0, len(vds)), vds...)
+	j.span, j.perRow, j.chunks = span, perRow, int64(perRow*len(vgs))
+	j.em.emit = emit
+	j.em.rows = slices.Grow(j.em.rows[:0], len(vgs))[:len(vgs)]
+	j.scratch = slices.Grow(j.scratch, workers)[:workers]
+	for gi := range j.em.rows {
+		j.em.rows[gi].remaining = len(vds)
 	}
-	close(tasks)
-
-	// First-error capture without a per-point mutex: the winning worker
-	// records once, later errors only bump the shared counter.
-	var firstErr error
-	var errOnce sync.Once
-
-	em := newRowEmitter(len(vgs), len(vds), emit)
 	if workers > 1 {
 		// Several workers may start chunks of one row at once, so every
 		// row is allocated before they start. A lone worker allocates
@@ -187,115 +188,165 @@ func FamilyParallelTo(ctx context.Context, m device.Solver, vgs, vds []float64, 
 		// slot before reporting the chunk, and the emitter clears the
 		// slot only after the row's last report, under its mutex.
 		for gi, vg := range vgs {
-			em.out[gi] = newRow(vg, vds)
+			j.em.rows[gi].c = j.newRow(vg)
 		}
 	}
-
-	ws, warm := m.(device.WarmStarter)
-	bs, batch := m.(device.BatchSolver)
-	done := ctxDone(ctx)
-	on := telemetry.On()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		//lint:allow goroutine cancellation is honoured per chunk through the captured done channel (ctxDone(ctx) above)
-		go func(w int) {
-			defer wg.Done()
-			var points, errs int64
-			// Per-worker bias scratch for the batched chunk path: one
-			// allocation per worker for the whole sweep, sized to the
-			// largest chunk. Lazy so non-batch models pay nothing.
-			var biasBuf []fettoy.Bias
-			if on {
-				defer workerTimer(w).Start()()
-			}
-			defer func() { countPoints(on, w, points, errs) }()
-		drain:
-			for ck := range tasks {
-				// One span per chunk — the scheduler's work unit — keeps
-				// tracing cost off the per-point path while still showing
-				// which worker ran which run of points. Nil (free) while
-				// tracing is off.
-				_, sp := telemetry.StartSpan(ctx, telemetry.SpanSweepChunk)
-				chunkPoints, chunkErrs := points, errs
-				if em.out[ck.gi].IDS == nil {
-					em.out[ck.gi] = newRow(vgs[ck.gi], vds)
-				}
-				ids := em.out[ck.gi].IDS
-				if batch {
-					// Batched chunk path: hand the whole [lo, hi) run to
-					// the model's row kernel. Cancellation is honoured per
-					// chunk here — a chunk is at most one VDS row.
-					select {
-					case <-done:
-						endChunkSpan(sp, w, vgs[ck.gi], points-chunkPoints)
-						break drain
-					default:
-					}
-					if biasBuf == nil {
-						biasBuf = make([]fettoy.Bias, span)
-					}
-					n := ck.hi - ck.lo
-					for vi := ck.lo; vi < ck.hi; vi++ {
-						biasBuf[vi-ck.lo] = fettoy.Bias{VG: vgs[ck.gi], VD: vds[vi]}
-					}
-					if err := bs.IDSBatch(biasBuf[:n], ids[ck.lo:ck.hi]); err == nil {
-						points += int64(n)
-						endChunkSpan(sp, w, vgs[ck.gi], points-chunkPoints)
-						if em.complete(ck.gi, n, 0) != nil {
-							break drain
-						}
-						continue
-					}
-					// The batch failed somewhere in the run: fall through
-					// to the per-point loop, which redoes the chunk to
-					// attribute the failing point exactly and keep the
-					// healthy neighbours — batch errors stay as non-silent
-					// and non-aborting as per-point ones.
-				}
-				guess := math.NaN()
-				for vi := ck.lo; vi < ck.hi; vi++ {
-					select {
-					case <-done:
-						// The tasks channel is pre-filled and closed, so
-						// abandoning the range leaves no blocked sender.
-						endChunkSpan(sp, w, vgs[ck.gi], points-chunkPoints)
-						break drain
-					default:
-					}
-					b := fettoy.Bias{VG: vgs[ck.gi], VD: vds[vi]}
-					var v float64
-					var err error
-					if warm {
-						v, guess, err = ws.IDSFrom(b, guess)
-					} else {
-						v, err = m.IDS(b)
-					}
-					if err != nil {
-						errs++
-						errOnce.Do(func() {
-							firstErr = fmt.Errorf("sweep: VG=%g VDS=%g: %w", b.VG, b.VD, err)
-						})
-						guess = math.NaN()
-						continue
-					}
-					points++
-					ids[vi] = v
-				}
-				endChunkSpan(sp, w, vgs[ck.gi], points-chunkPoints)
-				attempted := int(points - chunkPoints + errs - chunkErrs)
-				if em.complete(ck.gi, attempted, int(errs-chunkErrs)) != nil {
-					break drain
-				}
-			}
-		}(w)
+	j.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		//lint:allow goroutine joined by j.wg below; cancellation is honoured per chunk through ctxDone(ctx) in drain
+		go j.spawned(w)
 	}
-	wg.Wait()
+	j.work(0)
+	j.wg.Wait()
 	if ctx != nil && ctx.Err() != nil {
 		return canceledErr(ctx)
 	}
-	if err := em.err(); err != nil {
+	if err := j.em.err(); err != nil {
 		return err
 	}
-	return firstErr
+	return j.firstErr
+}
+
+// release clears the job, dropping every reference it holds, and
+// returns it to the pool. Every worker has been joined by then.
+func (j *familyJob) release() {
+	clear(j.em.rows)
+	*j = familyJob{em: rowEmitter{rows: j.em.rows[:0]}, scratch: j.scratch}
+	jobPool.Put(j)
+}
+
+// chunkSpan returns the points per chunk. Chunks never span rows, so a
+// row's completion is observable at chunk granularity. About four
+// chunks per worker balance load without paying a hand-off per point;
+// one worker takes whole rows.
+func chunkSpan(workers, rows, cols int) int {
+	span := cols
+	if workers > 1 {
+		span = (rows*cols + 4*workers - 1) / (4 * workers)
+		span = min(max(span, 8), cols)
+	}
+	return max(span, 1)
+}
+
+// newRow allocates the result curve of one gate voltage: its own IDS
+// on the family's shared grid. VDS is capped at its length, so an
+// append to one row's VDS copies rather than writing into memory the
+// other rows share.
+func (j *familyJob) newRow(vg float64) Curve {
+	n := len(j.grid)
+	return Curve{VG: vg, VDS: j.grid[:n:n], IDS: make([]float64, n)}
+}
+
+// spawned runs worker w on its own goroutine.
+func (j *familyJob) spawned(w int) {
+	defer j.wg.Done()
+	j.work(w)
+}
+
+// work runs one worker to completion and records its point accounting
+// and, with telemetry on, its busy time.
+func (j *familyJob) work(w int) {
+	var begin time.Time
+	if j.on {
+		begin = time.Now()
+	}
+	points, errs := j.drain(w)
+	countPoints(j.on, w, points, errs)
+	if j.on {
+		workerTimer(w).Observe(time.Since(begin))
+	}
+}
+
+// drain claims chunks until none are left, the context ends or the
+// emitter fails, and returns the points it completed and failed.
+func (j *familyJob) drain(w int) (points, errs int64) {
+	ws, warm := j.m.(device.WarmStarter)
+	bs, batch := j.m.(device.BatchSolver)
+	done := ctxDone(j.ctx)
+	for {
+		k := j.next.Add(1) - 1
+		if k >= j.chunks {
+			return points, errs
+		}
+		gi := int(k) / j.perRow
+		lo := int(k) % j.perRow * j.span
+		hi := min(lo+j.span, len(j.grid))
+		vg := j.vgs[gi]
+		// One span per chunk — the scheduler's work unit — keeps
+		// tracing cost off the per-point path while still showing
+		// which worker ran which run of points. Nil (free) while
+		// tracing is off.
+		_, sp := telemetry.StartSpan(j.ctx, telemetry.SpanSweepChunk)
+		chunkPoints, chunkErrs := points, errs
+		row := &j.em.rows[gi]
+		if row.c.IDS == nil {
+			row.c = j.newRow(vg)
+		}
+		ids := row.c.IDS
+		if batch {
+			// Batched chunk path: hand the whole [lo, hi) run to the
+			// model's row kernel. Cancellation is honoured per chunk
+			// here — a chunk is at most one VDS row.
+			select {
+			case <-done:
+				endChunkSpan(sp, w, vg, points-chunkPoints)
+				return points, errs
+			default:
+			}
+			if cap(j.scratch[w]) < j.span {
+				j.scratch[w] = make([]fettoy.Bias, j.span)
+			}
+			b := j.scratch[w][:hi-lo]
+			for vi := lo; vi < hi; vi++ {
+				b[vi-lo] = fettoy.Bias{VG: vg, VD: j.grid[vi]}
+			}
+			if err := bs.IDSBatch(b, ids[lo:hi]); err == nil {
+				points += int64(hi - lo)
+				endChunkSpan(sp, w, vg, points-chunkPoints)
+				if j.em.complete(gi, hi-lo, 0) != nil {
+					return points, errs
+				}
+				continue
+			}
+			// The batch failed somewhere in the run: fall through to the
+			// per-point loop, which redoes the chunk to attribute the
+			// failing point exactly and keep the healthy neighbours —
+			// batch errors stay as non-silent and non-aborting as
+			// per-point ones.
+		}
+		guess := math.NaN()
+		for vi := lo; vi < hi; vi++ {
+			select {
+			case <-done:
+				// Abandoning the range leaves nothing blocked: unclaimed
+				// chunks simply stay unclaimed.
+				endChunkSpan(sp, w, vg, points-chunkPoints)
+				return points, errs
+			default:
+			}
+			b := fettoy.Bias{VG: vg, VD: j.grid[vi]}
+			var v float64
+			var err error
+			if warm {
+				v, guess, err = ws.IDSFrom(b, guess)
+			} else {
+				v, err = j.m.IDS(b)
+			}
+			if err != nil {
+				errs++
+				j.errOnce.Do(func() {
+					j.firstErr = fmt.Errorf("sweep: VG=%g VDS=%g: %w", b.VG, b.VD, err)
+				})
+				guess = math.NaN()
+				continue
+			}
+			points++
+			ids[vi] = v
+		}
+		endChunkSpan(sp, w, vg, points-chunkPoints)
+		attempted := int(points - chunkPoints + errs - chunkErrs)
+		if j.em.complete(gi, attempted, int(errs-chunkErrs)) != nil {
+			return points, errs
+		}
+	}
 }

@@ -111,7 +111,7 @@ func TestFamilyBatchToEmitsRowsIncrementally(t *testing.T) {
 func TestOneWorkerHoldsOneRow(t *testing.T) {
 	const ng, nd = 32, 4096
 	vgs, vds := grids(ng, nd)
-	const rowBytes = 2 * 8 * nd // the row's VDS and IDS slices; the bias scratch is the same size
+	const rowBytes = 2 * 8 * nd // a row's IDS plus as much again for the shared grid; the bias scratch is this size
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	base := ms.TotalAlloc

@@ -13,11 +13,20 @@ import (
 	"cntfet/internal/units"
 )
 
-// Curve is one IDS(VDS) sweep at a fixed gate voltage.
+// Curve is one IDS(VDS) sweep at a fixed gate voltage: VG and VDS in
+// volts, IDS in amperes. It is also the wire form of a curve in the
+// sweep service's JSON (server.Curve is this type).
+//
+// The curves of one family — from FamilyParallelTo, and so from
+// Collect, cntfet.Family, engine results and streamed rows — share one
+// read-only VDS grid: the family's own copy of the drain grid, never
+// the caller's slice. Each curve owns its IDS. Treat VDS as read-only;
+// an append to it copies (its capacity is its length), so it never
+// writes into another curve's grid.
 type Curve struct {
-	VG  float64
-	VDS []float64
-	IDS []float64
+	VG  float64   `json:"vg"`
+	VDS []float64 `json:"vds"`
+	IDS []float64 `json:"ids"`
 }
 
 // Trace evaluates one curve on the given drain-voltage grid, one cold

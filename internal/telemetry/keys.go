@@ -101,6 +101,8 @@ const (
 // HTTP outcomes; the cache pair splits model resolution between reuse
 // of an already-built model and a fresh build.
 const (
+	// PrefixServer begins every sweep-service front-end counter key.
+	PrefixServer = "server."
 	// KeyServerRequests counts accepted job requests (after routing,
 	// before admission control).
 	KeyServerRequests = "server.requests"
@@ -141,6 +143,8 @@ const (
 // cmd/cntshard): how jobs route across the rendezvous-hashed replica
 // ring, and per-replica health as active probes see it.
 const (
+	// PrefixCluster begins every cluster-router counter and gauge key.
+	PrefixCluster = "cluster."
 	// KeyClusterRouteLocalHit counts jobs served by their home replica —
 	// the first replica in the key's rendezvous order.
 	KeyClusterRouteLocalHit = "cluster.route.local_hit"

@@ -22,6 +22,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -297,9 +298,10 @@ func (r *Registry) CounterMark(dst []int64) []int64 {
 }
 
 // CounterDelta returns the non-zero counter movements since mark (a
-// CounterMark result), keyed by counter name. A counter created after
-// the mark counts from zero. The map is never nil.
-func (r *Registry) CounterDelta(mark []int64) map[string]int64 {
+// CounterMark result), keyed by counter name, leaving out counters
+// whose names start with any of the exclude prefixes. A counter
+// created after the mark counts from zero. The map is never nil.
+func (r *Registry) CounterDelta(mark []int64, exclude ...string) map[string]int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	d := make(map[string]int64)
@@ -308,11 +310,20 @@ func (r *Registry) CounterDelta(mark []int64) map[string]int64 {
 		if i < len(mark) {
 			v -= mark[i]
 		}
-		if v != 0 {
+		if v != 0 && !hasAnyPrefix(r.counterNames[i], exclude) {
 			d[r.counterNames[i]] = v
 		}
 	}
 	return d
+}
+
+func hasAnyPrefix(s string, prefixes []string) bool {
+	for _, p := range prefixes {
+		if strings.HasPrefix(s, p) {
+			return true
+		}
+	}
+	return false
 }
 
 // Gauge returns the named gauge, creating it on first use.
