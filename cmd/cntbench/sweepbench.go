@@ -100,7 +100,6 @@ var sweepCounterKeys = []string{
 	telemetry.KeyCoreDispatchQuadratic,
 	telemetry.KeyCoreDispatchCardano,
 	telemetry.KeyCoreDispatchTrig,
-	telemetry.KeyCoreFallbackGeneric,
 	telemetry.KeySweepPoints,
 	telemetry.KeySweepErrors,
 }

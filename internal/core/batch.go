@@ -41,13 +41,23 @@ const batchBlock = 64
 //     atomic add per touched instrument after the batch; the inner
 //     loop carries no shared-counter traffic at all.
 //
-// Counter totals (core.solves, core.dispatch.*, core.fallback_generic)
-// are identical to the per-point path's.
+// Counter totals (core.solves, core.dispatch.*) are identical to the
+// per-point path's. A bias whose solve finds no root stops the batch
+// with SolveVSC's error for it, which wraps rootfind.ErrBadBracket.
+func (m *Model) IDSBatch(bias []fettoy.Bias, out []float64) error {
+	if i := m.idsRow(bias, out); i < len(bias) {
+		return errNoRoot(bias[i])
+	}
+	return nil
+}
+
+// idsRow is IDSBatch's kernel. It returns len(bias), or the index of
+// the first bias whose solve finds no root, where it stops.
 //
 //perf:zeroalloc
-func (m *Model) IDSBatch(bias []fettoy.Bias, out []float64) error {
+func (m *Model) idsRow(bias []fettoy.Bias, out []float64) int {
 	var counts [dispatchCount]int64
-	var solves, fallbacks int64
+	var solves int64
 	var vscBuf [batchBlock]float64
 	cursor := -1 // no segment hint yet: first point pays the cold scan
 	for base := 0; base < len(bias); base += batchBlock {
@@ -58,20 +68,14 @@ func (m *Model) IDSBatch(bias []fettoy.Bias, out []float64) error {
 		blk := bias[base:end]
 		// Solve loop: closed-form roots only, currents deferred.
 		for i, b := range blk {
-			//lint:allow zeroalloc solveVSCRow's closures never escape (stack-allocated; the alloc test covers this path)
 			v, branch, ok := m.solveVSCRow(m.ulEff(b), b.VD-b.VS, &cursor)
 			solves++
 			counts[branch]++
 			if !ok {
-				fallbacks++
-				var err error
-				//lint:allow zeroalloc cold fallback for points the fast path rejects; its fmt.Errorf is the failure exit
-				if v, err = m.solveVSCGeneric(b); err != nil {
-					if telemetry.On() {
-						flushDispatch(&counts, solves, fallbacks)
-					}
-					return err
+				if telemetry.On() {
+					flushDispatch(&counts, solves)
 				}
+				return base + i
 			}
 			vscBuf[i] = v
 		}
@@ -82,7 +86,7 @@ func (m *Model) IDSBatch(bias []fettoy.Bias, out []float64) error {
 		}
 	}
 	if telemetry.On() {
-		flushDispatch(&counts, solves, fallbacks)
+		flushDispatch(&counts, solves)
 	}
-	return nil
+	return len(bias)
 }

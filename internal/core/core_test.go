@@ -30,6 +30,8 @@ func TestSpecValidation(t *testing.T) {
 		{Name: "negative degree", Breaks: []float64{0}, Degrees: []int{-1}, ZeroTail: true},
 		{Name: "count mismatch", Breaks: []float64{0}, Degrees: []int{1, 2}, ZeroTail: true},
 		{Name: "unsorted", Breaks: []float64{0.1, -0.1}, Degrees: []int{1, 2}, ZeroTail: true},
+		{Name: "nine breaks", Breaks: []float64{-0.4, -0.3, -0.2, -0.1, 0, 0.1, 0.2, 0.3, 0.4},
+			Degrees: []int{1, 2, 2, 2, 2, 2, 2, 2, 2}, ZeroTail: true},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -345,13 +347,21 @@ func TestAccessors(t *testing.T) {
 }
 
 func TestFastSolverMatchesGenericPath(t *testing.T) {
-	// The allocation-free solver and the generic piecewise machinery
-	// must agree to solver precision over a dense bias grid, for both
-	// models and several devices.
+	// The allocation-free solver and the generic piecewise solver in
+	// generic_test.go must agree to solver precision over a dense bias
+	// grid, for both models and several devices, and for the largest
+	// spec Validate accepts, which fills the fast path's merged
+	// breakpoint buffer.
+	eight := Spec{
+		Name:     "eight breaks",
+		Breaks:   []float64{-0.28, -0.2, -0.12, -0.06, -0.03, 0, 0.05, 0.12},
+		Degrees:  []int{1, 2, 2, 2, 2, 2, 2, 3},
+		ZeroTail: true,
+	}
 	devices := []fettoy.Device{fettoy.Default(), fettoy.Javey()}
 	for _, dev := range devices {
 		ref := refModel(t, dev)
-		for _, spec := range []Spec{Model1Spec(), Model2Spec()} {
+		for _, spec := range []Spec{Model1Spec(), Model2Spec(), eight} {
 			m, err := Fit(ref, spec, FitOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -360,7 +370,7 @@ func TestFastSolverMatchesGenericPath(t *testing.T) {
 				for vd := 0.0; vd <= 0.61; vd += 0.1 {
 					b := fettoy.Bias{VG: vg, VD: vd}
 					fast, err1 := m.SolveVSC(b)
-					gen, err2 := m.SolveVSCGeneric(b)
+					gen, err2 := m.solveVSCGeneric(b)
 					if err1 != nil || err2 != nil {
 						t.Fatalf("%s %+v: %v / %v", spec.Name, b, err1, err2)
 					}
@@ -384,7 +394,7 @@ func TestFastSolverNegativeVDS(t *testing.T) {
 	}
 	b := fettoy.Bias{VG: 0.5, VD: -0.2}
 	fast, err1 := m.SolveVSC(b)
-	gen, err2 := m.SolveVSCGeneric(b)
+	gen, err2 := m.solveVSCGeneric(b)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("%v / %v", err1, err2)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"cntfet/internal/fettoy"
 	"cntfet/internal/telemetry"
 )
 
@@ -11,7 +10,7 @@ import (
 // into the dispatch counter array. The split mirrors solveMonotoneCubic:
 // which closed-form root formula the bracketed region required.
 const (
-	dispatchNone      = iota // no root in region / break-buffer overflow
+	dispatchNone      = iota // no root in the bracketed region
 	dispatchLinear           // degree-1 region
 	dispatchQuadratic        // degree-2 region
 	dispatchCardano          // cubic, one real root (Cardano)
@@ -24,9 +23,8 @@ const (
 // every call site gates on telemetry.On() — with the gate off the only
 // cost is one atomic bool load per solve.
 var metrics = struct {
-	solves          *telemetry.Counter
-	dispatch        [dispatchCount]*telemetry.Counter
-	fallbackGeneric *telemetry.Counter
+	solves   *telemetry.Counter
+	dispatch [dispatchCount]*telemetry.Counter
 }{
 	solves: telemetry.Default().Counter(telemetry.KeyCoreSolves),
 	dispatch: [dispatchCount]*telemetry.Counter{
@@ -36,16 +34,15 @@ var metrics = struct {
 		telemetry.Default().Counter(telemetry.KeyCoreDispatchCardano),
 		telemetry.Default().Counter(telemetry.KeyCoreDispatchTrig),
 	},
-	fallbackGeneric: telemetry.Default().Counter(telemetry.KeyCoreFallbackGeneric),
 }
 
 // The hot path of the paper: solving the self-consistent voltage
-// equation in closed form. The generic piecewise machinery in
-// internal/poly allocates (Taylor shifts, break merging); at one call
-// per bias point in a circuit simulator that overhead would swamp the
-// polynomial arithmetic itself, so this file re-implements the solve on
-// stack-allocated degree-3 coefficient arrays. A test cross-checks it
-// against the generic path.
+// equation in closed form. Generic piecewise-polynomial arithmetic
+// allocates (Taylor shifts, break merging); at one call per bias point
+// in a circuit simulator that overhead would swamp the polynomial
+// arithmetic itself, so the solve runs on stack-allocated degree-3
+// coefficient arrays. The tests cross-check it against a generic
+// piecewise solver kept in test code.
 
 // cubic is a polynomial of degree <= 3, coef[i]·x^i.
 type cubic [4]float64
@@ -86,7 +83,7 @@ func (m *Model) solveVSCFast(ul, vds float64) (float64, int, bool) {
 // merge does it in one pass; the candidate multiset — and therefore
 // every decision downstream — is identical to sorting the interleaved
 // pairs.
-func (m *Model) mergeBreaks(vds float64, cand *[16]float64) int {
+func (m *Model) mergeBreaks(vds float64, cand *[2 * maxBreaks]float64) int {
 	breaks := m.fastBreaks
 	i, j, k := 0, 0, 0
 	for i < len(breaks) && j < len(breaks) {
@@ -110,6 +107,35 @@ func (m *Model) mergeBreaks(vds float64, cand *[16]float64) int {
 	return k
 }
 
+// bracketScan is one solve's merged breakpoint list and the terms of
+// its residual F(V) = V + ul - (QS(V) + QS(V+vds))/CΣ.
+type bracketScan struct {
+	m            *Model
+	cand         [2 * maxBreaks]float64
+	ul, vds, inv float64 // inv = 1/CΣ
+}
+
+// f is F at candidate i, by point evaluations of QS.
+func (s *bracketScan) f(i int) float64 {
+	b := s.cand[i]
+	return b + s.ul - s.inv*(s.m.qsFast(b)+s.m.qsFast(b+s.vds))
+}
+
+// skip reports a coincident break: a candidate within 1e-15 of its left
+// neighbour. The scan skips it, so a bracket never collapses to zero
+// width.
+func (s *bracketScan) skip(i int) bool { return i > 0 && s.cand[i]-s.cand[i-1] < 1e-15 }
+
+// prev returns the largest non-coincident index < i, or -1.
+func (s *bracketScan) prev(i int) int {
+	for j := i - 1; j >= 0; j-- {
+		if !s.skip(j) {
+			return j
+		}
+	}
+	return -1
+}
+
 // solveVSCRow is the region-dispatch-hoisted solve the batch kernel
 // runs per point: *cursor carries the index of the previous point's
 // bracketing breakpoint, so a run of neighbouring bias points whose
@@ -120,35 +146,15 @@ func (m *Model) mergeBreaks(vds float64, cand *[16]float64) int {
 // polynomial and hence the returned root are bit-identical to the
 // cold-scan path's: only the order of sign evaluations changes, and F
 // is monotone across the scanned breakpoints.
+//
+// ok is false only when the bracket's polynomial has no root in
+// (lo, hi] and no jump at lo holds it (see below), which for a
+// monotone residual cannot happen.
 func (m *Model) solveVSCRow(ul, vds float64, cursor *int) (float64, int, bool) {
-	// The paper's models have <= 3 breaks; custom specs up to 8 breaks
-	// still fit the stack buffer, beyond that the caller falls back to
-	// the generic path.
-	var cand [16]float64
-	if 2*len(m.fastBreaks) > len(cand) {
-		return 0, dispatchNone, false
-	}
-	n := m.mergeBreaks(vds, &cand)
-	inv := 1 / m.csigma
-
-	// F at a candidate, by point evaluations of QS — the same
-	// expression (and bits) the cold scan uses. Candidates within
-	// 1e-15 of their left neighbour are coincident breaks: the scan
-	// skips them, so the bracket below never collapses to zero width.
-	fAt := func(i int) float64 {
-		b := cand[i]
-		return b + ul - inv*(m.qsFast(b)+m.qsFast(b+vds))
-	}
-	skip := func(i int) bool { return i > 0 && cand[i]-cand[i-1] < 1e-15 }
-	// prevScanned returns the largest non-coincident index < i, or -1.
-	prevScanned := func(i int) int {
-		for j := i - 1; j >= 0; j-- {
-			if !skip(j) {
-				return j
-			}
-		}
-		return -1
-	}
+	// Spec.Validate caps a model at maxBreaks, so the merged source
+	// and drain breaks always fit the stack buffer.
+	s := bracketScan{m: m, ul: ul, vds: vds, inv: 1 / m.csigma}
+	n := m.mergeBreaks(vds, &s.cand)
 
 	// Locate h, the first scanned candidate with F >= 0 (h == n means
 	// the root lies beyond every break). With a cursor hint the common
@@ -159,17 +165,17 @@ func (m *Model) solveVSCRow(ul, vds float64, cursor *int) (float64, int, bool) {
 		if h > n {
 			h = n
 		}
-		for h < n && skip(h) {
+		for h < n && s.skip(h) {
 			h++
 		}
-		if h < n && fAt(h) < 0 {
+		if h < n && s.f(h) < 0 {
 			// Root moved up: resume the upward scan past the hint.
 			next := n
 			for i := h + 1; i < n; i++ {
-				if skip(i) {
+				if s.skip(i) {
 					continue
 				}
-				if fAt(i) >= 0 {
+				if s.f(i) >= 0 {
 					next = i
 					break
 				}
@@ -179,8 +185,8 @@ func (m *Model) solveVSCRow(ul, vds float64, cursor *int) (float64, int, bool) {
 			// F(h) >= 0 (or h == n): walk down while the predecessor
 			// also clears zero, so h ends on the first crossing.
 			for {
-				p := prevScanned(h)
-				if p < 0 || fAt(p) < 0 {
+				p := s.prev(h)
+				if p < 0 || s.f(p) < 0 {
 					break
 				}
 				h = p
@@ -189,10 +195,10 @@ func (m *Model) solveVSCRow(ul, vds float64, cursor *int) (float64, int, bool) {
 	} else {
 		h = n
 		for i := 0; i < n; i++ {
-			if skip(i) {
+			if s.skip(i) {
 				continue
 			}
-			if fAt(i) >= 0 {
+			if s.f(i) >= 0 {
 				h = i
 				break
 			}
@@ -202,39 +208,42 @@ func (m *Model) solveVSCRow(ul, vds float64, cursor *int) (float64, int, bool) {
 
 	lo, hi := math.Inf(-1), math.Inf(1)
 	if h < n {
-		hi = cand[h]
+		hi = s.cand[h]
 	}
-	if p := prevScanned(h); p >= 0 {
-		lo = cand[p]
+	if p := s.prev(h); p >= 0 {
+		lo = s.cand[p]
 	}
 
 	f := m.fTotal(pick(lo, hi), ul, vds)
-	return solveMonotoneCubic(f, lo, hi)
+	v, branch, ok := solveMonotoneCubic(f, lo, hi)
+	if !ok && !math.IsInf(lo, -1) && f.at(lo) > 0 {
+		// F(lo) < 0 on the pieces left of lo, yet the bracket's own
+		// pieces are already positive there: they meet in a jump at
+		// lo (fitted pieces meet only to within newModel's C0
+		// tolerance), and the monotone residual crosses zero inside
+		// it, so the break is the root.
+		return lo, branch, true
+	}
+	return v, branch, ok
 }
 
-// countDispatch records one fast-path solve outcome; the caller gates
-// on telemetry.On() so the disabled path stays branch-only.
-func countDispatch(branch int, ok bool) {
+// countDispatch records one closed-form solve's branch; the caller
+// gates on telemetry.On() so the disabled path stays branch-only.
+func countDispatch(branch int) {
 	metrics.solves.Inc()
 	metrics.dispatch[branch].Inc()
-	if !ok {
-		metrics.fallbackGeneric.Inc()
-	}
 }
 
-// flushDispatch records a whole batch's fast-path outcomes with one
-// atomic add per touched instrument. The row kernel accumulates into a
-// local array so its inner loop carries no shared-counter traffic;
-// totals match per-point countDispatch exactly.
-func flushDispatch(counts *[dispatchCount]int64, solves, fallbacks int64) {
+// flushDispatch records a whole batch's solves with one atomic add per
+// touched instrument. The row kernel accumulates into a local array so
+// its inner loop carries no shared-counter traffic; totals match
+// per-point countDispatch exactly.
+func flushDispatch(counts *[dispatchCount]int64, solves int64) {
 	metrics.solves.Add(solves)
 	for br, c := range counts {
 		if c != 0 {
 			metrics.dispatch[br].Add(c)
 		}
-	}
-	if fallbacks != 0 {
-		metrics.fallbackGeneric.Add(fallbacks)
 	}
 }
 
@@ -297,21 +306,6 @@ func (m *Model) qsFast(x float64) float64 {
 // middle return reports which dispatch branch produced the root, for
 // the region-dispatch histogram.
 func solveMonotoneCubic(c cubic, lo, hi float64) (float64, int, bool) {
-	const tol = 1e-12
-	try := func(r float64) (float64, bool) {
-		if (math.IsInf(lo, -1) || r >= lo-tol) && (math.IsInf(hi, 1) || r <= hi+tol) {
-			// One Newton polish step tightens the closed-form root.
-			if d := c.deriv(r); d != 0 { //lint:allow floatcmp exact-zero derivative guard before dividing
-				step := c.at(r) / d
-				if math.Abs(step) < 1e-3*(1+math.Abs(r)) {
-					r -= step
-				}
-			}
-			return r, true
-		}
-		return 0, false
-	}
-
 	switch {
 	case c[3] != 0: //lint:allow floatcmp exact degree dispatch on the stored coefficient
 		// Depressed cubic via Cardano / trigonometric form.
@@ -323,11 +317,11 @@ func solveMonotoneCubic(c cubic, lo, hi float64) (float64, int, bool) {
 		if disc > 0 {
 			sq := math.Sqrt(disc)
 			r := math.Cbrt(-q/2+sq) + math.Cbrt(-q/2-sq) + shift
-			v, ok := try(r)
+			v, ok := tryRoot(c, lo, hi, r)
 			return v, dispatchCardano, ok
 		}
 		if p == 0 { //lint:allow floatcmp exact depressed-cubic degenerate branch
-			v, ok := try(shift)
+			v, ok := tryRoot(c, lo, hi, shift)
 			return v, dispatchCardano, ok
 		}
 		mmod := 2 * math.Sqrt(-p/3)
@@ -340,7 +334,7 @@ func solveMonotoneCubic(c cubic, lo, hi float64) (float64, int, bool) {
 		theta := math.Acos(arg) / 3
 		for k := 0; k < 3; k++ {
 			r := mmod*math.Cos(theta-2*math.Pi*float64(k)/3) + shift
-			if v, ok := try(r); ok {
+			if v, ok := tryRoot(c, lo, hi, r); ok {
 				return v, dispatchTrig, true
 			}
 		}
@@ -357,20 +351,36 @@ func solveMonotoneCubic(c cubic, lo, hi float64) (float64, int, bool) {
 		} else {
 			qq = -0.5 * (c[1] - sq)
 		}
-		if v, ok := try(qq / c[2]); ok {
+		if v, ok := tryRoot(c, lo, hi, qq/c[2]); ok {
 			return v, dispatchQuadratic, true
 		}
 		if qq != 0 { //lint:allow floatcmp exact-zero divisor guard
-			v, ok := try(c[0] / qq)
+			v, ok := tryRoot(c, lo, hi, c[0]/qq)
 			return v, dispatchQuadratic, ok
 		}
 		return 0, dispatchNone, false
 	case c[1] != 0: //lint:allow floatcmp exact degree dispatch on the stored coefficient
-		v, ok := try(-c[0] / c[1])
+		v, ok := tryRoot(c, lo, hi, -c[0]/c[1])
 		return v, dispatchLinear, ok
 	default:
 		return 0, dispatchNone, false
 	}
+}
+
+// tryRoot accepts a closed-form root r of c that lies in (lo, hi], to
+// within 1e-12, and tightens it with one Newton polish step.
+func tryRoot(c cubic, lo, hi, r float64) (float64, bool) {
+	const tol = 1e-12
+	if (math.IsInf(lo, -1) || r >= lo-tol) && (math.IsInf(hi, 1) || r <= hi+tol) {
+		if d := c.deriv(r); d != 0 { //lint:allow floatcmp exact-zero derivative guard before dividing
+			step := c.at(r) / d
+			if math.Abs(step) < 1e-3*(1+math.Abs(r)) {
+				r -= step
+			}
+		}
+		return r, true
+	}
+	return 0, false
 }
 
 // initFast caches the stack-friendly representation of the fitted
@@ -388,12 +398,4 @@ func (m *Model) initFast() {
 		}
 		m.fastCoef[i] = c
 	}
-}
-
-// SolveVSCGeneric is the allocation-heavy reference implementation of
-// the closed-form solve, kept for cross-checking the fast path (and as
-// executable documentation of the algorithm in terms of the poly
-// package).
-func (m *Model) SolveVSCGeneric(b fettoy.Bias) (float64, error) {
-	return m.solveVSCGeneric(b)
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"cntfet/internal/fettoy"
+	"cntfet/internal/rootfind"
 )
 
 // solveTol bounds, in volts, both how far the closed-form root may sit
@@ -51,8 +53,8 @@ func foldInto(x, lo, hi float64) float64 {
 // FuzzSolveVSCFast checks the closed-form VSC solve over the served
 // domain — T in [150, 450] K, EF in [-0.5, 0] eV, VG and VDS in
 // [0, 0.8] V, on Model 1 and Model 2 fits: the allocation-free fast
-// path must succeed without the generic fallback, agree with
-// SolveVSCGeneric, and leave an eq. (7) residual within solveTol.
+// path must succeed, agree with the generic solve in generic_test.go,
+// and leave an eq. (7) residual within solveTol.
 //
 // Seeds cover the solver's edge cases:
 //   - VDS = 0 and VDS = b_j - b_i, where every (or one) drain-shifted
@@ -111,7 +113,7 @@ func FuzzSolveVSCFast(f *testing.F) {
 		if v, err := m.SolveVSC(b); err != nil || math.Float64bits(v) != math.Float64bits(fast) {
 			t.Fatalf("SolveVSC = %v, %v; fast path %v", v, err, fast)
 		}
-		gen, err := m.SolveVSCGeneric(b)
+		gen, err := m.solveVSCGeneric(b)
 		if err != nil {
 			t.Fatalf("generic solve at T=%g EF=%g %+v: %v", temp, ef, b, err)
 		}
@@ -199,6 +201,70 @@ func FuzzFitMonotone(f *testing.F) {
 					t.Fatalf("T=%g EF=%g model2=%v: unbounded piece %d of q·NS rises without bound", temp, ef, model2, i)
 				}
 			}
+		}
+	})
+}
+
+// FuzzFromData checks the path by which outside data becomes a model.
+// It perturbs the exports of the paper's Model 1 and Model 2 fits to the
+// default device: one fitted break moves by up to ±0.05 V, one
+// coefficient of one piece moves by up to ±1e-5 of the charge scale
+// |qsU(b₀)|, and N0 scales by a factor in [0.5, 1.5]. The coefficient
+// may be any up to the cubic term, the zero tail's included, so many
+// inputs exceed their region's degree and must be rejected. FromData
+// must never panic. Every model it accepts must, at a bias with VG and
+// VDS in [0, 0.8] V, either fail with an error wrapping
+// rootfind.ErrBadBracket or return a VSC whose eq. (7) residual,
+// through the exported QS and QD, is within solveTol — or, for a root
+// in a sub-tolerance jump at a break, changes sign within solveTol of
+// it. Seeds: both exports unperturbed, and jumpArtifact's step at its
+// gate voltage.
+func FuzzFromData(f *testing.F) {
+	var exports [2]ModelData
+	var scales [2]float64
+	for i, model2 := range []bool{false, true} {
+		m := fuzzFit(f, 300, -0.32, model2)
+		exports[i] = m.Export()
+		scales[i] = math.Abs(m.qsU.At(m.qsU.Breaks[0]))
+	}
+	f.Add(false, uint8(0), 0.0, uint8(0), uint8(0), 0.0, 0.0, 0.5, 0.4)
+	f.Add(true, uint8(0), 0.0, uint8(0), uint8(0), 0.0, 0.0, 0.5, 0.4)
+	_, vg := jumpArtifact(f)
+	f.Add(false, uint8(0), 0.0, uint8(1), uint8(0), -0.5e-6, 0.0, vg, 0.0)
+
+	f.Fuzz(func(t *testing.T, model2 bool, brk uint8, db float64, piece, coef uint8, dc, dn0, vg, vds float64) {
+		k := 0
+		if model2 {
+			k = 1
+		}
+		d := cloneData(exports[k])
+		d.BreaksU[int(brk)%len(d.BreaksU)] += foldInto(db, -0.05, 0.05)
+		p := &d.Pieces[int(piece)%len(d.Pieces)]
+		c := int(coef) % 4
+		for len(*p) <= c {
+			*p = append(*p, 0)
+		}
+		(*p)[c] += foldInto(dc, -1e-5, 1e-5) * scales[k]
+		d.N0 *= 1 + foldInto(dn0, -0.5, 0.5)
+		m, err := FromData(d)
+		if err != nil {
+			return
+		}
+
+		b := fettoy.Bias{VG: foldInto(vg, 0, 0.8), VD: foldInto(vds, 0, 0.8)}
+		v, err := m.SolveVSC(b)
+		if err != nil {
+			if !errors.Is(err, rootfind.ErrBadBracket) {
+				t.Fatalf("%+v: SolveVSC error %v does not wrap rootfind.ErrBadBracket", b, err)
+			}
+			return
+		}
+		dev := m.Device()
+		residual := func(vsc float64) float64 {
+			return vsc + dev.AlphaG*b.VG + dev.AlphaD*b.VD - (m.QS(vsc)+m.QD(vsc, b.VD))/m.csigma
+		}
+		if res := residual(v); math.Abs(res) > solveTol && !(residual(v-solveTol) <= 0 && residual(v+solveTol) >= 0) {
+			t.Fatalf("%+v: eq. (7) residual %.3g V at VSC %.17g, with no sign change within %g V", b, res, v, solveTol)
 		}
 	})
 }

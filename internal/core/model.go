@@ -8,6 +8,7 @@ import (
 	"cntfet/internal/fermi"
 	"cntfet/internal/fettoy"
 	"cntfet/internal/poly"
+	"cntfet/internal/rootfind"
 	"cntfet/internal/telemetry"
 	"cntfet/internal/units"
 )
@@ -128,17 +129,24 @@ func (m *Model) QD(vsc, vds float64) float64 { return m.qs.At(vsc+vds) - m.qn0Ha
 // is a polynomial of degree ≤ 3; the solver locates the sign-changing
 // region (F is strictly increasing) and applies the closed-form root —
 // no iteration, no integration. This is the paper's core speed claim.
+// A bias whose bracket holds no root (a fit that breaks the
+// monotonicity the solve rests on) returns an error wrapping
+// rootfind.ErrBadBracket.
 func (m *Model) SolveVSC(b fettoy.Bias) (float64, error) {
 	v, branch, ok := m.solveVSCFast(m.ulEff(b), b.VD-b.VS)
 	if telemetry.On() {
-		countDispatch(branch, ok)
+		countDispatch(branch)
 	}
-	if ok {
-		return v, nil
+	if !ok {
+		return 0, errNoRoot(b)
 	}
-	// The fast path only fails on pathological fits; fall back to the
-	// generic piecewise machinery, which reports a useful error.
-	return m.solveVSCGeneric(b)
+	return v, nil
+}
+
+// errNoRoot reports a bias at which the closed-form solve found no
+// root in its bracket.
+func errNoRoot(b fettoy.Bias) error {
+	return fmt.Errorf("core: closed-form VSC solve found no root at %+v: %w", b, rootfind.ErrBadBracket)
 }
 
 // ulEff folds the terminal-voltage term and the equilibrium-charge
@@ -150,24 +158,6 @@ func (m *Model) ulEff(b fettoy.Bias) float64 {
 	alphaS := 1 - m.dev.AlphaG - m.dev.AlphaD
 	ul := m.dev.AlphaG*b.VG + m.dev.AlphaD*b.VD + alphaS*b.VS
 	return ul + 2*m.qn0Half/m.csigma
-}
-
-// solveVSCGeneric solves the same equation through the generic
-// piecewise-polynomial machinery. It allocates; SolveVSC prefers the
-// specialised path and uses this as fallback and cross-check.
-func (m *Model) solveVSCGeneric(b fettoy.Bias) (float64, error) {
-	vds := b.VD - b.VS
-
-	// Combined filled-state charge as a function of V, scaled to the
-	// residual form: F(V) = V + ulEff + combined(V) with
-	// combined = -(qNS(V) + qNS(V+VDS))/CΣ.
-	qd := m.qs.Shift(vds)
-	combined := poly.AddPiecewise(m.qs, qd).Scale(-1 / m.csigma)
-	v, err := combined.SolveMonotone(1, m.ulEff(b))
-	if err != nil {
-		return 0, fmt.Errorf("core: closed-form VSC solve failed at %+v: %w", b, err)
-	}
-	return v, nil
 }
 
 // CurrentAtVSC evaluates the drain current from a known VSC via the

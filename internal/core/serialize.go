@@ -51,14 +51,19 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 
 // FromData reconstructs an evaluable model from exported data. The
 // same validation as fitting applies (C¹ at constrained breaks, device
-// sanity), so a corrupted artifact is rejected rather than silently
-// producing garbage currents.
+// sanity, one fitted break per spec break, no piece above its region's
+// degree, a zero tail that is zero), so a corrupted artifact is
+// rejected rather than silently producing garbage currents.
 func FromData(d ModelData) (*Model, error) {
 	if err := d.Device.Validate(); err != nil {
 		return nil, err
 	}
 	if err := d.Spec.Validate(); err != nil {
 		return nil, err
+	}
+	if len(d.BreaksU) != len(d.Spec.Breaks) {
+		return nil, fmt.Errorf("core: spec %q has %d breaks, artifact has %d",
+			d.Spec.Name, len(d.Spec.Breaks), len(d.BreaksU))
 	}
 	if len(d.Pieces) != len(d.BreaksU)+1 {
 		return nil, fmt.Errorf("core: %d pieces need %d breaks, got %d",
@@ -67,8 +72,12 @@ func FromData(d ModelData) (*Model, error) {
 	pieces := make([]poly.Poly, len(d.Pieces))
 	for i, c := range d.Pieces {
 		pieces[i] = poly.New(c...)
-		if pieces[i].Degree() > 3 {
-			return nil, fmt.Errorf("core: piece %d has degree %d > 3", i, pieces[i].Degree())
+		maxDeg := -1 // the fixed zero tail
+		if i < len(d.Spec.Degrees) {
+			maxDeg = d.Spec.Degrees[i]
+		}
+		if deg := pieces[i].Degree(); deg > maxDeg {
+			return nil, fmt.Errorf("core: piece %d has degree %d, spec %q allows %d", i, deg, d.Spec.Name, maxDeg)
 		}
 	}
 	pw, err := poly.NewPiecewise(d.BreaksU, pieces)

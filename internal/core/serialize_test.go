@@ -2,10 +2,14 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"cntfet/internal/fettoy"
+	"cntfet/internal/rootfind"
+	"cntfet/internal/telemetry"
 )
 
 func TestExportRoundTripExact(t *testing.T) {
@@ -58,8 +62,14 @@ func TestFromDataValidation(t *testing.T) {
 		func(d *ModelData) { d.Pieces = d.Pieces[1:] },
 		func(d *ModelData) { d.BreaksU = []float64{0.3, 0.1, 0.2} },
 		func(d *ModelData) { d.N0 = -5 },
-		func(d *ModelData) { d.Pieces[0] = []float64{1, 2, 3, 4, 5} }, // degree 4
-		func(d *ModelData) { d.Pieces[1][0] *= 3 },                    // breaks C0 continuity
+		func(d *ModelData) { d.Pieces[0] = []float64{1, 2, 3, 4, 5} },   // degree 4
+		func(d *ModelData) { d.Pieces[1][0] *= 3 },                      // breaks C0 continuity
+		func(d *ModelData) { d.Pieces[1] = append(d.Pieces[1], 1e-30) }, // cubic term in a quadratic region
+		func(d *ModelData) { d.Pieces[3] = []float64{0, 0, 1e-30} },     // nonzero zero tail
+		func(d *ModelData) { // one more fitted break than the spec has
+			d.BreaksU = append(d.BreaksU, d.BreaksU[len(d.BreaksU)-1]+0.1)
+			d.Pieces = append(d.Pieces, nil)
+		},
 	}
 	for i, mut := range mutations {
 		d := cloneData(good)
@@ -151,5 +161,108 @@ func TestVHDLPolyHornerForm(t *testing.T) {
 	// equals degree).
 	if strings.Count(got, "u*") != 2 {
 		t.Fatalf("expected 2 Horner steps: %q", got)
+	}
+}
+
+// jumpArtifact returns the Model 1 export for the default device with
+// piece 1's constant lowered by half of newModel's C0 tolerance, so the
+// curve steps down by 0.5e-6·|qsU(b₀)| at its first break b₀ and is
+// still accepted, together with the gate voltage (VDS = 0) whose
+// eq. (7) residual crosses zero inside that step: -δ/CΣ on the left of
+// the break, +δ/CΣ on the right.
+func jumpArtifact(tb testing.TB) (ModelData, float64) {
+	tb.Helper()
+	ref, err := fettoy.New(fettoy.Default())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	m, err := Model1(ref)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d := cloneData(m.Export())
+	delta := 0.5e-6 * math.Abs(m.qsU.At(m.qsU.Breaks[0]))
+	d.Pieces[1][0] -= delta
+	jm, err := FromData(d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	b := jm.fastBreaks[0]
+	ul := -b + 2*jm.qsFast(b)/jm.csigma - delta/jm.csigma
+	vg := (ul - jm.ulEff(fettoy.Bias{})) / jm.dev.AlphaG
+	return d, vg
+}
+
+// TestSolveVSCRootInJumpAtBreak checks a root that lies in a
+// sub-tolerance C0 jump of an imported curve: no piece holds it, and
+// the solve returns the break itself, bit for bit, through SolveVSC and
+// an allocation-free one-point IDSBatch.
+func TestSolveVSCRootInJumpAtBreak(t *testing.T) {
+	d, vg := jumpArtifact(t)
+	m, err := FromData(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	brk := m.qs.Breaks[0]
+	bias := []fettoy.Bias{{VG: vg}}
+	v, err := m.SolveVSC(bias[0])
+	if err != nil || math.Float64bits(v) != math.Float64bits(brk) {
+		t.Fatalf("SolveVSC(VG=%.17g) = %.17g, %v; want the break %.17g", vg, v, err, brk)
+	}
+	out := make([]float64, 1)
+	if err := m.IDSBatch(bias, out); err != nil {
+		t.Fatal(err)
+	}
+	if want := m.CurrentAtVSC(brk, bias[0]); math.Float64bits(out[0]) != math.Float64bits(want) {
+		t.Fatalf("IDSBatch = %.17g, want %.17g (the current at the break)", out[0], want)
+	}
+	if raceEnabled {
+		return // race instrumentation allocates
+	}
+	for _, gate := range []bool{false, true} {
+		telemetry.Default().SetEnabled(gate)
+		if avg := testing.AllocsPerRun(100, func() { _ = m.IDSBatch(bias, out) }); avg != 0 {
+			t.Errorf("telemetry=%v: IDSBatch allocates %.1f objects at the jump", gate, avg)
+		}
+	}
+	telemetry.Disable()
+}
+
+// TestSolveVSCNoRootIsBadBracket checks the solve's failure exit on an
+// imported curve that breaks the monotonicity the solve rests on: a
+// downward parabola added to the linear piece (its region declared
+// quadratic), tangent at b₀ so the curve stays C¹, makes the eq. (7)
+// residual positive everywhere at a large gate voltage. SolveVSC,
+// IDSFrom and IDSBatch must all fail with an error wrapping
+// rootfind.ErrBadBracket, which the engine classes as numerical.
+func TestSolveVSCNoRootIsBadBracket(t *testing.T) {
+	ref := refModel(t, fettoy.Default())
+	m1, err := Model1(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := cloneData(m1.Export())
+	// Piece 0 += a·(u - b₀)² with a < 0: value and slope at b₀ unchanged.
+	d.Spec.Degrees[0] = 2
+	b0, a := d.BreaksU[0], -50*m1.csigma
+	p := append(d.Pieces[0], 0)
+	p[0] += a * b0 * b0
+	p[1] -= 2 * a * b0
+	p[2] += a
+	d.Pieces[0] = p
+	m, err := FromData(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := fettoy.Bias{VG: 0.8}
+	if _, err := m.SolveVSC(b); !errors.Is(err, rootfind.ErrBadBracket) {
+		t.Fatalf("SolveVSC = %v, want an error wrapping rootfind.ErrBadBracket", err)
+	}
+	if _, _, err := m.IDSFrom(b, 0); !errors.Is(err, rootfind.ErrBadBracket) {
+		t.Fatalf("IDSFrom = %v, want an error wrapping rootfind.ErrBadBracket", err)
+	}
+	out := make([]float64, 2)
+	if err := m.IDSBatch([]fettoy.Bias{{VG: 0.1}, b}, out); !errors.Is(err, rootfind.ErrBadBracket) {
+		t.Fatalf("IDSBatch = %v, want an error wrapping rootfind.ErrBadBracket", err)
 	}
 }

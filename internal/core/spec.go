@@ -83,6 +83,11 @@ func Model2Spec() Spec {
 	}
 }
 
+// maxBreaks bounds a spec's breaks so the closed-form solve's merged
+// source and drain breakpoints fit its fixed stack buffer. The paper's
+// models use 2 and 3.
+const maxBreaks = 8
+
 // Validate reports the first structural problem with the spec, or nil.
 func (s Spec) Validate() error {
 	want := len(s.Breaks) + 1
@@ -104,6 +109,9 @@ func (s Spec) Validate() error {
 	}
 	if len(s.Breaks) == 0 {
 		return fmt.Errorf("core: spec %q needs at least one break", s.Name)
+	}
+	if len(s.Breaks) > maxBreaks {
+		return fmt.Errorf("core: spec %q has %d breaks, at most %d supported", s.Name, len(s.Breaks), maxBreaks)
 	}
 	return nil
 }

@@ -48,9 +48,6 @@ func TestDispatchCounters(t *testing.T) {
 	if branches != int64(solves) {
 		t.Fatalf("dispatch branches sum to %d, want %d", branches, solves)
 	}
-	if got := d["core.fallback_generic"]; got != 0 {
-		t.Fatalf("unexpected generic fallbacks: %d", got)
-	}
 }
 
 // TestDisabledTelemetryCountsNothing pins the no-op fast path: with the

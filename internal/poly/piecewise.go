@@ -72,15 +72,6 @@ func (pw Piecewise) Shift(h float64) Piecewise {
 	return out
 }
 
-// Scale returns k*pw.
-func (pw Piecewise) Scale(k float64) Piecewise {
-	out := Piecewise{Breaks: append([]float64(nil), pw.Breaks...), Pieces: make([]Poly, len(pw.Pieces))}
-	for i, p := range pw.Pieces {
-		out.Pieces[i] = p.Scale(k)
-	}
-	return out
-}
-
 // MaxDegree returns the highest degree among the pieces.
 func (pw Piecewise) MaxDegree() int {
 	d := -1
@@ -108,87 +99,4 @@ func (pw Piecewise) ContinuityError() (c0, c1 float64) {
 		}
 	}
 	return c0, c1
-}
-
-// SolveMonotone finds x with pw(x) + lin(x) = 0 where lin(x) = a*x + b
-// and the total function is assumed strictly monotone increasing (the
-// situation of the paper's eq. 7: CΣ·x plus monotone charge terms).
-//
-// It scans pieces from left to right, forms the per-piece polynomial
-// pw_i(x) + a*x + b (degree <= 3 for the paper's models, so the root is
-// closed-form), and accepts the unique root lying inside that piece's
-// interval. A total that is negative at the right end of one piece and
-// positive at the left end of the next crosses zero in the jump at
-// their shared break — a fitted curve's pieces meet only to rounding —
-// so the break is the root. Returns an error when no piece contains a
-// root, which for a monotone function means the caller's assumption is
-// violated.
-func (pw Piecewise) SolveMonotone(a, b float64) (float64, error) {
-	lin := New(b, a)
-	n := len(pw.Pieces)
-	for i := 0; i < n; i++ {
-		lo, hi := math.Inf(-1), math.Inf(1)
-		if i > 0 {
-			lo = pw.Breaks[i-1]
-		}
-		if i < n-1 {
-			hi = pw.Breaks[i]
-		}
-		total := pw.Pieces[i].Add(lin)
-		// Quick interval rejection using monotonicity: the total must
-		// change sign (or vanish) inside [lo,hi].
-		flo := evalAtMaybeInf(total, lo, -1)
-		fhi := evalAtMaybeInf(total, hi, +1)
-		if flo > 0 {
-			if i > 0 {
-				return lo, nil
-			}
-			break
-		}
-		if fhi < 0 {
-			continue
-		}
-		roots := rootsInMaybeInf(total, lo, hi)
-		if len(roots) > 0 {
-			// Monotone: at most one genuine root per piece; take the
-			// one bracketed by the sign change (first suffices).
-			return roots[0], nil
-		}
-	}
-	return 0, fmt.Errorf("poly: SolveMonotone found no root; function not monotone or no sign change")
-}
-
-// evalAtMaybeInf evaluates p at x, substituting the sign of the leading
-// behaviour when x is infinite (dir = -1 for -inf, +1 for +inf).
-func evalAtMaybeInf(p Poly, x float64, dir int) float64 {
-	if !math.IsInf(x, 0) {
-		return p.At(x)
-	}
-	q := p
-	q.trim()
-	d := q.Degree()
-	if d < 0 {
-		return 0
-	}
-	if d == 0 {
-		return q.Coef[0]
-	}
-	lead := q.Coef[d]
-	sign := 1.0
-	if dir < 0 && d%2 == 1 {
-		sign = -1
-	}
-	return sign * lead * math.Inf(1)
-}
-
-func rootsInMaybeInf(p Poly, lo, hi float64) []float64 {
-	roots := RealRoots(p)
-	tol := 1e-12
-	var out []float64
-	for _, r := range roots {
-		if (math.IsInf(lo, -1) || r >= lo-tol) && (math.IsInf(hi, 1) || r <= hi+tol) {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -97,76 +97,10 @@ func TestPiecewiseShift(t *testing.T) {
 	}
 }
 
-func TestPiecewiseScaleAndMaxDegree(t *testing.T) {
+func TestPiecewiseMaxDegree(t *testing.T) {
 	pw := model1Like(t)
 	if pw.MaxDegree() != 2 {
 		t.Fatalf("MaxDegree = %d", pw.MaxDegree())
-	}
-	s := pw.Scale(-2)
-	if math.Abs(s.At(-0.5)+2*pw.At(-0.5)) > 1e-15 {
-		t.Fatal("Scale broken")
-	}
-}
-
-func TestSolveMonotoneAcrossRegions(t *testing.T) {
-	// F(x) = pw(x) + a*x + b where pw is increasing-ish: use the
-	// negated charge shape (decreasing) negated => build an increasing
-	// piecewise by scaling model1Like by -1 (model1Like decreases).
-	q := model1Like(t) // decreasing from positive to 0
-	inc := q.Scale(-1) // increasing from negative to 0
-	a, bcoef := 0.5, 0.0
-
-	// The true combined function f(x) = inc(x) + 0.5x is strictly
-	// increasing. Solve f(x) = c for targets landing in each region.
-	for _, target := range []float64{-0.4, -0.05, -0.01, 0.02, 0.3} {
-		x, err := inc.SolveMonotone(a, bcoef-target)
-		if err != nil {
-			t.Fatalf("target %g: %v", target, err)
-		}
-		got := inc.At(x) + a*x
-		if math.Abs(got-target) > 1e-9 {
-			t.Fatalf("target %g: f(%g) = %g", target, x, got)
-		}
-	}
-}
-
-func TestSolveMonotoneNoRoot(t *testing.T) {
-	// pw = 0 everywhere, lin = 0: no sign change, no root.
-	pw, _ := NewPiecewise([]float64{0}, []Poly{{}, {}})
-	if _, err := pw.SolveMonotone(0, 1); err == nil {
-		t.Fatal("expected error when no root exists")
-	}
-}
-
-func TestSolveMonotoneRootInJumpAtBreak(t *testing.T) {
-	// Increasing, but the pieces meet 2e-16 apart at the break with
-	// opposite signs: no piece holds a root, so the break is the root.
-	// Fitted pieces meet only to rounding, which puts a served bias
-	// exactly here.
-	pw, err := NewPiecewise([]float64{0.25}, []Poly{New(-0.25-1e-16, 1), New(-0.25+1e-16, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := pw.SolveMonotone(0, 0)
-	if err != nil || x != 0.25 { //lint:allow floatcmp the root must be the break itself
-		t.Fatalf("SolveMonotone = %v, %v; want the break 0.25", x, err)
-	}
-}
-
-func TestSolveMonotoneRandomised(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	q := model1Like(t)
-	inc := q.Scale(-1)
-	for trial := 0; trial < 200; trial++ {
-		a := 0.1 + rng.Float64()*2
-		b := rng.NormFloat64() * 0.2
-		x, err := inc.SolveMonotone(a, b)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if r := inc.At(x) + a*x + b; math.Abs(r) > 1e-9 {
-			t.Fatalf("trial %d: residual %g at %g", trial, r, x)
-		}
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package poly implements the polynomial machinery behind the paper's
 // piecewise non-linear charge approximation: dense polynomials with
-// Horner evaluation and calculus, closed-form real-root extraction up to
-// degree 3 (the property that makes the self-consistent voltage equation
-// solvable without Newton–Raphson), piecewise polynomials over breakpoint
-// grids, and (constrained) least-squares fitting.
+// Horner evaluation, calculus and Taylor shifts, piecewise polynomials
+// over breakpoint grids, and (constrained) least-squares fitting. The
+// closed-form root of each degree-≤3 region, which makes the
+// self-consistent voltage equation solvable without Newton–Raphson,
+// lives with the solve in internal/core.
 package poly
 
 import (
@@ -72,33 +73,6 @@ func (p Poly) Integ(c float64) Poly {
 	q := Poly{Coef: out}
 	q.trim()
 	return q
-}
-
-// Add returns p + q.
-func (p Poly) Add(q Poly) Poly {
-	n := len(p.Coef)
-	if len(q.Coef) > n {
-		n = len(q.Coef)
-	}
-	out := make([]float64, n)
-	copy(out, p.Coef)
-	for i, a := range q.Coef {
-		out[i] += a
-	}
-	r := Poly{Coef: out}
-	r.trim()
-	return r
-}
-
-// Scale returns k*p.
-func (p Poly) Scale(k float64) Poly {
-	out := make([]float64, len(p.Coef))
-	for i, a := range p.Coef {
-		out[i] = k * a
-	}
-	r := Poly{Coef: out}
-	r.trim()
-	return r
 }
 
 // Mul returns the product p*q.

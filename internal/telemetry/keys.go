@@ -62,7 +62,7 @@ const (
 )
 
 // Counter keys of the piecewise closed-form solver: which root formula
-// the bracketed region required, and fallbacks to the generic path.
+// the bracketed region required.
 const (
 	KeyCoreSolves            = "core.solves"
 	KeyCoreDispatchNone      = "core.dispatch.none"
@@ -70,7 +70,6 @@ const (
 	KeyCoreDispatchQuadratic = "core.dispatch.quadratic"
 	KeyCoreDispatchCardano   = "core.dispatch.cardano"
 	KeyCoreDispatchTrig      = "core.dispatch.trig"
-	KeyCoreFallbackGeneric   = "core.fallback_generic"
 )
 
 // Counter and histogram keys of the MNA circuit engine.
