@@ -60,7 +60,9 @@ func getShared(b *testing.B) *sharedModels {
 	if err != nil {
 		b.Fatal(err)
 	}
-	refTab.EnableTable(TableOptions{}).Build()
+	if err := refTab.EnableTable(TableOptions{}).BuildContext(context.Background()); err != nil {
+		b.Fatal(err)
+	}
 	shared = &sharedModels{ref: ref, refTab: refTab, m1: m1, m2: m2}
 	return shared
 }

@@ -14,8 +14,7 @@
 // iterations, piecewise region-dispatch counts, ...), so benchmark
 // trajectories can correlate speedups with solver-work reduction.
 // -trace writes the reference model's Newton residual trajectories as
-// JSON lines, followed by the completed span records (charge-table
-// builds and other instrumented stages) from the span tracer.
+// JSON lines.
 package main
 
 import (
@@ -129,22 +128,14 @@ func run(ctx context.Context, counts []int, points int, opt options) (err error)
 	if err != nil {
 		return err
 	}
-	var tr *telemetry.Trace
 	if opt.traceFile != "" {
 		telemetry.Enable()
-		tr = telemetry.NewTrace(1 << 16)
+		tr := telemetry.NewTracer(1 << 16)
+		tr.SetEnabled(true)
 		ref.SetTrace(tr)
-		// Spans ride along in the same file: the charge-table build and
-		// any other instrumented stage land as span records after the
-		// solver events.
-		telemetry.DefaultTracer().SetEnabled(true)
 		// The file is written on every exit path: a failed or
 		// interrupted run keeps the events that explain it.
-		defer func() {
-			if werr := writeTrace(opt.traceFile, tr); werr != nil {
-				err = errors.Join(err, werr)
-			}
-		}()
+		defer func() { err = errors.Join(err, tr.WriteFile(opt.traceFile, os.Stderr)) }()
 	}
 	m1, err := cntfet.FitFrom(ref, cntfet.Model1Spec(), cntfet.FitOptions{})
 	if err != nil {
@@ -229,28 +220,5 @@ func run(ctx context.Context, counts []int, points int, opt options) (err error)
 	}
 	tb.Render(os.Stdout)
 	fmt.Println("\npaper reference: FETToy 64.4s..1287s; Model 1 ~3400x faster; Model 2 ~1100x faster")
-	return nil
-}
-
-// writeTrace writes tr's solver events, then the span tracer's
-// completed spans, to a new file at path as JSON lines.
-func writeTrace(path string, tr *telemetry.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace file: %w", err)
-	}
-	err = tr.WriteJSON(f)
-	if err == nil {
-		err = telemetry.DefaultTracer().WriteJSON(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("trace export: %w", err)
-	}
-	if n := tr.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "cntbench: trace ring dropped %d oldest events\n", n)
-	}
 	return nil
 }

@@ -108,7 +108,10 @@ func runScaleBench(points, repeats int, workerList, outPath string) error {
 	if err != nil {
 		return err
 	}
-	tbl.Build() // one-time tabulation outside every timed window
+	// One-time tabulation outside every timed window.
+	if err := tbl.BuildContext(context.Background()); err != nil {
+		return err
+	}
 
 	vgs := sweep.PaperGates()
 	vds := make([]float64, points)

@@ -168,7 +168,9 @@ func runSweepBench(points, repeats, workers int, outPath string, assertFaster bo
 	// separately: steady-state throughput is the quantity of interest,
 	// and the build amortises over every later sweep of the device.
 	buildStart := time.Now()
-	tbl.Build()
+	if err := tbl.BuildContext(context.Background()); err != nil {
+		return err
+	}
 	buildSeconds := time.Since(buildStart).Seconds()
 
 	// Untimed warm-up of all paths; the results double as the accuracy

@@ -38,7 +38,7 @@ import (
 
 // traceSink, when non-nil (-trace flag), is attached to the reference
 // model built for the figure so its charge solves are logged.
-var traceSink *telemetry.Trace
+var traceSink *telemetry.Tracer
 
 func main() {
 	fig := flag.Int("fig", 6, "paper figure to regenerate (6-11); 0 for a custom sweep")
@@ -86,23 +86,11 @@ func traced(path string, fn func() error) error {
 		return fn()
 	}
 	telemetry.Enable()
-	traceSink = telemetry.NewTrace(1 << 16)
+	traceSink = telemetry.NewTracer(1 << 16)
+	traceSink.SetEnabled(true)
 	defer func() { traceSink = nil }()
 	err := fn()
-	f, werr := os.Create(path)
-	if werr == nil {
-		werr = traceSink.WriteJSON(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-	}
-	if werr != nil {
-		return errors.Join(err, fmt.Errorf("trace export: %w", werr))
-	}
-	if n := traceSink.Dropped(); n > 0 {
-		fmt.Fprintf(os.Stderr, "cntiv: trace ring dropped %d oldest events\n", n)
-	}
-	return err
+	return errors.Join(err, traceSink.WriteFile(path, os.Stderr))
 }
 
 func run(ctx context.Context, fig int, temp, ef float64, vgList string, modelNo, points int, plot bool) error {

@@ -79,7 +79,7 @@ func TestTraceWrittenOnCancel(t *testing.T) {
 	err := traced(path, func() error {
 		// Cancel once the sweep has logged its first reference solve;
 		// 7 rows of 2000 points leave it far from done.
-		go func(sink *telemetry.Trace) {
+		go func(sink *telemetry.Tracer) {
 			for sink.Len() == 0 && ctx.Err() == nil {
 				time.Sleep(100 * time.Microsecond)
 			}

@@ -51,9 +51,8 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, deckArg, traceFile string, metrics bool) error {
+func run(ctx context.Context, deckArg, traceFile string, metrics bool) (err error) {
 	var src []byte
-	var err error
 	if deckArg == "-" {
 		src, err = io.ReadAll(os.Stdin)
 	} else {
@@ -66,11 +65,14 @@ func run(ctx context.Context, deckArg, traceFile string, metrics bool) error {
 	if err != nil {
 		return err
 	}
-	var tr *telemetry.Trace
 	if traceFile != "" {
 		telemetry.Enable()
-		tr = telemetry.NewTrace(1 << 16)
+		tr := telemetry.NewTracer(1 << 16)
+		tr.SetEnabled(true)
 		deck.Circuit.SetTrace(tr)
+		// The file is written on every exit path: the events of a
+		// failed or interrupted deck are the ones that explain it.
+		defer func() { err = errors.Join(err, tr.WriteFile(traceFile, os.Stderr)) }()
 	}
 	if metrics {
 		telemetry.Enable()
@@ -84,19 +86,6 @@ func run(ctx context.Context, deckArg, traceFile string, metrics bool) error {
 		Output: os.Stdout,
 	}); err != nil {
 		return err
-	}
-	if tr != nil {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return fmt.Errorf("trace file: %w", err)
-		}
-		defer f.Close()
-		if err := tr.WriteJSON(f); err != nil {
-			return fmt.Errorf("trace export: %w", err)
-		}
-		if n := tr.Dropped(); n > 0 {
-			fmt.Fprintf(os.Stderr, "cntspice: trace ring dropped %d oldest events\n", n)
-		}
 	}
 	if metrics {
 		fmt.Fprintln(os.Stderr, "solver metrics:")

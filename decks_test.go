@@ -1,6 +1,7 @@
 package cntfet
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,7 +43,7 @@ func TestShippedDecksRun(t *testing.T) {
 				t.Fatalf("parse: %v", err)
 			}
 			var b strings.Builder
-			if err := deck.Run(&b); err != nil {
+			if err := deck.Run(context.Background(), &b); err != nil {
 				t.Fatalf("run: %v", err)
 			}
 			check, ok := checks[name]

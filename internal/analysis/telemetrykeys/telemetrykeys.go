@@ -1,6 +1,6 @@
 // Package telemetrykeys rejects raw string literals as telemetry
-// names: instrument names and trace event kinds passed to
-// Registry.Counter/Timer/Histogram or Trace.Emit, span kinds passed to
+// names: instrument names and solver event kinds passed to
+// Registry.Counter/Timer/Histogram or Tracer.Emit, span kinds passed to
 // StartSpan (the package function or the Tracer method), structured-log
 // event names passed to Logger.Log, and structured-log field names
 // passed to the Field constructors (String, Int, Float, Bool, Dur) must
@@ -35,7 +35,7 @@ var keyMethodArg = map[string]int{
 	"Gauge":     0, // Registry.Gauge(name)
 	"Timer":     0, // Registry.Timer(name)
 	"Histogram": 0, // Registry.Histogram(name, bounds)
-	"Emit":      0, // Trace.Emit(kind, ...)
+	"Emit":      0, // Tracer.Emit(kind, fields...)
 	"StartSpan": 1, // Tracer.StartSpan(ctx, kind)
 	"Log":       0, // Logger.Log(event, fields...)
 }

@@ -14,20 +14,21 @@ import (
 // declared in internal/telemetry count as registered keys.
 const localKey = "a.local"
 
-func bad(reg *telemetry.Registry, tr *telemetry.Trace, worker int) {
-	reg.Counter("a.solves").Inc()                         // want `must be a constant`
-	reg.Timer("a.time")                                   // want `must be a constant`
-	reg.Histogram("a.hist", nil)                          // want `must be a constant`
-	tr.Emit("a.event", 0)                                 // want `must be a constant`
-	reg.Counter(localKey).Inc()                           // want `must be a constant`
-	reg.Counter(fmt.Sprintf("a.worker.%d", worker)).Inc() // want `must be a constant`
+func bad(reg *telemetry.Registry, tr *telemetry.Tracer, worker int) {
+	reg.Counter("a.solves").Inc()                                     // want `must be a constant`
+	reg.Timer("a.time")                                               // want `must be a constant`
+	reg.Histogram("a.hist", nil)                                      // want `must be a constant`
+	tr.Emit("a.event")                                                // want `must be a constant`
+	tr.Emit(telemetry.KindFettoySolve, telemetry.Float("a.vsc", 0.1)) // want `must be a constant`
+	reg.Counter(localKey).Inc()                                       // want `must be a constant`
+	reg.Counter(fmt.Sprintf("a.worker.%d", worker)).Inc()             // want `must be a constant`
 }
 
-func good(reg *telemetry.Registry, tr *telemetry.Trace, worker int) {
+func good(reg *telemetry.Registry, tr *telemetry.Tracer, worker int) {
 	reg.Counter(telemetry.KeySweepPoints).Inc()
 	reg.Timer(telemetry.KeyFettoySolveTime)
 	reg.Histogram(telemetry.KeyFettoySolveIters, nil)
-	tr.Emit(telemetry.KindFettoySolve, 0)
+	tr.Emit(telemetry.KindFettoySolve, telemetry.Float(telemetry.AttrVSC, 0.1), telemetry.Int(telemetry.AttrIters, 3))
 	reg.Counter(fmt.Sprintf(telemetry.KeySweepWorkerPointsFmt, worker)).Inc()
 }
 

@@ -266,7 +266,7 @@ func (c *Circuit) AC(source string, freqs []float64, opt DCOptions) ([]ACPoint, 
 			return nil, fmt.Errorf("circuit: AC solve at %g Hz: %w", f, err)
 		}
 		if c.trace.Enabled() {
-			c.trace.Emit(telemetry.KindCircuitACPoint, f)
+			c.trace.Emit(telemetry.KindCircuitACPoint, telemetry.Float(telemetry.AttrT, f))
 		}
 		out = append(out, ACPoint{Freq: f, ix: ix, x: x})
 	}

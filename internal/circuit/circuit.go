@@ -47,7 +47,7 @@ type Circuit struct {
 
 	// trace, when attached via SetTrace, receives structured solver
 	// events from every analysis.
-	trace *telemetry.Trace
+	trace *telemetry.Tracer
 }
 
 // New returns an empty circuit.

@@ -116,8 +116,9 @@ func (c *Circuit) newton(st *Stamper, x []float64, gmin float64, opt DCOptions) 
 				metrics.newtonIterHist.Observe(float64(iter + 1))
 			}
 			if c.trace.Enabled() {
-				c.trace.Emit(telemetry.KindCircuitDCSolve, st.Time,
-					"iters", iter+1, "gmin", gmin, "worst_dv", worst)
+				c.trace.Emit(telemetry.KindCircuitDCSolve, telemetry.Float(telemetry.AttrT, st.Time),
+					telemetry.Int(telemetry.AttrIters, int64(iter+1)),
+					telemetry.Float(telemetry.AttrGmin, gmin), telemetry.Float(telemetry.AttrWorstDV, worst))
 			}
 			return nil
 		}
@@ -134,8 +135,9 @@ func (c *Circuit) newton(st *Stamper, x []float64, gmin float64, opt DCOptions) 
 		Time:       st.Time,
 	}
 	if c.trace.Enabled() {
-		c.trace.Emit(telemetry.KindCircuitConvergenceFailure, st.Time,
-			"iters", cerr.Iterations, "worst_dv", worst, "gmin", gmin)
+		c.trace.Emit(telemetry.KindCircuitConvergenceFailure, telemetry.Float(telemetry.AttrT, st.Time),
+			telemetry.Int(telemetry.AttrIters, int64(cerr.Iterations)),
+			telemetry.Float(telemetry.AttrWorstDV, worst), telemetry.Float(telemetry.AttrGmin, gmin))
 	}
 	return cerr
 }
@@ -182,7 +184,7 @@ func (c *Circuit) DCSweep(source string, from, to, step float64, opt DCOptions) 
 			copy(x, sol.x)
 		}
 		if c.trace.Enabled() {
-			c.trace.Emit(telemetry.KindCircuitDCSweepPoint, v)
+			c.trace.Emit(telemetry.KindCircuitDCSweepPoint, telemetry.Float(telemetry.AttrT, v))
 		}
 		out = append(out, SweepPoint{Value: v, Solution: (&Solution{ix: ix, x: x}).Clone()})
 	}

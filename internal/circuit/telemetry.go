@@ -90,11 +90,12 @@ func (ix *indexer) unknownName(i int) string {
 	return fmt.Sprintf("x[%d]", i)
 }
 
-// SetTrace attaches a solve trace to the circuit: every Newton solve
-// and transient step emits structured events ("circuit.dc.solve",
-// "circuit.tran.step", ...). A nil trace (the default) is free. Set it
-// before running analyses.
-func (c *Circuit) SetTrace(tr *telemetry.Trace) { c.trace = tr }
+// SetTrace attaches a tracer to the circuit: while it is enabled,
+// every Newton solve and transient step emits a solver event
+// ("circuit.dc.solve", "circuit.tran.step", ...) carrying its
+// simulation time. A nil tracer (the default) is free. Set it before
+// running analyses.
+func (c *Circuit) SetTrace(tr *telemetry.Tracer) { c.trace = tr }
 
-// Trace returns the attached solve trace, or nil.
-func (c *Circuit) Trace() *telemetry.Trace { return c.trace }
+// Trace returns the attached tracer, or nil.
+func (c *Circuit) Trace() *telemetry.Tracer { return c.trace }

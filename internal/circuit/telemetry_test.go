@@ -69,7 +69,8 @@ func TestTransientTraceAndCounters(t *testing.T) {
 		Wave: Pulse{V1: 0, V2: 1, Delay: 1e-9, Rise: 1e-10, Fall: 1e-10, Width: 2e-9, Period: 4e-9}})
 	c.MustAdd(&Resistor{Label: "R1", A: "in", B: "out", Ohms: 1e3})
 	c.MustAdd(&Capacitor{Label: "C1", A: "out", B: Ground, Farads: 1e-12})
-	tr := telemetry.NewTrace(1024)
+	tr := telemetry.NewTracer(1024)
+	tr.SetEnabled(true)
 	c.SetTrace(tr)
 
 	sols, err := c.Transient(TranOptions{Step: 1e-10, Stop: 4e-9})
@@ -87,10 +88,10 @@ func TestTransientTraceAndCounters(t *testing.T) {
 	}
 
 	var stepEvents int
-	for _, ev := range tr.Events() {
+	for _, ev := range tr.Spans() {
 		if ev.Kind == "circuit.tran.step" {
 			stepEvents++
-			if ev.Fields["iters"] < 1 || ev.Fields["dt"] != 1e-10 {
+			if ev.Attrs["iters"].(int64) < 1 || ev.Attrs["dt"] != 1e-10 {
 				t.Fatalf("bad step event %+v", ev)
 			}
 		}

@@ -56,7 +56,8 @@ func (c *Circuit) Transient(opt TranOptions) ([]*Solution, error) {
 			metrics.tranSteps.Inc()
 		}
 		if c.trace.Enabled() {
-			c.trace.Emit(telemetry.KindCircuitTranStep, t, "iters", iters, "dt", opt.Step)
+			c.trace.Emit(telemetry.KindCircuitTranStep, telemetry.Float(telemetry.AttrT, t),
+				telemetry.Int(telemetry.AttrIters, int64(iters)), telemetry.Float(telemetry.AttrDT, opt.Step))
 		}
 		now := &Solution{ix: ix, x: append([]float64(nil), x...), Time: t}
 		// Roll trapezoidal capacitor state.
@@ -130,8 +131,9 @@ func (c *Circuit) newtonTran(st *Stamper, x []float64, opt DCOptions) (int, erro
 		Time:       time,
 	}
 	if c.trace.Enabled() {
-		c.trace.Emit(telemetry.KindCircuitConvergenceFailure, time,
-			"iters", cerr.Iterations, "worst_dv", worst, "dt", dt)
+		c.trace.Emit(telemetry.KindCircuitConvergenceFailure, telemetry.Float(telemetry.AttrT, time),
+			telemetry.Int(telemetry.AttrIters, int64(cerr.Iterations)),
+			telemetry.Float(telemetry.AttrWorstDV, worst), telemetry.Float(telemetry.AttrDT, dt))
 	}
 	return opt.MaxIter, cerr
 }
@@ -217,7 +219,8 @@ func (c *Circuit) TransientAdaptive(opt TranAdaptiveOptions) ([]*Solution, error
 				metrics.tranRetries.Inc()
 			}
 			if c.trace.Enabled() {
-				c.trace.Emit(telemetry.KindCircuitTranRetry, prev.Time, "lte", lte, "dt", h)
+				c.trace.Emit(telemetry.KindCircuitTranRetry, telemetry.Float(telemetry.AttrT, prev.Time),
+					telemetry.Float(telemetry.AttrLTE, lte), telemetry.Float(telemetry.AttrDT, h))
 			}
 			h = math.Max(h/2, opt.MinStep)
 			continue // retry the step
@@ -227,7 +230,8 @@ func (c *Circuit) TransientAdaptive(opt TranAdaptiveOptions) ([]*Solution, error
 			metrics.tranSteps.Inc()
 		}
 		if c.trace.Enabled() {
-			c.trace.Emit(telemetry.KindCircuitTranStep, half.Time, "lte", lte, "dt", h)
+			c.trace.Emit(telemetry.KindCircuitTranStep, telemetry.Float(telemetry.AttrT, half.Time),
+				telemetry.Float(telemetry.AttrLTE, lte), telemetry.Float(telemetry.AttrDT, h))
 		}
 		out = append(out, half)
 		prev = half

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"cntfet/internal/fettoy"
+	"cntfet/internal/rootfind"
 	"cntfet/internal/units"
 )
 
@@ -665,5 +667,38 @@ func TestTransmissionPropagatesToFastModel(t *testing.T) {
 	}
 	if math.Abs(iS-0.7*iB) > 1e-6*iB {
 		t.Fatalf("fast model T=0.7 current %g, want 0.7x %g", iS, iB)
+	}
+}
+
+// TestTinyCubicNeverReturnsWrongRoot is the refused-polish regression:
+// Model 1 with its quadratic region declared cubic and a cubic
+// coefficient around 1e-17 (c₂/c₃ ~ 1e7 once normalised), where the
+// trigonometric form cancels to a candidate that is no root. The solve
+// must either find a root of the model's own eq. (7) residual or report
+// ErrBadBracket, never return the lost candidate as a VSC.
+func TestTinyCubicNeverReturnsWrongRoot(t *testing.T) {
+	m1, err := Model1(refModel(t, fettoy.Default()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := fettoy.Bias{VG: 0.5234}
+	for _, c3 := range []float64{-1e-17, -1.6e-17, -1.7e-17, -2e-17, -3e-17} {
+		d := cloneData(m1.Export())
+		d.Spec.Degrees[1] = 3
+		d.Pieces[1] = append(d.Pieces[1], c3)
+		m, err := FromData(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := m.SolveVSC(b)
+		if err != nil {
+			if !errors.Is(err, rootfind.ErrBadBracket) {
+				t.Fatalf("c3 %g: %v, want ErrBadBracket", c3, err)
+			}
+			continue
+		}
+		if res := v + m.ulEff(b) - 2*m.qs.At(v)/m.csigma; math.Abs(res) > 1e-9 {
+			t.Errorf("c3 %g: VSC %v has eq. (7) residual %g V", c3, v, res)
+		}
 	}
 }

@@ -368,19 +368,23 @@ func solveMonotoneCubic(c cubic, lo, hi float64) (float64, int, bool) {
 }
 
 // tryRoot accepts a closed-form root r of c that lies in (lo, hi], to
-// within 1e-12, and tightens it with one Newton polish step.
+// within 1e-12, and tightens it with one Newton polish step. A
+// candidate whose polish step is not below 1e-3·(1+|r|) is no root of
+// c — cancellation in the closed form lost it, as the trigonometric
+// form does when c₃ is tiny next to c₂ — and counts as a miss.
 func tryRoot(c cubic, lo, hi, r float64) (float64, bool) {
 	const tol = 1e-12
-	if (math.IsInf(lo, -1) || r >= lo-tol) && (math.IsInf(hi, 1) || r <= hi+tol) {
-		if d := c.deriv(r); d != 0 { //lint:allow floatcmp exact-zero derivative guard before dividing
-			step := c.at(r) / d
-			if math.Abs(step) < 1e-3*(1+math.Abs(r)) {
-				r -= step
-			}
-		}
-		return r, true
+	if !((math.IsInf(lo, -1) || r >= lo-tol) && (math.IsInf(hi, 1) || r <= hi+tol)) {
+		return 0, false
 	}
-	return 0, false
+	if d := c.deriv(r); d != 0 { //lint:allow floatcmp exact-zero derivative guard before dividing
+		step := c.at(r) / d
+		if !(math.Abs(step) < 1e-3*(1+math.Abs(r))) {
+			return 0, false
+		}
+		r -= step
+	}
+	return r, true
 }
 
 // initFast caches the stack-friendly representation of the fitted

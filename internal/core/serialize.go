@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"cntfet/internal/fettoy"
 	"cntfet/internal/poly"
@@ -52,8 +53,10 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 // FromData reconstructs an evaluable model from exported data. The
 // same validation as fitting applies (C¹ at constrained breaks, device
 // sanity, one fitted break per spec break, no piece above its region's
-// degree, a zero tail that is zero), so a corrupted artifact is
-// rejected rather than silently producing garbage currents.
+// degree, a zero tail that is zero, finite numbers throughout), so a
+// corrupted artifact is rejected rather than silently producing
+// garbage currents — a NaN passes every comparison, and would
+// otherwise fail each later solve instead of the load.
 func FromData(d ModelData) (*Model, error) {
 	if err := d.Device.Validate(); err != nil {
 		return nil, err
@@ -69,8 +72,18 @@ func FromData(d ModelData) (*Model, error) {
 		return nil, fmt.Errorf("core: %d pieces need %d breaks, got %d",
 			len(d.Pieces), len(d.Pieces)-1, len(d.BreaksU))
 	}
+	for i, u := range d.BreaksU {
+		if !finite(u) {
+			return nil, fmt.Errorf("core: break %d is %g", i, u)
+		}
+	}
 	pieces := make([]poly.Poly, len(d.Pieces))
 	for i, c := range d.Pieces {
+		for j, v := range c {
+			if !finite(v) {
+				return nil, fmt.Errorf("core: piece %d coefficient %d is %g", i, j, v)
+			}
+		}
 		pieces[i] = poly.New(c...)
 		maxDeg := -1 // the fixed zero tail
 		if i < len(d.Spec.Degrees) {
@@ -84,11 +97,13 @@ func FromData(d ModelData) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.N0 < 0 {
-		return nil, fmt.Errorf("core: negative equilibrium density %g", d.N0)
+	if !finite(d.N0) || d.N0 < 0 {
+		return nil, fmt.Errorf("core: equilibrium density %g must be finite and non-negative", d.N0)
 	}
 	return newModel(d.Device, d.Spec, append([]float64(nil), d.BreaksU...), pw, d.N0)
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // UnmarshalData parses a JSON artifact produced by Export/MarshalJSON
 // and reconstructs the model.

@@ -70,6 +70,13 @@ func TestFromDataValidation(t *testing.T) {
 			d.BreaksU = append(d.BreaksU, d.BreaksU[len(d.BreaksU)-1]+0.1)
 			d.Pieces = append(d.Pieces, nil)
 		},
+		// Non-finite numbers pass every comparison above.
+		func(d *ModelData) { d.N0 = math.NaN() },
+		func(d *ModelData) { d.N0 = math.Inf(1) },
+		func(d *ModelData) { d.BreaksU[0] = math.Inf(-1) },
+		func(d *ModelData) { d.Pieces[0][0] = math.NaN() },
+		func(d *ModelData) { d.Pieces[1][0] = math.NaN() },
+		func(d *ModelData) { d.Pieces[0][len(d.Pieces[0])-1] = math.Inf(1) },
 	}
 	for i, mut := range mutations {
 		d := cloneData(good)

@@ -413,5 +413,5 @@ func runNetlist(ctx context.Context, req Request) (Result, error) {
 	if out == nil {
 		out = io.Discard
 	}
-	return Result{}, req.Deck.RunContext(ctx, out)
+	return Result{}, req.Deck.Run(ctx, out)
 }

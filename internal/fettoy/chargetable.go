@@ -111,7 +111,7 @@ func NewChargeTable(m *Model, opt TableOptions) *ChargeTable {
 // Lookups outside the tabulated range fall back to direct quadrature,
 // so accuracy degrades to the error bound, never to garbage. Call it
 // before sharing the model across goroutines, like SetTrace; the
-// returned table can be inspected or pre-built with Build.
+// returned table can be inspected or pre-built with BuildContext.
 func (m *Model) EnableTable(opt TableOptions) *ChargeTable {
 	t := NewChargeTable(m, opt)
 	m.table = t
@@ -150,16 +150,13 @@ func sameBits(x, y float64) bool { return math.Float64bits(x) == math.Float64bit
 // direct quadrature.
 func (m *Model) Table() *ChargeTable { return m.table }
 
-// Build forces table construction now instead of on first lookup, so
-// callers can keep the one-time quadrature cost out of timed regions.
-func (t *ChargeTable) Build() { t.tab() }
-
-// BuildContext is Build under a cancellable context: the adaptive
-// refinement checks ctx before every batch of at most 64 samples (each
-// costs tens of µs, so cancellation lands promptly) and returns an error
-// wrapping the context's cause when aborted. A canceled build leaves
-// the table unbuilt; retrying later — with this method, Build, or a
-// plain lookup — starts over.
+// BuildContext forces table construction now instead of on first
+// lookup, so callers can keep the one-time quadrature cost out of timed
+// regions. The adaptive refinement checks ctx before every batch of at
+// most 64 samples (each costs tens of µs, so cancellation lands
+// promptly) and returns an error wrapping the context's cause when
+// aborted. A canceled build leaves the table unbuilt; retrying later —
+// with this method or a plain lookup — starts over.
 func (t *ChargeTable) BuildContext(ctx context.Context) error {
 	_, err := t.tabCtx(ctx)
 	return err

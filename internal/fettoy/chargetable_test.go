@@ -388,14 +388,17 @@ func TestIDSBatchThreadsContinuation(t *testing.T) {
 			// Two identical models, so each path starts from the same
 			// state (a built table, an empty trace).
 			var models [2]*Model
-			var traces [2]*telemetry.Trace
+			var traces [2]*telemetry.Tracer
 			for k := range models {
 				models[k] = newDefault(t)
 				if tc.table != nil {
-					models[k].EnableTable(*tc.table).Build()
+					if err := models[k].EnableTable(*tc.table).BuildContext(context.Background()); err != nil {
+						t.Fatal(err)
+					}
 				}
 				if tc.trace {
-					traces[k] = telemetry.NewTrace(1 << 12)
+					traces[k] = telemetry.NewTracer(1 << 12)
+					traces[k].SetEnabled(true)
 					models[k].SetTrace(traces[k])
 				}
 			}
@@ -428,13 +431,13 @@ func TestIDSBatchThreadsContinuation(t *testing.T) {
 				t.Fatalf("narrow window missed %d of %d points, want some", misses, n)
 			}
 			if tc.trace {
-				evBatch, evChain := traces[0].Events(), traces[1].Events()
+				evBatch, evChain := traces[0].Spans(), traces[1].Spans()
 				if len(evBatch) == 0 || len(evBatch) != len(evChain) {
 					t.Fatalf("trace events: batch %d, chain %d", len(evBatch), len(evChain))
 				}
 				for i := range evBatch {
 					a, b := evBatch[i], evChain[i]
-					if a.Kind != b.Kind || !maps.Equal(a.Fields, b.Fields) {
+					if a.Kind != b.Kind || !maps.Equal(a.Attrs, b.Attrs) {
 						t.Fatalf("event %d: batch %+v, chain %+v", i, a, b)
 					}
 				}
@@ -514,7 +517,9 @@ func TestTableLookupZeroAlloc(t *testing.T) {
 	}
 	m := newDefault(t)
 	tbl := m.EnableTable(TableOptions{})
-	tbl.Build()
+	if err := tbl.BuildContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	b := Bias{VG: 0.5, VD: 0.3}
 	vsc, _, err := m.SolveVSC(b)
 	if err != nil {
@@ -548,7 +553,9 @@ func TestIDSBatchTableZeroAlloc(t *testing.T) {
 	}
 	m := newDefault(t)
 	tbl := m.EnableTable(TableOptions{})
-	tbl.Build()
+	if err := tbl.BuildContext(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	bias := make([]Bias, 61)
 	out := make([]float64, len(bias))
 	for i := range bias {

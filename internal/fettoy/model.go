@@ -74,7 +74,7 @@ type Model struct {
 
 	// trace, when set (before any concurrent use), receives the
 	// per-iteration residual trajectory of every VSC solve.
-	trace *telemetry.Trace
+	trace *telemetry.Tracer
 }
 
 // New validates the device and precomputes the equilibrium density N0.
@@ -94,11 +94,11 @@ func New(dev Device) (*Model, error) {
 	return m, nil
 }
 
-// SetTrace attaches a solve trace: every SolveVSC records its
-// per-iteration residual trajectory as "fettoy.newton" events and a
-// "fettoy.solve" summary event. Set it before sharing the model across
-// goroutines; a nil trace (the default) is free.
-func (m *Model) SetTrace(tr *telemetry.Trace) { m.trace = tr }
+// SetTrace attaches a tracer: while it is enabled, every SolveVSC
+// records its per-iteration residual trajectory as "fettoy.newton"
+// events and a "fettoy.solve" summary event. Set it before sharing the
+// model across goroutines; a nil tracer (the default) is free.
+func (m *Model) SetTrace(tr *telemetry.Tracer) { m.trace = tr }
 
 // Device returns the parameter set the model was built from.
 func (m *Model) Device() Device { return m.dev }
@@ -347,7 +347,9 @@ func (m *Model) solvePoint(b Bias, guess float64, c *tally) (float64, SolveStats
 	opt := rootfind.Options{XTol: 1e-12, MaxIter: 100, MaxGrow: 40}
 	if m.trace.Enabled() {
 		opt.OnIter = func(iter int, v, gv float64) {
-			m.trace.Emit(telemetry.KindFettoyNewton, 0, "iter", iter, "v", v, "residual", gv, "vg", b.VG, "vd", b.VD)
+			m.trace.Emit(telemetry.KindFettoyNewton, telemetry.Int(telemetry.AttrIter, int64(iter)),
+				telemetry.Float(telemetry.AttrV, v), telemetry.Float(telemetry.AttrResidual, gv),
+				telemetry.Float(telemetry.AttrVG, b.VG), telemetry.Float(telemetry.AttrVD, b.VD))
 		}
 	}
 	res, err := rootfind.Newton(g, x0, half, opt)
@@ -371,9 +373,11 @@ func (m *Model) solvePoint(b Bias, guess float64, c *tally) (float64, SolveStats
 	c.iters += int64(res.Iterations)
 	metrics.solveIters.Observe(float64(res.Iterations))
 	if m.trace.Enabled() {
-		m.trace.Emit(telemetry.KindFettoySolve, 0,
-			"vg", b.VG, "vd", b.VD, "vs", b.VS, "vsc", res.Root,
-			"iters", res.Iterations, "fevals", res.FuncEvals)
+		m.trace.Emit(telemetry.KindFettoySolve,
+			telemetry.Float(telemetry.AttrVG, b.VG), telemetry.Float(telemetry.AttrVD, b.VD),
+			telemetry.Float(telemetry.AttrVS, b.VS), telemetry.Float(telemetry.AttrVSC, res.Root),
+			telemetry.Int(telemetry.AttrIters, int64(res.Iterations)),
+			telemetry.Int(telemetry.AttrFuncEvals, int64(res.FuncEvals)))
 	}
 	return res.Root, SolveStats{Iterations: res.Iterations, FuncEvals: res.FuncEvals}, nil
 }

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -67,6 +68,6 @@ func FuzzParse(f *testing.F) {
 			}
 		}
 		var b strings.Builder
-		_ = deck.Run(&b) // errors fine; panics are failures
+		_ = deck.Run(context.Background(), &b) // errors fine; panics are failures
 	})
 }

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ R2 out 0 3k
 		t.Fatalf("title %q", deck.Title)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -109,7 +110,7 @@ func TestDeckWithoutAnalysesRejectedAtRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := deck.Run(&strings.Builder{}); err == nil {
+	if err := deck.Run(context.Background(), &strings.Builder{}); err == nil {
 		t.Fatal("analysis-free deck ran")
 	}
 }
@@ -128,7 +129,7 @@ M1 out in 0 fast n
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -163,7 +164,7 @@ CL out 0 10f
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	// The output must swing: find min and max of v(out).
@@ -204,7 +205,7 @@ VD3 d3 0 0.4
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -221,7 +222,7 @@ D1 d 0 is=1e-14 n=1 temp=300
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "0.6") && !strings.Contains(b.String(), "0.7") {
@@ -243,7 +244,7 @@ M1 d g 0 fast n ` + tubes + `
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		if err := deck.Run(&b); err != nil {
+		if err := deck.Run(context.Background(), &b); err != nil {
 			t.Fatal(err)
 		}
 		lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -278,7 +279,7 @@ RLG gout 0 1k
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -314,7 +315,7 @@ M1 d g 0 fast n
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -357,7 +358,7 @@ C1 out 0 1n
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
@@ -395,7 +396,7 @@ func TestACCardErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := deck.Run(&strings.Builder{}); err == nil {
+	if err := deck.Run(context.Background(), &strings.Builder{}); err == nil {
 		t.Fatal("current probe in .ac accepted")
 	}
 }
@@ -412,7 +413,7 @@ L1 mid 0 1m
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := deck.Run(&b); err != nil {
+	if err := deck.Run(context.Background(), &b); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(b.String()), "\n")

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -42,7 +43,7 @@ C1 out 0 1p
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := d.Run(&buf); err != nil {
+	if err := d.Run(context.Background(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -56,7 +57,7 @@ C1 out 0 1p
 		if !strings.HasPrefix(line, "{") {
 			continue
 		}
-		var ev telemetry.Event
+		var ev telemetry.SpanData
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("unparseable event %q: %v", line, err)
 		}

@@ -12,35 +12,31 @@ import (
 
 // Run executes every analysis in deck order and writes tabular results
 // to w. Probes from .print select the columns; without probes, all
-// node voltages are printed.
+// node voltages are printed. ctx is checked between analyses (one
+// .op/.dc/.tran/.ac card is the unit of work); a canceled deck returns
+// an error wrapping the context's cause, and analyses already written
+// to w stand.
 //
 // ".options trace" / ".options metrics" enable the process-wide
 // telemetry gate for the run and append, respectively, the solver
 // event log (JSON lines) and the counter snapshot ("* "-prefixed) to
-// the output. A trace already attached to the circuit (e.g. by the
+// the output. A tracer already attached to the circuit (e.g. by the
 // cntspice -trace flag) is left alone — the caller owns its export.
-func (d *Deck) Run(w io.Writer) error {
-	return d.RunContext(context.Background(), w) //lint:allow ctxpropagate documented non-cancellable compatibility shim
-}
-
-// RunContext is Run under a cancellable context, checked between
-// analyses (one .op/.dc/.tran/.ac card is the unit of work). A
-// canceled deck returns an error wrapping the context's cause;
-// analyses already written to w stand.
-func (d *Deck) RunContext(ctx context.Context, w io.Writer) error {
+func (d *Deck) Run(ctx context.Context, w io.Writer) error {
 	if len(d.Analyses) == 0 {
 		return fmt.Errorf("netlist: deck has no analyses (.op/.dc/.tran)")
 	}
 	if d.Options.Trace || d.Options.Metrics {
 		telemetry.Enable()
 	}
-	var ownTrace *telemetry.Trace
+	var ownTrace *telemetry.Tracer
 	if d.Options.Trace && d.Circuit.Trace() == nil {
 		capacity := d.Options.TraceCap
 		if capacity == 0 {
 			capacity = 4096
 		}
-		ownTrace = telemetry.NewTrace(capacity)
+		ownTrace = telemetry.NewTracer(capacity)
+		ownTrace.SetEnabled(true)
 		d.Circuit.SetTrace(ownTrace)
 	}
 	for _, a := range d.Analyses {

@@ -1,12 +1,12 @@
 package telemetry
 
-// This file is the single registry of telemetry instrument names and
-// trace event kinds. Every call site that names a counter, timer,
-// histogram or trace kind must reference one of these constants — the
-// telemetrykeys analyzer (internal/analysis/telemetrykeys, run by
-// cmd/cntlint) rejects raw string literals, so singular/plural and
-// typo drift between call sites, dashboards and the README/DESIGN
-// counter tables cannot creep back in.
+// This file is the single registry of telemetry instrument names,
+// span and solver event kinds, and attribute keys. Every call site that
+// names one must reference one of these constants — the telemetrykeys
+// analyzer (internal/analysis/telemetrykeys, run by cmd/cntlint)
+// rejects raw string literals, so singular/plural and typo drift
+// between call sites, dashboards and the README/DESIGN counter tables
+// cannot creep back in.
 //
 // Naming conventions:
 //
@@ -14,12 +14,12 @@ package telemetry
 //     (fettoy, core, circuit, sweep).
 //   - Counters that count events use the plural noun of the event:
 //     "fettoy.solves", "circuit.dc.solves", "circuit.tran.retries".
-//   - Trace kinds describe ONE event and use the singular of the same
+//   - Event kinds describe ONE event and use the singular of the same
 //     stem: the "fettoy.solve" summary event is the per-event twin of
 //     the "fettoy.solves" counter. The two namespaces are disjoint
-//     (Registry instruments vs Trace.Emit kinds); declaring both here,
+//     (Registry instruments vs Tracer.Emit kinds); declaring both here,
 //     side by side, is what keeps the pairing canonical. The historic
-//     "circuit.converge_fail" trace kind, whose stem had drifted from
+//     "circuit.converge_fail" event kind, whose stem had drifted from
 //     the "circuit.convergence_failures" counter, is reconciled to
 //     KindCircuitConvergenceFailure below.
 //   - Per-worker attribution keys are fmt.Sprintf patterns (suffix
@@ -182,7 +182,7 @@ const (
 // observability middleware.
 const KeyServerRequestSeconds = "server.request_seconds"
 
-// Span kinds (Tracer.StartSpan). Like trace kinds, spans describe ONE
+// Span kinds (Tracer.StartSpan). Like event kinds, spans describe ONE
 // operation and use singular stems; the tree they form — request →
 // job → chunk/row → table build — is the request-scoped view of the
 // same work the plural counters aggregate process-wide.
@@ -278,7 +278,7 @@ const (
 	LogEventSpan = "span"
 )
 
-// Trace event kinds (Trace.Emit). Kinds are singular: one event per
+// Solver event kinds (Tracer.Emit). Kinds are singular: one event per
 // occurrence; see the naming conventions above for how they pair with
 // the plural counters.
 const (
@@ -301,4 +301,38 @@ const (
 	KindCircuitTranRetry = "circuit.tran.retry"
 	// KindCircuitACPoint is one solved AC frequency point.
 	KindCircuitACPoint = "circuit.ac.point"
+)
+
+// Solver event attribute names (Tracer.Emit), next to AttrVG.
+const (
+	// AttrT is a circuit event's simulation time: the transient time
+	// in seconds, the swept source value of a DC sweep point, or the
+	// frequency in hertz of an AC point. Reference-model events have
+	// none.
+	AttrT = "t"
+	// AttrIter is the 1-based index of one Newton iteration; AttrIters
+	// counts the iterations a solve took.
+	AttrIter  = "iter"
+	AttrIters = "iters"
+	// AttrFuncEvals counts residual evaluations of a VSC solve.
+	AttrFuncEvals = "fevals"
+	// AttrV is a Newton iterate (the candidate VSC, in volts) and
+	// AttrResidual the eq. (7) residual there, in volts.
+	AttrV        = "v"
+	AttrResidual = "residual"
+	// AttrVD, AttrVS and AttrVSC are the drain, source and solved
+	// self-consistent voltages of a solve, in volts.
+	AttrVD  = "vd"
+	AttrVS  = "vs"
+	AttrVSC = "vsc"
+	// AttrDT is a transient step size, in seconds.
+	AttrDT = "dt"
+	// AttrGmin is the shunt conductance of a DC solve, in siemens.
+	AttrGmin = "gmin"
+	// AttrWorstDV is the largest Newton update of a circuit solve, in
+	// volts (or amperes for a branch unknown).
+	AttrWorstDV = "worst_dv"
+	// AttrLTE is the local truncation error estimate of an adaptive
+	// transient step, in the unknowns' units.
+	AttrLTE = "lte"
 )

@@ -1,9 +1,9 @@
 package telemetry
 
 // ring is a fixed-capacity buffer that, once full, overwrites its
-// oldest entry and counts the overwrite as dropped. It backs both Trace
-// and Tracer; it has no lock of its own, so the owner guards every call
-// with its mutex.
+// oldest entry and counts the overwrite as dropped. It backs Tracer; it
+// has no lock of its own, so the owner guards every call with its
+// mutex.
 type ring[T any] struct {
 	buf     []T
 	next    int // oldest entry, the next one overwritten; 0 until full

@@ -7,7 +7,9 @@
 // records the span — duration plus typed attributes — into a bounded
 // in-memory ring (served by /debug/trace and the CLIs' -trace output)
 // and, when a Logger is attached, into the structured NDJSON log as
-// one "span" record.
+// one "span" record. The same ring takes solver events (Tracer.Emit:
+// one Newton iteration, one transient step), which the CLIs' -trace
+// flags and the netlist ".options trace" directive export.
 //
 // Cost model: tracing is off by default. A disabled StartSpan is one
 // atomic load returning a nil *Span whose methods no-op, so the sweep
@@ -15,7 +17,9 @@
 // disabled-overhead benchmark (span_test.go) pins this near zero.
 // Enabled spans allocate (ID formatting, context values) and are meant
 // for request-rate paths — per HTTP request, per job, per sweep chunk,
-// per table build — not per solve.
+// per table build — not per solve. Solver events are per solve or per
+// iteration, so their call sites check Enabled before assembling
+// fields, and only a tracer a caller enabled for its own run gets them.
 package telemetry
 
 import (
@@ -25,6 +29,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,17 +56,20 @@ func newID() string {
 	return fmt.Sprintf("%08x%08x", idPrefix, uint32(idSeq.Add(1)))
 }
 
-// SpanData is the immutable record of one completed span — the unit
-// the ring retains, /debug/trace serves, and the NDJSON log encodes.
+// SpanData is the immutable record of one completed span or solver
+// event — the unit the ring retains, /debug/trace serves, and the
+// NDJSON log encodes. An event (Tracer.Emit) carries only Kind and
+// Attrs: no IDs and no wall clock, so solver logs stay deterministic
+// and diffable, and the ring's order is their sequence.
 type SpanData struct {
-	TraceID string `json:"trace"`
-	SpanID  string `json:"span"`
+	TraceID string `json:"trace,omitempty"`
+	SpanID  string `json:"span,omitempty"`
 	Parent  string `json:"parent,omitempty"`
 	Kind    string `json:"kind"`
 	// Start is the wall-clock span start; DurNS the duration in
 	// nanoseconds.
-	Start time.Time `json:"ts"`
-	DurNS int64     `json:"dur_ns"`
+	Start time.Time `json:"ts,omitzero"`
+	DurNS int64     `json:"dur_ns,omitzero"`
 	// Attrs are the typed attributes set with Span.Set (values are
 	// string, int64, float64 or bool). Metrics are per-span telemetry
 	// counter deltas attached with Span.SetMetrics — the engine feeds
@@ -164,9 +172,11 @@ func SpanFrom(ctx context.Context) *Span {
 // TraceIDFrom returns the trace ID the context carries, or "".
 func TraceIDFrom(ctx context.Context) string { return SpanFrom(ctx).TraceID() }
 
-// Tracer owns the tracing gate, the bounded ring of completed spans,
-// and the optional structured-log sink. The zero value is not ready;
-// use NewTracer or DefaultTracer.
+// Tracer owns the tracing gate, the bounded ring of completed spans
+// and solver events, and the optional structured-log sink. The zero
+// value is not ready; use NewTracer or DefaultTracer. A nil *Tracer is
+// a valid no-op event sink: Enabled reports false and Emit does
+// nothing, so solvers hold one unconditionally.
 type Tracer struct {
 	enabled atomic.Bool
 	logger  atomic.Pointer[Logger]
@@ -179,7 +189,9 @@ type Tracer struct {
 const DefaultSpanCapacity = 2048
 
 // NewTracer returns a disabled tracer retaining at most capacity
-// completed spans (minimum 1).
+// completed spans and events (minimum 1). When full, the oldest are
+// overwritten and counted as dropped — a long transient keeps its
+// tail, which is where convergence trouble shows.
 func NewTracer(capacity int) *Tracer {
 	return &Tracer{spans: newRing[SpanData](capacity)}
 }
@@ -199,8 +211,24 @@ func StartSpan(ctx context.Context, kind string) (context.Context, *Span) {
 // SetEnabled flips the tracing gate.
 func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 
-// Enabled reports the tracing gate state.
-func (t *Tracer) Enabled() bool { return t.enabled.Load() }
+// Enabled reports the tracing gate state (false on a nil tracer);
+// callers skip assembling event fields when it is off.
+func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
+
+// Emit records one solver event of the given kind (a Kind* constant
+// from keys.go) with typed attributes built by the Field constructors.
+// Events carrying a simulation time put it under AttrT. Emit is a
+// no-op while the tracer is disabled or nil.
+func (t *Tracer) Emit(kind string, fields ...Field) {
+	if !t.Enabled() {
+		return
+	}
+	d := SpanData{Kind: kind, Attrs: make(map[string]any, len(fields))}
+	for _, f := range fields {
+		d.Attrs[f.key] = f.value()
+	}
+	t.record(d)
+}
 
 // SetLogger attaches (or, with nil, detaches) the structured log every
 // completed span is written to as a "span" record.
@@ -232,8 +260,8 @@ func (t *Tracer) StartSpan(ctx context.Context, kind string) (context.Context, *
 	return context.WithValue(ctx, spanKey{}, s), s
 }
 
-// record stores one completed span in the ring and forwards it to the
-// attached logger, if any.
+// record stores one completed span or event in the ring and forwards
+// it to the attached logger, if any.
 func (t *Tracer) record(data SpanData) {
 	if t == nil {
 		return
@@ -278,43 +306,66 @@ func spanFields(d SpanData) []Field {
 	return fields
 }
 
-// Len returns the number of retained spans.
+// Len returns the number of retained spans and events.
 func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans.buf)
 }
 
-// Dropped returns how many spans were overwritten by ring wrap.
+// Dropped returns how many spans and events were overwritten by ring
+// wrap.
 func (t *Tracer) Dropped() int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.spans.dropped
 }
 
-// Spans returns the retained spans in completion order.
+// Spans returns the retained spans and events in completion order.
 func (t *Tracer) Spans() []SpanData {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.spans.items()
 }
 
-// Reset drops all retained spans (the drop counter survives, like
-// Trace.Reset keeps its sequence).
+// Reset drops all retained spans and events (the drop counter
+// survives).
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.spans.reset()
 }
 
-// WriteJSON writes the retained spans as NDJSON, one span per line —
-// the /debug/trace format.
+// WriteJSON writes the retained spans and events as NDJSON, one per
+// line — the /debug/trace format and the CLIs' -trace file.
 func (t *Tracer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, sp := range t.Spans() {
 		if err := enc.Encode(sp); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// WriteFile writes the retained spans and events to a new file at path
+// as JSON lines: the CLIs' -trace export. The error covers the create,
+// every write and the close. When the ring wrapped, warn gets one line
+// naming how many of the oldest records are missing from the file.
+func (t *Tracer) WriteFile(path string, warn io.Writer) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("trace file: %w", err)
+	}
+	err = t.WriteJSON(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("trace export: %w", err)
+	}
+	if n := t.Dropped(); n > 0 {
+		fmt.Fprintf(warn, "%s: trace ring dropped %d oldest records\n", path, n)
 	}
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSpanParenting checks trace propagation through contexts: a child
@@ -62,6 +63,33 @@ func TestSpanParenting(t *testing.T) {
 	}
 	if got := spans[0].Metrics[KeyFettoyNewtonIters]; got != 42 {
 		t.Fatalf("metrics iters = %d, want 42", got)
+	}
+}
+
+// TestSpanJSONLine pins a span's WriteJSON line byte for byte: the
+// omitempty/omitzero tags that let events drop IDs and wall clock must
+// leave every span field where it was.
+func TestSpanJSONLine(t *testing.T) {
+	tr := NewTracer(4)
+	tr.record(SpanData{
+		TraceID: "00000001000000aa", SpanID: "00000001000000ab", Parent: "00000001000000a9",
+		Kind: SpanEngineJob, Start: time.Date(2026, 1, 2, 3, 4, 5, 6000, time.UTC), DurNS: 1234,
+		Attrs:   map[string]any{AttrJobKind: "family-sweep", AttrPoints: int64(61), AttrVG: 0.55, AttrCacheHit: true},
+		Metrics: map[string]int64{KeyFettoyNewtonIters: 42},
+	})
+	tr.record(SpanData{
+		TraceID: "00000001000000aa", SpanID: "00000001000000ac", Kind: SpanServerRequest,
+		Start: time.Date(2026, 1, 2, 3, 4, 5, 0, time.FixedZone("x", 3600)), DurNS: 7,
+	})
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"trace":"00000001000000aa","span":"00000001000000ab","parent":"00000001000000a9","kind":"engine.job","ts":"2026-01-02T03:04:05.000006Z","dur_ns":1234,"attrs":{"cache_hit":true,"job_kind":"family-sweep","points":61,"vg":0.55},"metrics":{"fettoy.newton_iters":42}}
+{"trace":"00000001000000aa","span":"00000001000000ac","kind":"server.request","ts":"2026-01-02T03:04:05+01:00","dur_ns":7}
+`
+	if got := buf.String(); got != want {
+		t.Fatalf("span lines\n%s\nwant\n%s", got, want)
 	}
 }
 

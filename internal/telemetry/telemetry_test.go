@@ -68,7 +68,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var g *Gauge
 	var tm *Timer
 	var h *Histogram
-	var tr *Trace
+	var tr *Tracer
 	c.Inc()
 	c.Add(3)
 	g.Set(2)
@@ -76,8 +76,8 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	tm.Observe(time.Second)
 	tm.Start()()
 	h.Observe(1)
-	tr.Emit("x", 0)
-	if c.Value() != 0 || g.Value() != 0 || tm.Count() != 0 || h.Count() != 0 || tr.Len() != 0 || tr.Enabled() {
+	tr.Emit("x", Int("k", 1))
+	if c.Value() != 0 || g.Value() != 0 || tm.Count() != 0 || h.Count() != 0 || tr.Enabled() {
 		t.Fatal("nil instruments must be inert")
 	}
 }
@@ -282,15 +282,17 @@ func TestSnapshotJSON(t *testing.T) {
 }
 
 func TestTraceRingAndExport(t *testing.T) {
-	tr := NewTrace(4)
+	tr := NewTracer(4)
+	tr.Emit("step", Int("iter", -1)) // disabled: not recorded
+	tr.SetEnabled(true)
 	for i := 0; i < 10; i++ {
-		tr.Emit("step", float64(i), "iter", i, "res", 0.5)
+		tr.Emit("step", Float(AttrT, float64(i)), Int("iter", int64(i)), Float("res", 0.5))
 	}
-	evs := tr.Events()
+	evs := tr.Spans()
 	if len(evs) != 4 {
 		t.Fatalf("retained %d events, want 4", len(evs))
 	}
-	if evs[0].Seq != 6 || evs[3].Seq != 9 {
+	if evs[0].Attrs["iter"] != int64(6) || evs[3].Attrs["iter"] != int64(9) {
 		t.Fatalf("ring kept wrong window: %+v", evs)
 	}
 	if tr.Dropped() != 6 {
@@ -300,14 +302,19 @@ func TestTraceRingAndExport(t *testing.T) {
 	if err := tr.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// An event line is kind plus attrs: no IDs, no wall clock.
+	first, _, _ := strings.Cut(buf.String(), "\n")
+	if want := `{"kind":"step","attrs":{"iter":6,"res":0.5,"t":6}}`; first != want {
+		t.Fatalf("event line %s, want %s", first, want)
+	}
 	sc := bufio.NewScanner(&buf)
 	lines := 0
 	for sc.Scan() {
-		var ev Event
+		var ev SpanData
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %d not JSON: %v", lines, err)
 		}
-		if ev.Kind != "step" || ev.Fields["res"] != 0.5 {
+		if ev.Kind != "step" || ev.Attrs["res"] != 0.5 || ev.Attrs[AttrT] != float64(lines+6) {
 			t.Fatalf("bad event %+v", ev)
 		}
 		lines++
@@ -318,14 +325,15 @@ func TestTraceRingAndExport(t *testing.T) {
 }
 
 func TestTraceConcurrent(t *testing.T) {
-	tr := NewTrace(64)
+	tr := NewTracer(64)
+	tr.SetEnabled(true)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				tr.Emit("ev", float64(i), "w", i)
+				tr.Emit("ev", Float(AttrT, float64(i)), Int("w", int64(i)))
 			}
 		}()
 	}

@@ -91,13 +91,14 @@ type Deck = netlist.Deck
 func ParseDeck(src string) (*Deck, error) { return netlist.Parse(src) }
 
 // RunDeck parses a netlist and executes its analyses, writing tabular
-// results to w — the programmatic equivalent of cmd/cntspice.
-func RunDeck(src string, w io.Writer) error {
+// results to w — the programmatic equivalent of cmd/cntspice. ctx is
+// checked between analyses.
+func RunDeck(ctx context.Context, src string, w io.Writer) error {
 	d, err := netlist.Parse(src)
 	if err != nil {
 		return err
 	}
-	return d.Run(w)
+	return d.Run(ctx, w)
 }
 
 // LogicLibrary builds complementary CNT gates (inverter, NAND2, NOR2,
@@ -142,17 +143,11 @@ type (
 	VariationResult = variation.Result
 )
 
-// MonteCarloIDSContext draws n device variants and returns the
-// drain-current distribution at the bias, evaluated with the fast
-// Model 2. The context cancels the run between draws.
-func MonteCarloIDSContext(ctx context.Context, dev Device, spread VariationSpread, bias Bias, n int, seed int64) (VariationResult, error) {
+// MonteCarloIDS draws n device variants and returns the drain-current
+// distribution at the bias, evaluated with the fast Model 2. The
+// context cancels the run between draws.
+func MonteCarloIDS(ctx context.Context, dev Device, spread VariationSpread, bias Bias, n int, seed int64) (VariationResult, error) {
 	return variation.MonteCarloIDS(ctx, dev, spread, bias, n, seed)
-}
-
-// MonteCarloIDS is MonteCarloIDSContext with a background context,
-// kept as the convenience entry point for non-cancellable callers.
-func MonteCarloIDS(dev Device, spread VariationSpread, bias Bias, n int, seed int64) (VariationResult, error) {
-	return MonteCarloIDSContext(context.Background(), dev, spread, bias, n, seed) //lint:allow ctxpropagate documented non-cancellable convenience shim
 }
 
 // EFSensitivity estimates d(IDS)/d(EF) via the refit-free Fermi-level

@@ -1,6 +1,7 @@
 package cntfet
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -52,7 +53,7 @@ func TestPublicCircuitSurface(t *testing.T) {
 
 func TestPublicDeckRunner(t *testing.T) {
 	var b strings.Builder
-	err := RunDeck(`divider
+	err := RunDeck(context.Background(), `divider
 V1 in 0 4
 R1 in out 1k
 R2 out 0 1k
@@ -65,7 +66,7 @@ R2 out 0 1k
 	if !strings.Contains(b.String(), "2") {
 		t.Fatalf("output:\n%s", b.String())
 	}
-	if err := RunDeck("broken deck\nR1 x\n.op\n", &strings.Builder{}); err == nil {
+	if err := RunDeck(context.Background(), "broken deck\nR1 x\n.op\n", &strings.Builder{}); err == nil {
 		t.Fatal("bad deck accepted")
 	}
 }
@@ -94,7 +95,7 @@ func TestPublicLogicAndVariation(t *testing.T) {
 		t.Fatalf("tpHL = %g", tpHL)
 	}
 
-	res, err := MonteCarloIDS(DefaultDevice(), VariationSpread{EF: 0.01}, Bias{VG: 0.5, VD: 0.4}, 100, 2)
+	res, err := MonteCarloIDS(context.Background(), DefaultDevice(), VariationSpread{EF: 0.01}, Bias{VG: 0.5, VD: 0.4}, 100, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
