@@ -63,8 +63,10 @@ fuzz:
 
 ## bench: telemetry overhead + solver benchmarks, a cold fitted-model
 ## build (core.Fit on a fresh key, with its theory samples as
-## integral_evals/op), one reference eq.-7 solve per path (quadrature,
-## table, warm start; with newton_iters/op and integral_evals/op), the
+## integral_evals/op) and the same miss through the server's model
+## cache (B/op and allocs/op: a cold request's model cost), one
+## reference eq.-7 solve per path (quadrature, table, warm start; with
+## newton_iters/op and integral_evals/op), the
 ## served Table-I answer's encode cost (whole response, and per float:
 ## strconv against internal/jsonenc), the nine reference cells' cold
 ## set-up (charge tables built per warm-up), one served Table-I job
@@ -74,6 +76,7 @@ fuzz:
 ## engine is slower than the legacy scheduler.
 bench:
 	$(GO) test -bench='IDSTelemetry|FitColdModel' -benchmem ./internal/core/
+	$(GO) test -run '^$$' -bench='ResolveColdModel' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench='SolveVSC_' -benchmem .
 	$(GO) test -run '^$$' -bench='EncodeFamilyResponse|AppendFloat|ReferenceWarmup' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench='EngineRunTableI' -benchmem ./internal/engine/

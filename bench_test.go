@@ -368,7 +368,7 @@ CL out 0 10f
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := deck.Circuit.Transient(circuit.TranOptions{Step: 40e-12, Stop: 4e-9}); err != nil {
+		if _, err := deck.Circuit.Transient(context.Background(), circuit.TranOptions{Step: 40e-12, Stop: 4e-9}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -551,7 +551,7 @@ func BenchmarkLogic_RingOscillator3(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sols, err := c.Transient(circuit.TranOptions{Step: 10e-12, Stop: 4e-9, DC: circuit.DCOptions{MaxIter: 300}})
+		sols, err := c.Transient(context.Background(), circuit.TranOptions{Step: 10e-12, Stop: 4e-9, DC: circuit.DCOptions{MaxIter: 300}})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -10,8 +11,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
+	"time"
 
 	"cntfet/internal/engine"
 )
@@ -131,5 +135,86 @@ func TestTraceWrittenOnCancel(t *testing.T) {
 	}
 	if kinds["circuit.dc.solve"] == 0 || kinds["circuit.tran.step"] != 0 {
 		t.Fatalf("trace holds %v, want the .op's DC solves and no transient step", kinds)
+	}
+}
+
+// firstWrite is an io.Writer that closes started on its first write.
+type firstWrite struct {
+	once    sync.Once
+	started chan struct{}
+}
+
+func (w *firstWrite) Write(p []byte) (int, error) {
+	w.once.Do(func() { close(w.started) })
+	return len(p), nil
+}
+
+// TestInterruptStopsLongTransient: SIGINT stops a .tran mid-run. The
+// deck's 2M fixed steps run for about 9 s uncanceled (2-core Xeon); the
+// interrupted binary must exit 130 soon after the signal, under a 3 s
+// bound that leaves room for a loaded machine (it takes well under
+// 1 s unloaded), and still write its -trace file, holding the
+// transient's steps.
+func TestInterruptStopsLongTransient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	if runtime.GOOS == "windows" {
+		t.Skip("posix-only test harness")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "cntspice")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("build: %v\n%s", err, out)
+	}
+	deck := filepath.Join(dir, "rc.cir")
+	src := "rc\nV1 in 0 PULSE(0 1 1n 0.1n 0.1n 2n 4n)\nR1 in out 1k\nC1 out 0 1p\n.tran 0.01n 20u\n.end\n"
+	if err := os.WriteFile(deck, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	trace := filepath.Join(dir, "trace.jsonl")
+	cmd := exec.Command(bin, "-trace", trace, deck)
+	stdout := &firstWrite{started: make(chan struct{})}
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = stdout, &stderr
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// The deck's title line comes out just before the run starts.
+	select {
+	case <-stdout.started:
+	case <-time.After(10 * time.Second):
+		cmd.Process.Kill()
+		t.Fatal("cntspice printed nothing within 10 s")
+	}
+	time.Sleep(300 * time.Millisecond)
+	if err := cmd.Process.Signal(syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	sent := time.Now()
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(3 * time.Second):
+		cmd.Process.Kill()
+		<-done
+		t.Fatal("cntspice still running 3 s after SIGINT")
+	}
+	t.Logf("exited %v after SIGINT", time.Since(sent))
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 130 {
+		t.Fatalf("interrupted run: %v, want exit status 130; stderr:\n%s", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "canceled") {
+		t.Errorf("stderr does not report the cancellation:\n%s", stderr.String())
+	}
+	raw, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatalf("interrupted run left no trace file: %v", err)
+	}
+	if !bytes.Contains(raw, []byte(`"circuit.tran.step"`)) {
+		t.Fatalf("trace holds no transient step (%d bytes)", len(raw))
 	}
 }

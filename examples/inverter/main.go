@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -65,7 +66,7 @@ func main() {
 	tb.Render(os.Stdout)
 
 	// Switching transient.
-	sols, err := d.Circuit.Transient(circuit.TranOptions{Step: 10e-12, Stop: 4e-9})
+	sols, err := d.Circuit.Transient(context.Background(), circuit.TranOptions{Step: 10e-12, Stop: 4e-9})
 	if err != nil {
 		log.Fatal(err)
 	}

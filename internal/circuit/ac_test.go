@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -193,7 +194,7 @@ func TestRLStepResponse(t *testing.T) {
 		Wave: Pulse{V1: 0, V2: 1, Rise: 1e-9, Width: 1}})
 	c.MustAdd(&Resistor{Label: "R1", A: "in", B: "mid", Ohms: 1e3})
 	c.MustAdd(&Inductor{Label: "L1", A: "mid", B: Ground, Henrys: 1e-3})
-	sols, err := c.Transient(TranOptions{Step: 1e-8, Stop: 5e-6})
+	sols, err := c.Transient(context.Background(), TranOptions{Step: 1e-8, Stop: 5e-6})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -118,7 +120,7 @@ func TestRCTransientBackwardEuler(t *testing.T) {
 	// Start the capacitor discharged: hold the source at 0 for t<=0 by
 	// using a pulse that rises immediately after t=0.
 	c.Element("V1").(*VSource).Wave = Pulse{V1: 0, V2: 1, Delay: 0, Rise: 1e-9, Width: 1, Period: 0}
-	sols, err := c.Transient(TranOptions{Step: 2e-8, Stop: 5e-6})
+	sols, err := c.Transient(context.Background(), TranOptions{Step: 2e-8, Stop: 5e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +153,7 @@ func TestRCTransientTrapezoidalMoreAccurate(t *testing.T) {
 			Wave: Sin{Amplitude: 1, Freq: 1e5}})
 		c.MustAdd(&Resistor{Label: "R1", A: "in", B: "out", Ohms: 1e3})
 		c.MustAdd(&Capacitor{Label: "C1", A: "out", B: Ground, Farads: 1e-9})
-		sols, err := c.Transient(TranOptions{Step: step, Stop: 2.0001e-5, Trapezoidal: trap})
+		sols, err := c.Transient(context.Background(), TranOptions{Step: step, Stop: 2.0001e-5, Trapezoidal: trap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -315,10 +317,10 @@ func TestTransientValidation(t *testing.T) {
 	c := New()
 	c.MustAdd(&VSource{Label: "V1", P: "a", N: Ground, Wave: DC(1)})
 	c.MustAdd(&Resistor{Label: "R1", A: "a", B: Ground, Ohms: 1})
-	if _, err := c.Transient(TranOptions{Step: 0, Stop: 1}); err == nil {
+	if _, err := c.Transient(context.Background(), TranOptions{Step: 0, Stop: 1}); err == nil {
 		t.Fatal("zero step accepted")
 	}
-	if _, err := c.Transient(TranOptions{Step: 1, Stop: 0.5}); err == nil {
+	if _, err := c.Transient(context.Background(), TranOptions{Step: 1, Stop: 0.5}); err == nil {
 		t.Fatal("stop before first step accepted")
 	}
 }
@@ -436,7 +438,7 @@ func TestCNTRingOscillator(t *testing.T) {
 	// a small current kick on one node.
 	c.MustAdd(&ISource{Label: "IK", P: "a", N: Ground,
 		Wave: Pulse{V1: 0, V2: 2e-6, Delay: 0, Rise: 1e-12, Width: 50e-12, Fall: 1e-12, Period: 1}})
-	sols, err := c.Transient(TranOptions{Step: 5e-12, Stop: 3e-9, DC: DCOptions{MaxIter: 200}})
+	sols, err := c.Transient(context.Background(), TranOptions{Step: 5e-12, Stop: 3e-9, DC: DCOptions{MaxIter: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,6 +497,31 @@ func TestCNTNANDGate(t *testing.T) {
 	}
 }
 
+// TestTransientStopsOnCancel: both transient loops check their context
+// every cancelEvery steps, so a canceled run stops at the first check
+// with the context's error and the solutions computed so far, instead
+// of running to Stop (here 1M fixed steps).
+func TestTransientStopsOnCancel(t *testing.T) {
+	build := func() *Circuit {
+		c := New()
+		c.MustAdd(&VSource{Label: "V1", P: "in", N: Ground,
+			Wave: Pulse{V1: 0, V2: 1, Delay: 1e-7, Rise: 1e-9, Width: 1}})
+		c.MustAdd(&Resistor{Label: "R1", A: "in", B: "out", Ohms: 1e3})
+		c.MustAdd(&Capacitor{Label: "C1", A: "out", B: Ground, Farads: 1e-9})
+		return c
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	sols, err := build().Transient(ctx, TranOptions{Step: 5e-12, Stop: 5e-6})
+	if !errors.Is(err, context.Canceled) || len(sols) != cancelEvery {
+		t.Fatalf("canceled fixed-step run: %d solutions, err %v; want %d and context.Canceled", len(sols), err, cancelEvery)
+	}
+	sols, err = build().TransientAdaptive(ctx, TranAdaptiveOptions{Stop: 5e-6, MaxStep: 1e-11, MinStep: 1e-12})
+	if !errors.Is(err, context.Canceled) || len(sols) > cancelEvery {
+		t.Fatalf("canceled adaptive run: %d solutions, err %v; want at most %d and context.Canceled", len(sols), err, cancelEvery)
+	}
+}
+
 func TestTransientAdaptiveMatchesFixedStep(t *testing.T) {
 	build := func() *Circuit {
 		c := New()
@@ -504,11 +531,11 @@ func TestTransientAdaptiveMatchesFixedStep(t *testing.T) {
 		c.MustAdd(&Capacitor{Label: "C1", A: "out", B: Ground, Farads: 1e-9})
 		return c
 	}
-	adaptive, err := build().TransientAdaptive(TranAdaptiveOptions{Stop: 5e-6, Tol: 1e-4})
+	adaptive, err := build().TransientAdaptive(context.Background(), TranAdaptiveOptions{Stop: 5e-6, Tol: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fixed, err := build().Transient(TranOptions{Step: 5e-9, Stop: 5e-6})
+	fixed, err := build().Transient(context.Background(), TranOptions{Step: 5e-9, Stop: 5e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,10 +568,10 @@ func TestTransientAdaptiveValidation(t *testing.T) {
 	c := New()
 	c.MustAdd(&VSource{Label: "V1", P: "a", N: Ground, Wave: DC(1)})
 	c.MustAdd(&Resistor{Label: "R1", A: "a", B: Ground, Ohms: 1})
-	if _, err := c.TransientAdaptive(TranAdaptiveOptions{Stop: 0}); err == nil {
+	if _, err := c.TransientAdaptive(context.Background(), TranAdaptiveOptions{Stop: 0}); err == nil {
 		t.Fatal("zero stop accepted")
 	}
-	if _, err := c.TransientAdaptive(TranAdaptiveOptions{Stop: 1, MinStep: 1, MaxStep: 0.1}); err == nil {
+	if _, err := c.TransientAdaptive(context.Background(), TranAdaptiveOptions{Stop: 1, MinStep: 1, MaxStep: 0.1}); err == nil {
 		t.Fatal("inverted step bounds accepted")
 	}
 }
@@ -558,7 +585,7 @@ func TestTransientAdaptiveCNTInverter(t *testing.T) {
 	c.MustAdd(&CNTFET{Label: "MP", D: "out", G: "in", S: "vdd", Model: model, Pol: PType})
 	c.MustAdd(&CNTFET{Label: "MN", D: "out", G: "in", S: Ground, Model: model})
 	c.MustAdd(&Capacitor{Label: "CL", A: "out", B: Ground, Farads: 10e-15})
-	sols, err := c.TransientAdaptive(TranAdaptiveOptions{Stop: 2e-9, Tol: 2e-3})
+	sols, err := c.TransientAdaptive(context.Background(), TranAdaptiveOptions{Stop: 2e-9, Tol: 2e-3})
 	if err != nil {
 		t.Fatal(err)
 	}

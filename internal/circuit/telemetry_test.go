@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -73,7 +74,7 @@ func TestTransientTraceAndCounters(t *testing.T) {
 	tr.SetEnabled(true)
 	c.SetTrace(tr)
 
-	sols, err := c.Transient(TranOptions{Step: 1e-10, Stop: 4e-9})
+	sols, err := c.Transient(context.Background(), TranOptions{Step: 1e-10, Stop: 4e-9})
 	if err != nil {
 		t.Fatal(err)
 	}

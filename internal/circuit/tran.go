@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -21,10 +22,30 @@ type TranOptions struct {
 	DC DCOptions
 }
 
+// cancelEvery is how many timesteps a transient runs between checks
+// of its context: often enough that a canceled run stops within a
+// fraction of a second, rarely enough that the check costs nothing
+// next to the Newton solves of a step.
+const cancelEvery = 64
+
+// canceled reports, every cancelEvery-th step k, a transient's context
+// error, wrapped with the simulation time t it stopped at.
+func canceled(ctx context.Context, k int, t float64) error {
+	if k%cancelEvery != 0 {
+		return nil
+	}
+	if err := context.Cause(ctx); err != nil {
+		return fmt.Errorf("circuit: transient canceled at t=%g: %w", t, err)
+	}
+	return nil
+}
+
 // Transient runs a fixed-step transient from the DC operating point at
 // t = 0 and returns the solution at every accepted timestep, including
-// the initial point.
-func (c *Circuit) Transient(opt TranOptions) ([]*Solution, error) {
+// the initial point. It checks ctx every few steps; a canceled run
+// returns the solutions so far and an error wrapping the context's
+// cause.
+func (c *Circuit) Transient(ctx context.Context, opt TranOptions) ([]*Solution, error) {
 	if opt.Step <= 0 || opt.Stop <= opt.Step {
 		return nil, fmt.Errorf("circuit: bad transient window step=%g stop=%g", opt.Step, opt.Stop)
 	}
@@ -44,6 +65,9 @@ func (c *Circuit) Transient(opt TranOptions) ([]*Solution, error) {
 	steps := int(opt.Stop/opt.Step + 0.5)
 	for k := 1; k <= steps; k++ {
 		t := float64(k) * opt.Step
+		if err := canceled(ctx, k, t); err != nil {
+			return out, err
+		}
 		st.Time = t
 		st.Dt = opt.Step
 		st.Trapezoidal = opt.Trapezoidal
@@ -157,8 +181,9 @@ type TranAdaptiveOptions struct {
 // half steps; the difference estimates the local truncation error,
 // shrinking the step when it exceeds Tol and growing it when it is
 // comfortably below. Sharp stimulus edges therefore get small steps
-// automatically while quiescent stretches take large ones.
-func (c *Circuit) TransientAdaptive(opt TranAdaptiveOptions) ([]*Solution, error) {
+// automatically while quiescent stretches take large ones. Like
+// Transient, it checks ctx every few steps, retries included.
+func (c *Circuit) TransientAdaptive(ctx context.Context, opt TranAdaptiveOptions) ([]*Solution, error) {
 	if opt.Stop <= 0 {
 		return nil, fmt.Errorf("circuit: bad adaptive transient stop %g", opt.Stop)
 	}
@@ -184,7 +209,10 @@ func (c *Circuit) TransientAdaptive(opt TranAdaptiveOptions) ([]*Solution, error
 	prev := init.Clone()
 	h := opt.MaxStep / 4
 
-	for prev.Time < opt.Stop {
+	for k := 1; prev.Time < opt.Stop; k++ {
+		if err := canceled(ctx, k, prev.Time); err != nil {
+			return out, err
+		}
 		if prev.Time+h > opt.Stop {
 			h = opt.Stop - prev.Time
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"cntfet/internal/fettoy"
@@ -47,5 +49,90 @@ func TestIDSBatchZeroAlloc(t *testing.T) {
 			}
 		}
 		telemetry.Disable()
+	}
+}
+
+// heldObjects counts the heap objects a fitted Model keeps: the Model;
+// the u-space curve's breaks, pieces and one coefficient array shared
+// by its free pieces; the VSC-space curve's breaks, pieces and one
+// coefficient array per non-zero piece; the solver's cubic table; and
+// the subband ladder.
+func heldObjects(m *Model) int {
+	n := 1 + 3 + 2 + 1 + 1
+	for _, p := range m.qs.Pieces {
+		if !p.IsZero() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFitAllocatesOnlyWhatModelKeeps pins a cold fit's allocation
+// budget to the model it returns. Objects: testing.AllocsPerRun must
+// count exactly heldObjects. Bytes: over 256 fits on fresh keys, the
+// bytes allocated (runtime.MemStats.TotalAlloc, the collector off)
+// must not exceed the bytes the models keep alive (HeapAlloc after
+// collections with the models held, less after they are dropped) by
+// more than 32 B a fit. The fit's grid, theory samples, weights and
+// KKT workspace come from pools, which a collection empties, so they
+// count as neither. The slack absorbs one pool miss when the test
+// goroutine moves to another P (a fresh scratch set, about 6 KB) and
+// the runtime's own odd allocation. Before the pools, a fit allocated
+// about 5.9 KB more than its model kept. Skipped under -race, whose
+// instrumentation allocates.
+func TestFitAllocatesOnlyWhatModelKeeps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, spec := range []Spec{Model1Spec(), Model2Spec()} {
+		ref := refModel(t, fettoy.Default())
+		var m *Model
+		var err error
+		allocs := testing.AllocsPerRun(20, func() {
+			if m, err = Fit(ref, spec, FitOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if want := heldObjects(m); allocs != float64(want) {
+			t.Errorf("%s: a fit allocates %.1f objects, its model holds %d", spec.Name, allocs, want)
+		}
+
+		const fits = 256
+		refs := make([]*fettoy.Model, fits)
+		for i := range refs {
+			dev, _ := coldKey(i)
+			refs[i] = refModel(t, dev)
+		}
+		models := make([]*Model, fits)
+		// AllocsPerRun changed GOMAXPROCS, which drops what the pools
+		// held, and a key with more free samples grows the scratch: one
+		// pass over the keys leaves the pools as large as the keys need.
+		for _, r := range refs {
+			if _, err := Fit(r, spec, FitOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after, held, dropped runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, r := range refs {
+			if models[i], err = Fit(r, spec, FitOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&held)
+		clear(models)
+		runtime.GC()
+		runtime.ReadMemStats(&dropped)
+		allocated := float64(after.TotalAlloc-before.TotalAlloc) / fits
+		kept := float64(int64(held.HeapAlloc)-int64(dropped.HeapAlloc)) / fits
+		t.Logf("%s: %.0f B allocated, %.0f B kept per fit", spec.Name, allocated, kept)
+		if allocated > kept+32 {
+			t.Errorf("%s: a fit allocates %.0f B, its model keeps %.0f B", spec.Name, allocated, kept)
+		}
+		runtime.KeepAlive(refs)
 	}
 }

@@ -343,7 +343,7 @@ func TestAccessors(t *testing.T) {
 	}
 	// BreaksU returns a copy.
 	m.BreaksU()[0] = 99
-	if m.breaks[0] == 99 {
+	if m.qsU.Breaks[0] == 99 {
 		t.Fatal("BreaksU aliases internal state")
 	}
 }

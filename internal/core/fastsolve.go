@@ -390,7 +390,7 @@ func tryRoot(c cubic, lo, hi, r float64) (float64, bool) {
 // initFast caches the stack-friendly representation of the fitted
 // charge curve; called once at construction.
 func (m *Model) initFast() {
-	m.fastBreaks = append([]float64(nil), m.qs.Breaks...)
+	m.fastBreaks = m.qs.Breaks
 	m.fastCoef = make([]cubic, len(m.qs.Pieces))
 	for i, p := range m.qs.Pieces {
 		var c cubic

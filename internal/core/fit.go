@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"cntfet/internal/fettoy"
 	"cntfet/internal/optimize"
@@ -68,9 +69,10 @@ func (o *FitOptions) fill(dev fettoy.Device, spec Spec) {
 	}
 }
 
-// sampleWeights builds the relative-error weights for the charge
-// samples; nil means uniform.
-func (o FitOptions) sampleWeights(ys []float64) []float64 {
+// sampleWeights writes the relative-error weights for the charge
+// samples into dst, grown as needed, and returns them; nil means
+// uniform.
+func (o FitOptions) sampleWeights(dst, ys []float64) []float64 {
 	if o.WeightFloor < 0 {
 		return nil
 	}
@@ -83,7 +85,7 @@ func (o FitOptions) sampleWeights(ys []float64) []float64 {
 	if ymax == 0 { //lint:allow floatcmp exact-zero normalisation guard
 		return nil
 	}
-	w := make([]float64, len(ys))
+	w := resize(dst, len(ys))
 	for i, y := range ys {
 		d := math.Abs(y) + o.WeightFloor*ymax
 		w[i] = 1 / (d * d)
@@ -111,6 +113,26 @@ func OperationalURange(dev fettoy.Device, spec Spec, vgMax float64) [2]float64 {
 	return [2]float64{uMin, uMax}
 }
 
+// fitScratch holds the slices one Fit needs only while it runs: the
+// sample grid, the stacked grids and theory samples of a multi-
+// temperature fit, and the sample weights. The fitted Model keeps none
+// of them.
+type fitScratch struct {
+	grid, us, ys, weights []float64
+}
+
+// fitScratchPool lends each Fit its scratch. A pool, not one retained
+// buffer: a garbage collection empties it, so an idle process holds no
+// fit scratch, while back-to-back fits (a burst of model-cache misses)
+// reuse it.
+var fitScratchPool = sync.Pool{New: func() any { return new(fitScratch) }}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified: callers overwrite them.
+func resize(s []float64, n int) []float64 {
+	return slices.Grow(s[:0], n)[:n]
+}
+
 // Fit samples the theoretical mobile charge QS(VSC) from the reference
 // model and fits the spec's piecewise polynomial with C¹ continuity,
 // returning a fast Model. The fit lives in u-space so the breakpoints
@@ -134,19 +156,22 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 	// paper's EF = -0.32 eV the two are indistinguishable (N0 ~ 1e-6 of
 	// the curve scale), but at EF = 0 the constant is what keeps the
 	// closed-form solve accurate in the zero region.
-	base := units.Linspace(opt.URange[0], opt.URange[1], opt.Samples)
+	sc := fitScratchPool.Get().(*fitScratch)
+	defer fitScratchPool.Put(sc)
+	sc.grid = units.LinspaceInto(resize(sc.grid, opt.Samples), opt.URange[0], opt.URange[1])
+	base := sc.grid
 	if spec.ZeroTail && !opt.OptimizeBreaks {
 		base = base[:freeSamples(base, spec.Breaks[len(spec.Breaks)-1])]
 	}
-	var us, ys []float64
+	us, ys := base, sc.ys[:0]
 	if len(opt.TrainTemps) == 0 {
-		us = base
-		ys = sampleQNS(ref, base, nil)
+		ys = sampleQNS(ref, base, ys)
 	} else {
 		// Stack samples from every training temperature (paper: one
 		// model trained over 150-450 K). Each temperature contributes
 		// its own q·NS curve; the device's own equilibrium constant is
 		// still what the solver uses.
+		us = sc.us[:0]
 		for _, temp := range opt.TrainTemps {
 			devT := dev
 			devT.T = temp
@@ -157,10 +182,15 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 			us = append(us, base...)
 			ys = sampleQNS(refT, base, ys)
 		}
+		sc.us = us
+	}
+	sc.ys = ys
+	weights := opt.sampleWeights(sc.weights, ys)
+	if weights != nil {
+		sc.weights = weights
 	}
 
-	weights := opt.sampleWeights(ys)
-	breaks := append([]float64(nil), spec.Breaks...)
+	breaks := spec.Breaks
 	if opt.OptimizeBreaks {
 		// Multi-start: the paper's boundaries were derived for 300 K;
 		// the knee width scales with kT, so a temperature-scaled
@@ -181,7 +211,7 @@ func Fit(ref *fettoy.Model, spec Spec, opt FitOptions) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newModel(dev, spec, breaks, pw, ref.N0())
+	return newModel(dev, spec, pw, ref.N0())
 }
 
 // freeSamples returns how many leading points of the ascending grid us
@@ -215,7 +245,9 @@ func sampleQNS(ref *fettoy.Model, us, dst []float64) []float64 {
 
 // fitU runs the constrained least squares in u-space.
 func fitU(spec Spec, breaks, us, ys, weights []float64) (poly.Piecewise, error) {
-	return poly.FitPiecewiseWeighted(breaks, spec.pieceSpecs(), us, ys, weights, spec.continuityOrders())
+	var specs [maxBreaks + 1]poly.PieceSpec
+	var orders [maxBreaks]int
+	return poly.FitPiecewiseWeighted(breaks, spec.pieceSpecs(specs[:0]), us, ys, weights, spec.continuityOrders(orders[:0]))
 }
 
 // optimizeBreaksMulti runs the breakpoint optimisation from several

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"cntfet/internal/fettoy"
@@ -24,11 +25,11 @@ func fitAdaptive(t *testing.T, ref *fettoy.Model, spec Spec) *Model {
 	for i, u := range us {
 		ys[i] = ref.QS(u+dev.EF) + 0.5*units.Q*ref.N0()
 	}
-	pw, err := fitU(spec, spec.Breaks, us, ys, opt.sampleWeights(ys))
+	pw, err := fitU(spec, spec.Breaks, us, ys, opt.sampleWeights(nil, ys))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := newModel(dev, spec, spec.Breaks, pw, ref.N0())
+	m, err := newModel(dev, spec, pw, ref.N0())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func fitFullGrid(t *testing.T, ref *fettoy.Model, spec Spec, opt FitOptions) pol
 		dev.T = temp
 		us, ys = append(us, base...), sampleQNS(refModel(t, dev), base, ys)
 	}
-	pw, err := fitU(spec, spec.Breaks, us, ys, opt.sampleWeights(ys))
+	pw, err := fitU(spec, spec.Breaks, us, ys, opt.sampleWeights(nil, ys))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,29 +148,141 @@ func TestFitSkipsZeroTailExactly(t *testing.T) {
 	}
 }
 
+// coldKey is the i-th never-seen key of BenchmarkFitColdModel: the
+// default tube at a (T, EF) from golden-ratio sequences, which keep
+// every key fresh, fitted as model1 for even i and model2 for odd i.
+func coldKey(i int) (fettoy.Device, Spec) {
+	dev := fettoy.Default()
+	dev.T = 150 + 300*math.Mod(float64(i)*0.6180339887, 1)
+	dev.EF = -0.5 * math.Mod(float64(i)*0.7548776662, 1)
+	if i%2 == 0 {
+		return dev, Model1Spec()
+	}
+	return dev, Model2Spec()
+}
+
 // BenchmarkFitColdModel measures what a model-cache miss pays for a
 // fitted family: a reference model for a never-seen (T, EF) plus its
 // fit, alternating model1 and model2. integral_evals/op counts the
 // theory samples (fettoy.integral_evals) each build pays.
 func BenchmarkFitColdModel(b *testing.B) {
-	specs := []Spec{Model1Spec(), Model2Spec()}
 	evals := telemetry.Default().Counter(telemetry.KeyFettoyIntegralEvals)
 	before := evals.Value()
 	b.ReportAllocs()
 	i := 0
 	for b.Loop() {
-		// Golden-ratio sequences keep every key fresh.
-		dev := fettoy.Default()
-		dev.T = 150 + 300*math.Mod(float64(i)*0.6180339887, 1)
-		dev.EF = -0.5 * math.Mod(float64(i)*0.7548776662, 1)
+		dev, spec := coldKey(i)
 		ref, err := fettoy.New(dev)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := Fit(ref, specs[i%2], FitOptions{}); err != nil {
+		if _, err := Fit(ref, spec, FitOptions{}); err != nil {
 			b.Fatal(err)
 		}
 		i++
 	}
 	b.ReportMetric(float64(evals.Value()-before)/float64(b.N), "integral_evals/op")
+}
+
+// TestFitTheorySampleBudget pins the theory samples a cold fit pays on
+// BenchmarkFitColdModel's keys as an exact budget: the first 1000 keys
+// took 161265 samples (ref.Counters) when the budget was set, on the
+// code whose benchmark reported 161.1 integral_evals/op on a 2-core
+// Xeon. Every fit samples only the grid points at or below its last
+// break (TestFitSkipsZeroTailExactly), so a change here means the
+// grid, the sampling window or the zero-tail cut moved.
+func TestFitTheorySampleBudget(t *testing.T) {
+	const keys, want = 1000, 161265
+	total := 0
+	for i := range keys {
+		dev, spec := coldKey(i)
+		ref := refModel(t, dev)
+		if _, err := Fit(ref, spec, FitOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		n, _ := ref.Counters()
+		total += n
+	}
+	if total != want {
+		t.Fatalf("%d cold fits took %d theory samples, budget %d", keys, total, want)
+	}
+}
+
+// TestFitScratchReuseBitIdentical fits key A, then a key that grows
+// every pooled scratch slice (a longer grid, stacked training
+// temperatures), then A again: the second fit of A, on scratch the
+// larger fit left behind, must give its first fit's bits.
+func TestFitScratchReuseBitIdentical(t *testing.T) {
+	for _, spec := range []Spec{Model1Spec(), Model2Spec()} {
+		ref := refModel(t, fettoy.Default())
+		first, err := Fit(ref, spec, FitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hot := fettoy.Default()
+		hot.T, hot.EF = 450, -0.5
+		if _, err := Fit(refModel(t, hot), spec, FitOptions{Samples: 700, TrainTemps: []float64{150, 300, 450}}); err != nil {
+			t.Fatal(err)
+		}
+		again, err := Fit(ref, spec, FitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range first.qsU.Pieces {
+			if !slices.EqualFunc(again.qsU.Pieces[i].Coef, p.Coef, sameBits) {
+				t.Fatalf("%s piece %d: %v after a larger fit, %v before", spec.Name, i, again.qsU.Pieces[i].Coef, p.Coef)
+			}
+		}
+		if !slices.EqualFunc(again.fastCoef, first.fastCoef, func(a, b cubic) bool {
+			return slices.EqualFunc(a[:], b[:], sameBits)
+		}) {
+			t.Fatalf("%s: VSC-space coefficients %v after a larger fit, %v before", spec.Name, again.fastCoef, first.fastCoef)
+		}
+	}
+}
+
+// TestFitConcurrentScratch fits cold keys on four goroutines at once,
+// so the pooled scratch passes between concurrent fits of both
+// families and of different sizes, and checks each model's bits
+// against the same key fitted alone. Under -race it is the pools'
+// data-race check.
+func TestFitConcurrentScratch(t *testing.T) {
+	const keys = 32
+	want := make([]*Model, keys)
+	for i := range want {
+		dev, spec := coldKey(i)
+		m, err := Fit(refModel(t, dev), spec, FitOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	got := make([]*Model, keys)
+	errs := make([]error, keys)
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < keys; i += 4 {
+				dev, spec := coldKey(i)
+				ref, err := fettoy.New(dev)
+				if err == nil {
+					got[i], err = Fit(ref, spec, FitOptions{})
+				}
+				errs[i] = err
+			}
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("key %d: %v", i, errs[i])
+		}
+		for j, p := range want[i].qsU.Pieces {
+			if !slices.EqualFunc(got[i].qsU.Pieces[j].Coef, p.Coef, sameBits) {
+				t.Fatalf("key %d piece %d: %v concurrently, %v alone", i, j, got[i].qsU.Pieces[j].Coef, p.Coef)
+			}
+		}
+	}
 }

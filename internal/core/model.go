@@ -18,14 +18,14 @@ import (
 // afterwards is pure closed-form polynomial arithmetic. A Model is safe
 // for concurrent use.
 type Model struct {
-	dev    fettoy.Device
-	spec   Spec
-	breaks []float64 // final u-space breaks (post-optimisation)
+	dev  fettoy.Device
+	spec Spec
 
 	// qsU is the fitted q·NS curve in u-space (QS plus the equilibrium
-	// constant, see Fit); qs is the same curve on the absolute VSC
-	// axis (u = VSC - EF ⇒ shift by +EF). The physical mobile charge
-	// is QS = qs - qn0Half.
+	// constant, see Fit); its breaks are the final u-space region
+	// boundaries (post-optimisation). qs is the same curve on the
+	// absolute VSC axis (u = VSC - EF ⇒ shift by +EF). The physical
+	// mobile charge is QS = qs - qn0Half. Both are immutable.
 	qsU poly.Piecewise
 	qs  poly.Piecewise
 
@@ -40,12 +40,13 @@ type Model struct {
 	bands []bandstruct.Subband
 
 	// fastBreaks/fastCoef cache the VSC-space curve as fixed-size
-	// cubic coefficient arrays for the allocation-free solver.
+	// cubic coefficient arrays for the allocation-free solver;
+	// fastBreaks is qs.Breaks itself.
 	fastBreaks []float64
 	fastCoef   []cubic
 }
 
-func newModel(dev fettoy.Device, spec Spec, breaks []float64, qsU poly.Piecewise, n0 float64) (*Model, error) {
+func newModel(dev fettoy.Device, spec Spec, qsU poly.Piecewise, n0 float64) (*Model, error) {
 	// The KKT fit enforces the requested continuity exactly up to
 	// round-off; anything beyond that indicates a degenerate fit.
 	// Value continuity holds at every break; slope continuity only at
@@ -57,14 +58,15 @@ func newModel(dev fettoy.Device, spec Spec, breaks []float64, qsU poly.Piecewise
 	if width <= 0 {
 		width = 1
 	}
-	deriv := qsU.Deriv()
-	orders := spec.continuityOrders()
+	var buf [maxBreaks]int
+	orders := spec.continuityOrders(buf[:0])
 	for i, b := range qsU.Breaks {
-		if c0 := math.Abs(qsU.Pieces[i+1].At(b) - qsU.Pieces[i].At(b)); c0 > 1e-6*scale {
+		left, right := qsU.Pieces[i], qsU.Pieces[i+1]
+		if c0 := math.Abs(right.At(b) - left.At(b)); c0 > 1e-6*scale {
 			return nil, fmt.Errorf("core: fitted curve discontinuous at break %d (jump %g)", i, c0)
 		}
 		if orders[i] >= 1 {
-			if c1 := math.Abs(deriv.Pieces[i+1].At(b) - deriv.Pieces[i].At(b)); c1*width > 1e-4*scale {
+			if c1 := math.Abs(right.DerivAt(b) - left.DerivAt(b)); c1*width > 1e-4*scale {
 				return nil, fmt.Errorf("core: fitted curve slope jump %g at break %d", c1, i)
 			}
 		}
@@ -72,7 +74,6 @@ func newModel(dev fettoy.Device, spec Spec, breaks []float64, qsU poly.Piecewise
 	m := &Model{
 		dev:     dev,
 		spec:    spec,
-		breaks:  breaks,
 		qsU:     qsU,
 		qs:      qsU.Shift(-dev.EF), // qs(V) = qsU(V - EF)
 		n0:      n0,
@@ -103,7 +104,7 @@ func (m *Model) Device() fettoy.Device { return m.dev }
 func (m *Model) Spec() Spec { return m.spec }
 
 // BreaksU returns the fitted region boundaries in u = VSC - EF/q.
-func (m *Model) BreaksU() []float64 { return append([]float64(nil), m.breaks...) }
+func (m *Model) BreaksU() []float64 { return append([]float64(nil), m.qsU.Breaks...) }
 
 // PiecewiseU returns the fitted QS(u) curve (C/m against volts).
 func (m *Model) PiecewiseU() poly.Piecewise { return m.qsU }
@@ -234,5 +235,5 @@ func (m *Model) WithEF(efNew float64) (*Model, error) {
 	if n0 < 0 {
 		n0 = 0 // tiny negative fit ripple in the zero region
 	}
-	return newModel(dev, m.spec, append([]float64(nil), m.breaks...), m.qsU, n0)
+	return newModel(dev, m.spec, m.qsU, n0)
 }

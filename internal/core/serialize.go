@@ -39,7 +39,7 @@ func (m *Model) Export() ModelData {
 	return ModelData{
 		Spec:    m.spec,
 		Device:  m.dev,
-		BreaksU: append([]float64(nil), m.breaks...),
+		BreaksU: m.BreaksU(),
 		Pieces:  pieces,
 		N0:      m.n0,
 	}
@@ -100,7 +100,7 @@ func FromData(d ModelData) (*Model, error) {
 	if !finite(d.N0) || d.N0 < 0 {
 		return nil, fmt.Errorf("core: equilibrium density %g must be finite and non-negative", d.N0)
 	}
-	return newModel(d.Device, d.Spec, append([]float64(nil), d.BreaksU...), pw, d.N0)
+	return newModel(d.Device, d.Spec, pw, d.N0)
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -47,18 +47,17 @@ type Spec struct {
 	TailC1 bool
 }
 
-// continuityOrders returns the per-break derivative-continuity orders:
-// C1 at joins between free polynomials, C0 (or C1 with TailC1) at the
-// boundary of the fixed zero tail.
-func (s Spec) continuityOrders() []int {
-	orders := make([]int, len(s.Breaks))
-	for i := range orders {
-		orders[i] = 1
+// continuityOrders appends the per-break derivative-continuity orders
+// to dst and returns the result: C1 at joins between free polynomials,
+// C0 (or C1 with TailC1) at the boundary of the fixed zero tail.
+func (s Spec) continuityOrders(dst []int) []int {
+	for range s.Breaks {
+		dst = append(dst, 1)
 	}
 	if s.ZeroTail && !s.TailC1 {
-		orders[len(orders)-1] = 0
+		dst[len(dst)-1] = 0
 	}
-	return orders
+	return dst
 }
 
 // Model1Spec returns the paper's three-piece model: linear for
@@ -116,17 +115,19 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// pieceSpecs converts the spec to the fitting layer's form.
-func (s Spec) pieceSpecs() []poly.PieceSpec {
-	out := make([]poly.PieceSpec, 0, len(s.Breaks)+1)
+// zeroPiece is the fixed zero tail in the fitting layer's form.
+var zeroPiece = poly.PieceSpec{Fixed: &poly.Poly{}}
+
+// pieceSpecs appends the spec in the fitting layer's form to dst and
+// returns the result.
+func (s Spec) pieceSpecs(dst []poly.PieceSpec) []poly.PieceSpec {
 	for _, d := range s.Degrees {
-		out = append(out, poly.PieceSpec{Degree: d})
+		dst = append(dst, poly.PieceSpec{Degree: d})
 	}
 	if s.ZeroTail {
-		zero := poly.Poly{}
-		out = append(out, poly.PieceSpec{Fixed: &zero})
+		dst = append(dst, zeroPiece)
 	}
-	return out
+	return dst
 }
 
 // Regions returns a human-readable description of each region, used by

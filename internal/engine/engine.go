@@ -16,7 +16,8 @@
 // Cancellation is cooperative and prompt: the context threads through
 // the sweep scheduler (checked per chunk, or per point for models
 // without a batch kernel), the Monte Carlo sample loop, the netlist
-// analysis loop and the adaptive charge-table build.
+// analysis loop, the transient timestep loops and the adaptive
+// charge-table build.
 package engine
 
 import (
@@ -173,7 +174,11 @@ func Run(ctx context.Context, req Request) (Result, error) {
 	mark := markPool.Get().(*[]int64)
 	*mark = reg.CounterMark(*mark)
 	start := time.Now()
-	res, err := dispatch(ctx, req)
+	var res Result
+	err := dispatch(ctx, &req, &res)
+	if err != nil {
+		res = Result{} // a failed job reports no partial payload
+	}
 	res.Elapsed = time.Since(start)
 	res.Metrics = reg.CounterDelta(*mark, frontEndCounters...)
 	markPool.Put(mark)
@@ -198,53 +203,56 @@ func Run(ctx context.Context, req Request) (Result, error) {
 	return res, nil
 }
 
-func dispatch(ctx context.Context, req Request) (Result, error) {
+// dispatch runs the job req describes, filling its payload into res.
+// The request and result travel by pointer: both are a few hundred
+// bytes, and copying them through every call was a visible share of a
+// microsecond job.
+func dispatch(ctx context.Context, req *Request, res *Result) error {
 	if err := context.Cause(ctx); err != nil {
-		return Result{}, err
+		return err
 	}
 	switch req.Kind {
 	case IVPoint:
-		return runIVPoint(ctx, req)
+		return runIVPoint(ctx, req, res)
 	case FamilySweep:
-		return runFamily(ctx, req)
+		return runFamily(ctx, req, res)
 	case RMSCompare:
-		return runRMSCompare(ctx, req)
+		return runRMSCompare(ctx, req, res)
 	case MonteCarlo:
-		return runMonteCarlo(ctx, req)
+		return runMonteCarlo(ctx, req, res)
 	case Netlist:
 		return runNetlist(ctx, req)
 	}
-	return Result{}, invalidf("engine: unknown job kind %d", int(req.Kind))
+	return invalidf("engine: unknown job kind %d", int(req.Kind))
 }
 
-func runIVPoint(ctx context.Context, req Request) (Result, error) {
+func runIVPoint(ctx context.Context, req *Request, res *Result) error {
 	if req.Model == nil {
-		return Result{}, invalidf("engine: %s needs Model", req.Kind)
+		return invalidf("engine: %s needs Model", req.Kind)
 	}
 	// A table-backed model pays its one-time tabulation here, under the
 	// job's context, instead of uncancellably inside the first solve.
 	if err := prebuild(ctx, req.Model); err != nil {
-		return Result{}, err
+		return err
 	}
 	if err := context.Cause(ctx); err != nil {
-		return Result{}, err
+		return err
 	}
-	var res Result
 	if d, ok := req.Model.(device.Device); ok {
 		op, err := d.Solve(req.Bias)
 		if err != nil {
-			return Result{}, err
+			return err
 		}
 		res.OP = op
 		res.IDS = op.IDS
-		return res, nil
+		return nil
 	}
 	ids, err := req.Model.IDS(req.Bias)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	res.IDS = ids
-	return res, nil
+	return nil
 }
 
 // prebuild completes a model's deferred construction (charge-table
@@ -257,7 +265,7 @@ func prebuild(ctx context.Context, m device.Solver) error {
 	return nil
 }
 
-func validateGrid(req Request) error {
+func validateGrid(req *Request) error {
 	if req.Model == nil {
 		return invalidf("engine: %s needs Model", req.Kind)
 	}
@@ -267,18 +275,17 @@ func validateGrid(req Request) error {
 	return nil
 }
 
-func runFamily(ctx context.Context, req Request) (Result, error) {
+func runFamily(ctx context.Context, req *Request, res *Result) error {
 	if err := validateGrid(req); err != nil {
-		return Result{}, err
+		return err
 	}
 	if err := prebuild(ctx, req.Model); err != nil {
-		return Result{}, err
+		return err
 	}
 	repeat := req.Repeat
 	if repeat < 1 {
 		repeat = 1
 	}
-	var res Result
 	for i := 0; i < repeat; i++ {
 		if req.Sink != nil && i == repeat-1 {
 			// Streaming iteration: rows leave through the sink as they
@@ -287,44 +294,46 @@ func runFamily(ctx context.Context, req Request) (Result, error) {
 			// family. Earlier Repeat iterations (benchmark loops) run
 			// buffered and are discarded.
 			if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, rowEmit(req.Sink, false)); err != nil {
-				return Result{}, err
+				return err
 			}
 			res.Family = nil
 			continue
 		}
 		fam := make([]sweep.Curve, 0, len(req.Gates))
 		if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, sweep.Collect(&fam)); err != nil {
-			return Result{}, err
+			return err
 		}
 		res.Family = fam
 	}
-	return res, nil
+	return nil
 }
 
-func runRMSCompare(ctx context.Context, req Request) (Result, error) {
+func runRMSCompare(ctx context.Context, req *Request, res *Result) error {
 	if err := validateGrid(req); err != nil {
-		return Result{}, err
+		return err
 	}
 	if (req.Ref == nil) == (req.RefFamily == nil) {
-		return Result{}, invalidf("engine: %s needs exactly one of Ref or RefFamily", req.Kind)
+		return invalidf("engine: %s needs exactly one of Ref or RefFamily", req.Kind)
 	}
 	// A precomputed reference family must actually cover the grid: an
 	// empty or mis-sized RefFamily is a malformed request, not the
 	// numerical failure sweep.CompareFamilies would later report it as.
 	if req.Ref == nil {
 		if len(req.RefFamily) == 0 {
-			return Result{}, invalidf("engine: %s needs a non-empty RefFamily", req.Kind)
+			return invalidf("engine: %s needs a non-empty RefFamily", req.Kind)
 		}
 		if len(req.RefFamily) != len(req.Gates) {
-			return Result{}, invalidf("engine: %s RefFamily has %d curves for %d gate voltages",
+			return invalidf("engine: %s RefFamily has %d curves for %d gate voltages",
 				req.Kind, len(req.RefFamily), len(req.Gates))
 		}
 	}
-	var res Result
+	// The row callbacks capture the sink, not req, so the request
+	// stays on Run's stack.
+	sink := req.Sink
 	refFam := req.RefFamily
 	if req.Ref != nil {
 		if err := prebuild(ctx, req.Ref); err != nil {
-			return Result{}, err
+			return err
 		}
 		// The comparison needs the whole reference family, so the rows
 		// are collected either way; with a sink they stream out too
@@ -332,54 +341,54 @@ func runRMSCompare(ctx context.Context, req Request) (Result, error) {
 		refFam = make([]sweep.Curve, 0, len(req.Gates))
 		collect := func(gi int, c sweep.Curve) error {
 			refFam = append(refFam, c)
-			if req.Sink != nil {
-				return rowEmit(req.Sink, true)(gi, c)
+			if sink != nil {
+				return rowEmit(sink, true)(gi, c)
 			}
 			return nil
 		}
 		if err := sweep.FamilyParallelTo(ctx, req.Ref, req.Gates, req.Drains, req.Workers, collect); err != nil {
-			return Result{}, err
+			return err
 		}
-	} else if req.Sink != nil {
+	} else if sink != nil {
 		// A precomputed reference still streams, so a consumer sees the
 		// same row sequence whichever way the reference was supplied.
 		for gi, c := range refFam {
-			if err := rowEmit(req.Sink, true)(gi, c); err != nil {
-				return Result{}, err
+			if err := rowEmit(sink, true)(gi, c); err != nil {
+				return err
 			}
 		}
 	}
 	if err := prebuild(ctx, req.Model); err != nil {
-		return Result{}, err
+		return err
 	}
 	fam := make([]sweep.Curve, 0, len(req.Gates))
 	collect := func(gi int, c sweep.Curve) error {
 		fam = append(fam, c)
-		if req.Sink != nil {
-			return rowEmit(req.Sink, false)(gi, c)
+		if sink != nil {
+			return rowEmit(sink, false)(gi, c)
 		}
 		return nil
 	}
 	if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, collect); err != nil {
-		return Result{}, err
+		return err
 	}
 	rms, err := sweep.CompareFamilies(fam, refFam)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	res.Family = fam
 	res.RefFamily = refFam
 	res.RMSPercent = rms
-	return res, nil
+	return nil
 }
 
-func runMonteCarlo(ctx context.Context, req Request) (Result, error) {
+func runMonteCarlo(ctx context.Context, req *Request, res *Result) error {
 	if req.Samples < 1 {
-		return Result{}, invalidf("engine: %s needs Samples >= 1, got %d", req.Kind, req.Samples)
+		return invalidf("engine: %s needs Samples >= 1, got %d", req.Kind, req.Samples)
 	}
 	var every int
 	var emit func(variation.Partial) error
-	if req.Sink != nil {
+	if sink := req.Sink; sink != nil {
 		// Checkpoint cadence: ~64 partials per study keeps a live
 		// convergence picture without flooding small runs or starving
 		// huge ones.
@@ -392,7 +401,7 @@ func runMonteCarlo(ctx context.Context, req Request) (Result, error) {
 		}
 		emit = func(p variation.Partial) error {
 			ev := Event{MC: &MCEvent{Done: p.Done, Total: p.Total, Mean: p.Mean, Std: p.Std}}
-			if err := req.Sink.Emit(ev); err != nil {
+			if err := sink.Emit(ev); err != nil {
 				return fmt.Errorf("%w: %w", ErrSinkClosed, err)
 			}
 			return nil
@@ -400,18 +409,19 @@ func runMonteCarlo(ctx context.Context, req Request) (Result, error) {
 	}
 	mc, err := variation.MonteCarloIDSTo(ctx, req.Device, req.Spread, req.Bias, req.Samples, req.Seed, every, emit)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	return Result{MC: &mc}, nil
+	res.MC = &mc
+	return nil
 }
 
-func runNetlist(ctx context.Context, req Request) (Result, error) {
+func runNetlist(ctx context.Context, req *Request) error {
 	if req.Deck == nil {
-		return Result{}, invalidf("engine: %s needs Deck", req.Kind)
+		return invalidf("engine: %s needs Deck", req.Kind)
 	}
 	out := req.Output
 	if out == nil {
 		out = io.Discard
 	}
-	return Result{}, req.Deck.Run(ctx, out)
+	return req.Deck.Run(ctx, out)
 }

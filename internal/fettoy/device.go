@@ -169,13 +169,12 @@ func (d Device) KT() float64 { return units.KT(d.T) }
 // transport, with minima in eV measured from the *first* subband edge
 // (the first entry is always 0).
 func (d Device) Bands() []bandstruct.Subband {
-	raw := bandstruct.Ladder(d.Diameter, d.Subbands)
-	e1 := raw[0].EMin
-	out := make([]bandstruct.Subband, len(raw))
-	for i, b := range raw {
-		out[i] = bandstruct.Subband{EMin: b.EMin - e1, Degeneracy: b.Degeneracy}
+	bands := bandstruct.Ladder(d.Diameter, d.Subbands)
+	e1 := bands[0].EMin
+	for i := range bands {
+		bands[i].EMin -= e1
 	}
-	return out
+	return bands
 }
 
 // E1 returns the first subband minimum in eV from mid-gap (half the

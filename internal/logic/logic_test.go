@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -145,7 +146,7 @@ func TestChainDelayAccumulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sols, err := c.Transient(circuit.TranOptions{Step: 5e-12, Stop: 2.5e-9})
+	sols, err := c.Transient(context.Background(), circuit.TranOptions{Step: 5e-12, Stop: 2.5e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestRingOscillatorFrequencyScalesWithStages(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sols, err := c.Transient(circuit.TranOptions{Step: 5e-12, Stop: 6e-9, DC: circuit.DCOptions{MaxIter: 300}})
+		sols, err := c.Transient(context.Background(), circuit.TranOptions{Step: 5e-12, Stop: 6e-9, DC: circuit.DCOptions{MaxIter: 300}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +246,7 @@ func TestOscillationFrequencyNeedsCrossings(t *testing.T) {
 	if err := l.Inverter(c, "inv", "in", "out"); err != nil {
 		t.Fatal(err)
 	}
-	sols, err := c.Transient(circuit.TranOptions{Step: 1e-11, Stop: 1e-10})
+	sols, err := c.Transient(context.Background(), circuit.TranOptions{Step: 1e-11, Stop: 1e-10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestSwitchingEnergyScale(t *testing.T) {
 	if err := l.Inverter(c, "inv", "in", "out"); err != nil {
 		t.Fatal(err)
 	}
-	sols, err := c.Transient(circuit.TranOptions{Step: 5e-12, Stop: 4e-9})
+	sols, err := c.Transient(context.Background(), circuit.TranOptions{Step: 5e-12, Stop: 4e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,7 @@ func TestSRAMCellHoldsBothStates(t *testing.T) {
 		}
 		c.MustAdd(&circuit.ISource{Label: "IK", P: target, N: circuit.Ground,
 			Wave: circuit.Pulse{V1: 0, V2: 5e-6, Rise: 1e-12, Width: 0.3e-9, Fall: 1e-12, Period: 1}})
-		sols, err := c.Transient(circuit.TranOptions{Step: 10e-12, Stop: 2e-9, DC: circuit.DCOptions{MaxIter: 300}})
+		sols, err := c.Transient(context.Background(), circuit.TranOptions{Step: 10e-12, Stop: 2e-9, DC: circuit.DCOptions{MaxIter: 300}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,10 +12,10 @@ import (
 
 // Run executes every analysis in deck order and writes tabular results
 // to w. Probes from .print select the columns; without probes, all
-// node voltages are printed. ctx is checked between analyses (one
-// .op/.dc/.tran/.ac card is the unit of work); a canceled deck returns
-// an error wrapping the context's cause, and analyses already written
-// to w stand.
+// node voltages are printed. ctx is checked between analyses and, in
+// a .tran, every few timesteps; a canceled deck returns an error
+// wrapping the context's cause, and analyses already written to w
+// stand.
 //
 // ".options trace" / ".options metrics" enable the process-wide
 // telemetry gate for the run and append, respectively, the solver
@@ -53,7 +53,7 @@ func (d *Deck) Run(ctx context.Context, w io.Writer) error {
 				return err
 			}
 		case "tran":
-			if err := d.runTran(w, a); err != nil {
+			if err := d.runTran(ctx, w, a); err != nil {
 				return err
 			}
 		case "ac":
@@ -147,15 +147,15 @@ func (d *Deck) runDC(w io.Writer, a Analysis) error {
 	return report.WriteCSV(w, headers, cols...)
 }
 
-func (d *Deck) runTran(w io.Writer, a Analysis) error {
+func (d *Deck) runTran(ctx context.Context, w io.Writer, a Analysis) error {
 	var sols []*circuit.Solution
 	var err error
 	if a.Adaptive {
-		sols, err = d.Circuit.TransientAdaptive(circuit.TranAdaptiveOptions{
+		sols, err = d.Circuit.TransientAdaptive(ctx, circuit.TranAdaptiveOptions{
 			Stop: a.TStop, MinStep: a.TStep,
 		})
 	} else {
-		sols, err = d.Circuit.Transient(circuit.TranOptions{
+		sols, err = d.Circuit.Transient(ctx, circuit.TranOptions{
 			Step: a.TStep, Stop: a.TStop, Trapezoidal: a.Trapezoidal,
 		})
 	}

@@ -3,6 +3,8 @@ package poly
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sync"
 
 	"cntfet/internal/linalg"
 )
@@ -83,8 +85,10 @@ func FitPiecewiseOrders(breaks []float64, specs []PieceSpec, xs, ys []float64, o
 // continuity order means 0; orders itself is left as passed.
 //
 // The KKT system is assembled in one flat row-major workspace and
-// solved in place. Samples in ascending order are routed to their
-// pieces in one forward pass; any order gives the same result.
+// solved in place. The workspace is borrowed from a pool and zeroed
+// before use, so the returned Piecewise holds only its own breaks and
+// coefficients. Samples in ascending order are routed to their pieces
+// in one forward pass; any order gives the same result.
 func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights []float64, orders []int) (Piecewise, error) {
 	if weights != nil && len(weights) != len(xs) {
 		return Piecewise{}, fmt.Errorf("poly: %d weights for %d samples", len(weights), len(xs))
@@ -113,10 +117,14 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 		}
 	}
 
+	sc := kktPool.Get().(*kktScratch)
+	defer kktPool.Put(sc)
+
 	// Coefficient layout: offset[i] is the first unknown of piece i
 	// (fixed pieces own no unknowns).
 	nPieces := len(specs)
-	offset := make([]int, nPieces)
+	sc.offset = slices.Grow(sc.offset[:0], nPieces)[:nPieces]
+	offset := sc.offset
 	nUnknown := 0
 	for i, s := range specs {
 		offset[i] = nUnknown
@@ -158,8 +166,9 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 
 	// Assemble and solve the KKT system: 2·AᵀA and 2·Aᵀy first.
 	n := nUnknown + nc
-	work := make([]float64, n*n+n)
-	kkt, rhs := work[:n*n], work[n*n:]
+	sc.work = slices.Grow(sc.work[:0], n*n+n)[:n*n+n]
+	clear(sc.work)
+	kkt, rhs := sc.work[:n*n], sc.work[n*n:]
 	rows := normalEquations(kkt, n, rhs, breaks, specs, offset, xs, ys, weights)
 	if rows < nUnknown {
 		return Piecewise{}, fmt.Errorf("poly: %d usable samples cannot determine %d coefficients", rows, nUnknown)
@@ -209,6 +218,17 @@ func FitPiecewiseWeighted(breaks []float64, specs []PieceSpec, xs, ys, weights [
 	}
 	return Piecewise{Breaks: append([]float64(nil), breaks...), Pieces: pieces}, nil
 }
+
+// kktScratch is one FitPiecewiseWeighted call's workspace: the piece
+// offsets and the flat KKT matrix with its right-hand side.
+type kktScratch struct {
+	offset []int
+	work   []float64
+}
+
+// kktPool lends each fit its workspace. A garbage collection empties
+// it, so an idle process holds no KKT buffer.
+var kktPool = sync.Pool{New: func() any { return new(kktScratch) }}
 
 // constrains reports whether the ord-th derivative matching at a break
 // touches an unknown of piece s.

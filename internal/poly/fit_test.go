@@ -288,3 +288,58 @@ func TestFitPiecewiseRejectsBadWeights(t *testing.T) {
 		}
 	}
 }
+
+// TestFitPiecewiseWorkspaceReuse fits a large KKT system, a small one,
+// then both again: each fit runs on the pooled workspace the one
+// before it left behind, and must give the bits it gave first. A
+// workspace not cleared before the normal equations accumulate into it
+// would carry the previous system's entries into the next.
+func TestFitPiecewiseWorkspaceReuse(t *testing.T) {
+	xs := units.Linspace(-1, 1, 400)
+	ys := make([]float64, len(xs))
+	for i, x := range xs {
+		ys[i] = math.Sin(3*x) + x*x
+	}
+	type system struct {
+		breaks []float64
+		specs  []PieceSpec
+		orders []int
+	}
+	// 8 cubic pieces under C1: 32 unknowns and 14 constraints.
+	large := system{breaks: units.Linspace(-0.75, 0.75, 7)}
+	for range large.breaks {
+		large.specs = append(large.specs, PieceSpec{Degree: 3})
+		large.orders = append(large.orders, 1)
+	}
+	large.specs = append(large.specs, PieceSpec{Degree: 3})
+	// Two lines under C0: 4 unknowns and 1 constraint.
+	small := system{breaks: []float64{0.1}, specs: []PieceSpec{{Degree: 1}, {Degree: 1}}, orders: []int{0}}
+
+	fit := func(s system) Piecewise {
+		t.Helper()
+		pw, err := FitPiecewiseWeighted(s.breaks, s.specs, xs, ys, nil, s.orders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pw
+	}
+	same := func(name string, a, b Piecewise) {
+		t.Helper()
+		for i := range a.Pieces {
+			if len(a.Pieces[i].Coef) != len(b.Pieces[i].Coef) {
+				t.Fatalf("%s piece %d: %v, then %v", name, i, a.Pieces[i].Coef, b.Pieces[i].Coef)
+			}
+			for j, v := range a.Pieces[i].Coef {
+				if math.Float64bits(b.Pieces[i].Coef[j]) != math.Float64bits(v) {
+					t.Fatalf("%s piece %d coef %d: %x, then %x", name, i, j, v, b.Pieces[i].Coef[j])
+				}
+			}
+		}
+	}
+	large1 := fit(large)
+	small1 := fit(small)
+	large2 := fit(large)
+	small2 := fit(small)
+	same("large", large1, large2)
+	same("small", small1, small2)
+}

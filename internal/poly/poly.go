@@ -63,6 +63,17 @@ func (p Poly) Deriv() Poly {
 	return q
 }
 
+// DerivAt evaluates the derivative p′ at x with Horner's scheme, the
+// value p.Deriv().At(x) has for a p with no trailing zero coefficient,
+// without building the derivative.
+func (p Poly) DerivAt(x float64) float64 {
+	s := 0.0
+	for i := len(p.Coef) - 1; i >= 1; i-- {
+		s = s*x + float64(i)*p.Coef[i]
+	}
+	return s
+}
+
 // Integ returns the antiderivative with integration constant c.
 func (p Poly) Integ(c float64) Poly {
 	out := make([]float64, len(p.Coef)+1)

@@ -111,3 +111,15 @@ func TestShiftRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDerivAtMatchesDeriv: DerivAt gives Deriv().At's bits on trimmed
+// polynomials of every degree up to 4.
+func TestDerivAtMatchesDeriv(t *testing.T) {
+	for _, p := range []Poly{{}, New(2.5), New(-1, 3), New(0.3, -2, 7), New(1e-3, 4, -5e2, 3.3), New(1, 2, 3, 4, 5)} {
+		for _, x := range []float64{-1.7, -0.28, 0, 0.12, 3} {
+			if got, want := p.DerivAt(x), p.Deriv().At(x); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%v at %g: DerivAt %g, Deriv().At %g", p, x, got, want)
+			}
+		}
+	}
+}

@@ -355,3 +355,65 @@ func BenchmarkReferenceWarmup(b *testing.B) {
 	}
 	b.ReportMetric(float64(builds.Value()-before)/float64(b.N), "tables/op")
 }
+
+// BenchmarkResolveColdModel measures a model-cache miss through
+// ModelCache.Resolve: every iteration names a never-seen (T, EF),
+// alternating model1 and model2, and pays the device, the key,
+// fettoy.New, core.Fit and the cache entry. The cache is filled to its
+// cap first, so every miss also evicts a model, as under a steady
+// stream of cold keys. B/op and allocs/op are a cold request's model
+// cost; the model itself is most of it.
+func BenchmarkResolveColdModel(b *testing.B) {
+	cache := NewModelCache()
+	ctx := context.Background()
+	families := []string{FamilyModel1, FamilyModel2}
+	// Golden-ratio sequences keep every key fresh; the EFs live in one
+	// slice so the specs' pointers to them cost the loop nothing.
+	efs := make([]float64, maxCachedModels+b.N)
+	for i := range efs {
+		efs[i] = -0.5 * math.Mod(float64(i)*0.7548776662, 1)
+	}
+	resolve := func(i int) {
+		spec := ModelSpec{Family: families[i%2], T: 150 + 300*math.Mod(float64(i)*0.6180339887, 1), EF: &efs[i]}
+		if _, cached, err := cache.Resolve(ctx, spec); err != nil || cached {
+			b.Fatalf("key %d: cached %v, err %v", i, cached, err)
+		}
+	}
+	for i := range maxCachedModels {
+		resolve(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := range b.N {
+		resolve(maxCachedModels + i)
+	}
+}
+
+// TestReferenceTableNodeBudget pins the charge tables the nine paper
+// cells' reference models build, as an exact budget: 3 shared tables
+// (one per temperature; the three EFs share a band) with 817 nodes in
+// all, counted when tables became physics-keyed and unchanged since.
+// A change here means the table window, its band or the adaptive
+// tabulation moved.
+func TestReferenceTableNodeBudget(t *testing.T) {
+	cache := NewModelCache()
+	ctx := context.Background()
+	for _, temp := range paperTemps {
+		for _, ef := range paperEFs {
+			m, _, err := cache.Resolve(ctx, ModelSpec{Family: FamilyReference, T: temp, EF: &ef})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.(device.ContextBuilder).BuildContext(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nodes := 0
+	for _, tab := range cache.tables {
+		nodes += tab.Nodes()
+	}
+	if len(cache.tables) != 3 || nodes != 817 {
+		t.Fatalf("nine paper cells built %d tables with %d nodes, budget 3 tables and 817 nodes", len(cache.tables), nodes)
+	}
+}

@@ -88,10 +88,21 @@ func Linspace(lo, hi float64, n int) []float64 {
 	if n <= 0 {
 		return nil
 	}
-	if n == 1 {
-		return []float64{lo}
+	return LinspaceInto(make([]float64, n), lo, hi)
+}
+
+// LinspaceInto fills out with len(out) evenly spaced points from lo to
+// hi inclusive, the values Linspace(lo, hi, len(out)) returns, and
+// returns out. It lets a caller reuse one grid buffer.
+func LinspaceInto(out []float64, lo, hi float64) []float64 {
+	n := len(out)
+	if n == 0 {
+		return out
 	}
-	out := make([]float64, n)
+	if n == 1 {
+		out[0] = lo
+		return out
+	}
 	step := (hi - lo) / float64(n-1)
 	for i := range out {
 		out[i] = lo + float64(i)*step

@@ -86,7 +86,7 @@ func TestPublicLogicAndVariation(t *testing.T) {
 	if err := l.Inverter(c, "inv", "in", "out"); err != nil {
 		t.Fatal(err)
 	}
-	sols, err := c.Transient(TranOptions{Step: 10e-12, Stop: 1.5e-9})
+	sols, err := c.Transient(context.Background(), TranOptions{Step: 10e-12, Stop: 1.5e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
