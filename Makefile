@@ -64,7 +64,9 @@ fuzz:
 ## bench: telemetry overhead + solver benchmarks, a cold fitted-model
 ## build (core.Fit on a fresh key, with its theory samples as
 ## integral_evals/op) and the same miss through the server's model
-## cache (B/op and allocs/op: a cold request's model cost), one
+## cache (B/op and allocs/op: a cold request's model cost), the two
+## theory samplers (240 fit samples, and a cold charge table at 150,
+## 300 and 450 K), one
 ## reference eq.-7 solve per path (quadrature, table, warm start; with
 ## newton_iters/op and integral_evals/op), the
 ## served Table-I answer's encode cost (whole response, and per float:
@@ -77,6 +79,7 @@ fuzz:
 bench:
 	$(GO) test -bench='IDSTelemetry|FitColdModel' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench='ResolveColdModel' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench='SampleNS|ChargeTableBuild' -benchmem ./internal/fettoy/
 	$(GO) test -run '^$$' -bench='SolveVSC_' -benchmem .
 	$(GO) test -run '^$$' -bench='EncodeFamilyResponse|AppendFloat|ReferenceWarmup' -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench='EngineRunTableI' -benchmem ./internal/engine/

@@ -184,9 +184,11 @@ func Run(ctx context.Context, req Request) (Result, error) {
 	markPool.Put(mark)
 	reg.Histogram(telemetry.KeyEngineJobSeconds, telemetry.LatencyBuckets).
 		Observe(res.Elapsed.Seconds())
-	// The per-job counter deltas double as span attributes: the same
-	// Newton-iteration and cache-hit movement that is global noise in
-	// the registry is exact cost attribution on the job's span.
+	// The per-job counter deltas double as span attributes, so the
+	// job's span carries its Newton-iteration and cache-hit movement.
+	// Like Metrics, they are exact for a job running alone and include
+	// whatever concurrent jobs counted meanwhile (the registry is
+	// process-wide).
 	span.SetMetrics(res.Metrics)
 	if len(req.Gates) > 0 || len(req.Drains) > 0 {
 		span.Set(

@@ -67,7 +67,10 @@ const (
 // NS itself, at its 1e-8·D0 tolerance, is off by up to ~2e-6·D0. NaN
 // voltages give NaN, +Inf gives 0 and -Inf gives +Inf. Each sample
 // counts one fettoy.integral_evals and, per subband, one
-// fettoy.quad_points per node, as a call of N would.
+// fettoy.quad_points per node, as a call of N would. SampleNS allocates
+// nothing (TestSampleNSZeroAlloc).
+//
+//perf:zeroalloc
 func (m *Model) SampleNS(vscs, out []float64) {
 	out = out[:len(vscs)]
 	kT := m.kT
@@ -113,6 +116,7 @@ func (m *Model) SampleNS(vscs, out []float64) {
 			case math.IsInf(u, 1):
 				acc[i] = math.Inf(1)
 			case math.IsInf(bs[i], 1):
+				//lint:allow zeroalloc N's integrand closures stay on its stack (TestSampleNSZeroAlloc runs a sample through here)
 				acc[i] = 0.5 * units.Q * m.N(u) // counts itself
 			default:
 				grid++
@@ -170,15 +174,9 @@ func (m *Model) sampleN(us, n, np []float64) {
 			points += int64(r.nodes)
 			for k := 0; k < r.nodes; k++ {
 				w, a := r.node(k)
-				for i, b := range bs {
-					n[i] += w / (1 + a*b)
-				}
+				fermiAdd(n, bs, w, a)
 				if np != nil {
-					wp := w / kT
-					for i, b := range bs {
-						ab := a * b
-						np[i] += wp / (2 + ab + 1/ab)
-					}
+					fermiAddPrime(np, bs, w/kT, a)
 				}
 			}
 		}
@@ -211,9 +209,7 @@ func (m *Model) sampleBand(band bandstruct.Subband, uTop float64, bs, acc []floa
 	acc = acc[:len(bs)]
 	for k := 0; k < r.nodes; k++ {
 		w, a := r.node(k)
-		for i, b := range bs {
-			acc[i] += w / (1 + a*b)
-		}
+		fermiAdd(acc, bs, w, a)
 	}
 	return int64(r.nodes)
 }
