@@ -697,7 +697,7 @@ func TestTinyCubicNeverReturnsWrongRoot(t *testing.T) {
 			}
 			continue
 		}
-		if res := v + m.ulEff(b) - 2*m.qs.At(v)/m.csigma; math.Abs(res) > 1e-9 {
+		if res := v + m.ulEff(b) - 2*m.vscCurve().At(v)/m.csigma; math.Abs(res) > 1e-9 {
 			t.Errorf("c3 %g: VSC %v has eq. (7) residual %g V", c3, v, res)
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"cntfet/internal/poly"
 	"cntfet/internal/telemetry"
 )
 
@@ -277,27 +278,17 @@ func (m *Model) fTotal(x, ul, vds float64) cubic {
 
 // pieceAt returns the charge-curve coefficients covering VSC = x.
 // Convention matches poly.Piecewise: piece i covers (b_{i-1}, b_i].
-func (m *Model) pieceAt(x float64) cubic {
+func (m *Model) pieceAt(x float64) *cubic {
 	for i, b := range m.fastBreaks {
 		if x <= b {
-			return m.fastCoef[i]
+			return &m.fastCoef[i]
 		}
 	}
-	return m.fastCoef[len(m.fastCoef)-1]
+	return &m.fastCoef[len(m.fastCoef)-1]
 }
 
-// qsFast evaluates the fitted charge at VSC = x without constructing a
-// cubic value copy chain beyond the piece lookup.
-func (m *Model) qsFast(x float64) float64 {
-	for i, b := range m.fastBreaks {
-		if x <= b {
-			c := &m.fastCoef[i]
-			return c[0] + x*(c[1]+x*(c[2]+x*c[3]))
-		}
-	}
-	c := &m.fastCoef[len(m.fastCoef)-1]
-	return c[0] + x*(c[1]+x*(c[2]+x*c[3]))
-}
+// qsFast evaluates the fitted charge q·NS at VSC = x.
+func (m *Model) qsFast(x float64) float64 { return m.pieceAt(x).at(x) }
 
 // solveMonotoneCubic finds the root of an increasing polynomial of
 // degree <= 3 inside (lo, hi], in closed form, with a final Newton
@@ -387,19 +378,20 @@ func tryRoot(c cubic, lo, hi, r float64) (float64, bool) {
 	return r, true
 }
 
-// initFast caches the stack-friendly representation of the fitted
-// charge curve; called once at construction.
+// initFast builds the VSC-space form of the fitted curve from qsU,
+// qNS(V) = qsU(V - EF): each break moves by +EF and each piece is
+// Taylor-shifted by -EF into a zero-padded cubic. The fitted pieces
+// carry no trailing zero, so these are the bits of qsU.Shift(-EF).
+// Called once at construction.
 func (m *Model) initFast() {
-	m.fastBreaks = m.qs.Breaks
-	m.fastCoef = make([]cubic, len(m.qs.Pieces))
-	for i, p := range m.qs.Pieces {
-		var c cubic
-		for j, v := range p.Coef {
-			if j > 3 {
-				break
-			}
-			c[j] = v
-		}
-		m.fastCoef[i] = c
+	h := -m.dev.EF
+	m.fastBreaks = make([]float64, len(m.qsU.Breaks))
+	for i, b := range m.qsU.Breaks {
+		m.fastBreaks[i] = b - h
+	}
+	m.fastCoef = make([]cubic, len(m.qsU.Pieces))
+	for i, p := range m.qsU.Pieces {
+		c := m.fastCoef[i][:]
+		poly.ShiftCoef(c[:copy(c, p.Coef)], h)
 	}
 }

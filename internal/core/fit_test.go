@@ -286,3 +286,64 @@ func TestFitConcurrentScratch(t *testing.T) {
 		}
 	}
 }
+
+// TestCubicTableIsShiftedCurve pins the one stored VSC-space form of
+// the fitted curve. For the nine paper cells' fits of both families,
+// their WithEF shifts and their FromData round trips, fastBreaks and
+// fastCoef hold exactly the breaks and the zero-padded coefficients of
+// the generic qsU.Shift(-EF), bit for bit, and QS and QD, which read
+// the cubic table, equal that Piecewise's At at every break, its
+// neighbours and across the whole VSC range (== lets the sign of an
+// exact zero differ).
+func TestCubicTableIsShiftedCurve(t *testing.T) {
+	var models []*Model
+	for _, spec := range []Spec{Model1Spec(), Model2Spec()} {
+		for _, temp := range []float64{150, 300, 450} {
+			for _, ef := range []float64{-0.5, -0.32, 0} {
+				dev := fettoy.Default()
+				dev.T, dev.EF = temp, ef
+				m, err := Fit(refModel(t, dev), spec, FitOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				shifted, err := m.WithEF(-0.41 - ef/3)
+				if err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := FromData(m.Export())
+				if err != nil {
+					t.Fatal(err)
+				}
+				models = append(models, m, shifted, loaded)
+			}
+		}
+	}
+	for _, m := range models {
+		pw := m.vscCurve()
+		name := m.spec.Name
+		if !slices.EqualFunc(m.fastBreaks, pw.Breaks, sameBits) {
+			t.Fatalf("%s at %+v: breaks %v, want %v", name, m.dev, m.fastBreaks, pw.Breaks)
+		}
+		for i, p := range pw.Pieces {
+			var want cubic
+			copy(want[:], p.Coef)
+			if !slices.EqualFunc(m.fastCoef[i][:], want[:], sameBits) {
+				t.Fatalf("%s at %+v: piece %d is %v, want %v", name, m.dev, i, m.fastCoef[i], want)
+			}
+		}
+		vscs := units.Linspace(-1.5, 1.5, 301)
+		for _, b := range pw.Breaks {
+			vscs = append(vscs, math.Nextafter(b, math.Inf(-1)), b, math.Nextafter(b, math.Inf(1)))
+		}
+		for _, v := range vscs {
+			if got, want := m.QS(v), pw.At(v)-m.qn0Half; got != want { //lint:allow floatcmp the cubic table must reproduce the generic curve exactly
+				t.Fatalf("%s at %+v: QS(%.17g) = %.17g, want %.17g", name, m.dev, v, got, want)
+			}
+			for _, vds := range []float64{0.05, 0.3, 0.6} {
+				if got, want := m.QD(v, vds), pw.At(v+vds)-m.qn0Half; got != want { //lint:allow floatcmp the cubic table must reproduce the generic curve exactly
+					t.Fatalf("%s at %+v: QD(%.17g, %g) = %.17g, want %.17g", name, m.dev, v, vds, got, want)
+				}
+			}
+		}
+	}
+}

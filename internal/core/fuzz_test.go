@@ -165,7 +165,7 @@ func FuzzFitMonotone(f *testing.F) {
 		ef = foldInto(ef, -0.5, 0)
 		m := fuzzFit(t, temp, ef, model2)
 		bound := m.csigma / 2
-		d := m.qs.Deriv()
+		d := m.vscCurve().Deriv()
 		for i, p := range d.Pieces {
 			lo, hi := math.Inf(-1), math.Inf(1)
 			if i > 0 {

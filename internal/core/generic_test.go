@@ -23,14 +23,20 @@ func (m *Model) solveVSCGeneric(b fettoy.Bias) (float64, error) {
 	// Combined filled-state charge as a function of V, scaled to the
 	// residual form: F(V) = V + ulEff + combined(V) with
 	// combined = -(qNS(V) + qNS(V+VDS))/CΣ.
-	qd := m.qs.Shift(vds)
-	combined := scalePiecewise(addPiecewise(m.qs, qd), -1/m.csigma)
+	qs := m.vscCurve()
+	qd := qs.Shift(vds)
+	combined := scalePiecewise(addPiecewise(qs, qd), -1/m.csigma)
 	v, err := solveMonotone(combined, 1, m.ulEff(b))
 	if err != nil {
 		return 0, fmt.Errorf("core: generic VSC solve failed at %+v: %w", b, err)
 	}
 	return v, nil
 }
+
+// vscCurve is the fitted q·NS curve on the absolute VSC axis as a
+// generic Piecewise, qNS(V) = qsU(V - EF): the curve the model's cubic
+// table holds.
+func (m *Model) vscCurve() poly.Piecewise { return m.qsU.Shift(-m.dev.EF) }
 
 // addPoly returns p + q.
 func addPoly(p, q poly.Poly) poly.Poly {

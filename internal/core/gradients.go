@@ -51,13 +51,4 @@ func (m *Model) Conductances(b fettoy.Bias) (ids, gm, gds float64, err error) {
 
 // qsSlope evaluates the derivative of the fitted charge curve at
 // VSC = x from the cached cubic coefficients.
-func (m *Model) qsSlope(x float64) float64 {
-	for i, b := range m.fastBreaks {
-		if x <= b {
-			c := &m.fastCoef[i]
-			return c[1] + x*(2*c[2]+x*3*c[3])
-		}
-	}
-	c := &m.fastCoef[len(m.fastCoef)-1]
-	return c[1] + x*(2*c[2]+x*3*c[3])
-}
+func (m *Model) qsSlope(x float64) float64 { return m.pieceAt(x).deriv(x) }

@@ -23,11 +23,8 @@ type Model struct {
 
 	// qsU is the fitted q·NS curve in u-space (QS plus the equilibrium
 	// constant, see Fit); its breaks are the final u-space region
-	// boundaries (post-optimisation). qs is the same curve on the
-	// absolute VSC axis (u = VSC - EF ⇒ shift by +EF). The physical
-	// mobile charge is QS = qs - qn0Half. Both are immutable.
+	// boundaries (post-optimisation). It is immutable.
 	qsU poly.Piecewise
-	qs  poly.Piecewise
 
 	n0      float64 // equilibrium density, states/m
 	qn0Half float64 // q·N0/2, C/m
@@ -39,9 +36,11 @@ type Model struct {
 	// edge) so current evaluation does not rebuild it per call.
 	bands []bandstruct.Subband
 
-	// fastBreaks/fastCoef cache the VSC-space curve as fixed-size
-	// cubic coefficient arrays for the allocation-free solver;
-	// fastBreaks is qs.Breaks itself.
+	// fastBreaks/fastCoef are the same curve on the absolute VSC axis
+	// (u = VSC - EF), as fixed-size cubic coefficient arrays: the one
+	// form QS, QD, their slopes and the closed-form solve evaluate.
+	// The physical mobile charge is QS = qNS - qn0Half, with qNS the
+	// curve at VSC (qsFast).
 	fastBreaks []float64
 	fastCoef   []cubic
 }
@@ -75,7 +74,6 @@ func newModel(dev fettoy.Device, spec Spec, qsU poly.Piecewise, n0 float64) (*Mo
 		dev:     dev,
 		spec:    spec,
 		qsU:     qsU,
-		qs:      qsU.Shift(-dev.EF), // qs(V) = qsU(V - EF)
 		n0:      n0,
 		qn0Half: 0.5 * units.Q * n0,
 		csigma:  dev.CSigma(),
@@ -114,12 +112,12 @@ func (m *Model) PiecewiseU() poly.Piecewise { return m.qsU }
 // eq. 10). Beyond the
 // last region boundary it equals exactly -q·N0/2 (the fitted filled-
 // state term is identically zero there).
-func (m *Model) QS(vsc float64) float64 { return m.qs.At(vsc) - m.qn0Half }
+func (m *Model) QS(vsc float64) float64 { return m.qsFast(vsc) - m.qn0Half }
 
 // QD evaluates the approximated drain mobile charge: the same fitted
 // curve shifted by the drain bias, QD(VSC) = QS(VSC + VDS) (paper
 // eq. 11 with eq. 6). vsc and vds are in volts (V).
-func (m *Model) QD(vsc, vds float64) float64 { return m.qs.At(vsc+vds) - m.qn0Half }
+func (m *Model) QD(vsc, vds float64) float64 { return m.qsFast(vsc+vds) - m.qn0Half }
 
 // SolveVSC solves the self-consistent voltage equation in closed form.
 // On every region of the combined source+drain charge curve the

@@ -210,7 +210,7 @@ func TestSolveVSCRootInJumpAtBreak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	brk := m.qs.Breaks[0]
+	brk := m.fastBreaks[0]
 	bias := []fettoy.Bias{{VG: vg}}
 	v, err := m.SolveVSC(bias[0])
 	if err != nil || math.Float64bits(v) != math.Float64bits(brk) {

@@ -73,89 +73,70 @@ const (
 //perf:zeroalloc
 func (m *Model) SampleNS(vscs, out []float64) {
 	out = out[:len(vscs)]
-	kT := m.kT
 	// uTop is the highest finite Fermi level in the batch; the rule and
-	// the exponent shift below are built around it.
+	// the exponent shift are built around it.
 	uTop := math.Inf(-1)
 	for _, v := range vscs {
 		if u := m.dev.EF - v; u > uTop && !math.IsInf(u, 1) {
 			uTop = u
 		}
 	}
-	shared := !math.IsInf(uTop, -1) && uTop/kT <= sampleMaxKT
 	var grid, points int64
 	for lo := 0; lo < len(out); lo += sampleChunk {
 		hi := min(lo+sampleChunk, len(out))
 		var ubuf, bbuf [sampleChunk]float64
-		us, bs, acc := ubuf[:hi-lo], bbuf[:hi-lo], out[lo:hi]
+		us := ubuf[:hi-lo]
 		for i := range us {
-			u := m.dev.EF - vscs[lo+i] // read before acc[i], which may alias it
-			us[i] = u
-			// b_i = exp((uTop − u_i)/kT) ∈ [1, e^600], or 0 for u = +Inf.
-			// A sample the shared rule does not serve gets b_i = +Inf, so
-			// every node adds exactly 0 to it.
-			if t := (uTop - u) / kT; shared && t <= sampleMaxKT {
-				bs[i] = math.Exp(t)
-			} else {
-				bs[i] = math.Inf(1)
-			}
-			acc[i] = 0
+			us[i] = m.dev.EF - vscs[lo+i] // read before out, which may alias vscs
 		}
-		if shared {
-			points = 0 // every chunk runs the same rule
-			for _, band := range m.bands {
-				points += m.sampleBand(band, uTop, bs, acc)
-			}
-		}
-		for i, u := range us {
-			switch {
-			case math.IsNaN(u):
-				acc[i] = math.NaN()
-			case math.IsInf(u, -1):
-				acc[i] = 0
-			case math.IsInf(u, 1):
-				acc[i] = math.Inf(1)
-			case math.IsInf(bs[i], 1):
-				//lint:allow zeroalloc N's integrand closures stay on its stack (TestSampleNSZeroAlloc runs a sample through here)
-				acc[i] = 0.5 * units.Q * m.N(u) // counts itself
-			default:
-				grid++
-			}
-		}
+		//lint:allow zeroalloc sampleRule's N fallback keeps its integrand closures on its stack (TestSampleNSZeroAlloc runs a sample through it)
+		g, p := m.sampleRule(us, bbuf[:], uTop, 0.5*units.Q, out[lo:hi], nil) // q·NS = ½·q·N
+		grid += g
+		points = p // every chunk runs the same rule
 	}
-	metrics.integralEvals.Add(grid)
-	m.localIntegrals.Add(grid)
-	metrics.quadPoints.Add(points * grid)
+	m.countSamples(grid, points)
 }
 
 // sampleN writes N(u) into n and, when np is non-nil, N′(u) = dN/du
 // into np for every Fermi level u of us (in eV, finite; at most
-// tableChunk of them, ascending for the tightest rule). It is the charge
-// table's batch form of N and NPrime: all samples share SampleNS's rule,
-// built around the batch's highest level, so the inner loops run no exp
-// and no sqrt. With ab = a_k·b_i = exp((ε_k − u_i)/kT) the Fermi factor
-// is 1/(1 + ab) and its derivative in u is 1/(kT·(2 + ab + 1/ab)),
-// which is finite for every ab in [0, +Inf]. A sample more than 600 kT
-// below the top level, and every sample of a batch whose top is 600 kT
-// above the first subband, goes through N and NPrime. Each quantity
-// counts fettoy.integral_evals and fettoy.quad_points as a call of N or
-// NPrime would.
+// tableChunk of them, ascending for the tightest rule): the charge
+// table's batch form of N and NPrime, one batch of sampleRule around the
+// highest level.
 func (m *Model) sampleN(us, n, np []float64) {
 	if len(us) == 0 {
 		return
 	}
-	kT := m.kT
 	uTop := us[0]
 	for _, u := range us[1:] {
 		uTop = max(uTop, u)
 	}
-	shared := uTop/kT <= sampleMaxKT
 	var bbuf [tableChunk]float64
-	bs := bbuf[:len(us)]
-	n = n[:len(us)]
+	m.countSamples(m.sampleRule(us, bbuf[:], uTop, 1, n, np))
+}
+
+// sampleRule is the batch samplers' one kernel. It writes pre·N(u) into
+// n and, when np is non-nil, pre·N′(u) into np for every Fermi level u
+// of us (in eV), using bs (at least as long as us) as scratch. All
+// samples share one thetaRule per subband, built around uTop, the
+// batch's highest finite level, so the inner loops run no exp and no
+// sqrt: with b_i = exp((uTop − u_i)/kT) and a_k per node, ab = a_k·b_i =
+// exp((ε_k − u_i)/kT), the Fermi factor is 1/(1 + ab) and its
+// derivative in u is 1/(kT·(2 + ab + 1/ab)), finite for every ab in
+// [0, +Inf]. A sample more than 600 kT below uTop, and every sample of a
+// batch whose uTop is 600 kT above the first subband (or -Inf), goes
+// through N and NPrime, which count themselves. NaN levels give NaN,
+// -Inf gives 0 and +Inf gives +Inf. It returns the quantities the rule
+// served (grid; two per sample when np is non-nil) and the nodes each
+// cost (points), for countSamples.
+//
+//perf:zeroalloc
+func (m *Model) sampleRule(us, bs []float64, uTop, pre float64, n, np []float64) (grid, points int64) {
+	kT := m.kT
+	shared := !math.IsInf(uTop, -1) && uTop/kT <= sampleMaxKT
+	bs, n = bs[:len(us)], n[:len(us)]
 	for i, u := range us {
-		// b_i = exp((uTop − u_i)/kT) ∈ [1, e^600]; a sample the shared
-		// rule does not serve gets +Inf, so every node adds exactly 0.
+		// b_i ∈ [1, e^600], or 0 for u = +Inf. A sample the shared rule
+		// does not serve gets b_i = +Inf, so every node adds exactly 0.
 		if t := (uTop - u) / kT; shared && t <= sampleMaxKT {
 			bs[i] = math.Exp(t)
 		} else {
@@ -167,10 +148,11 @@ func (m *Model) sampleN(us, n, np []float64) {
 		np = np[:len(us)]
 		clear(np)
 	}
-	var points int64
 	if shared {
+		// The nodes stream through with k as the outer loop, so the rule
+		// needs no storage of its own.
 		for _, band := range m.bands {
-			r := m.thetaRule(band, uTop, 1)
+			r := m.thetaRule(band, uTop, pre)
 			points += int64(r.nodes)
 			for k := 0; k < r.nodes; k++ {
 				w, a := r.node(k)
@@ -181,44 +163,45 @@ func (m *Model) sampleN(us, n, np []float64) {
 			}
 		}
 	}
-	var grid int64
 	for i, u := range us {
-		if !math.IsInf(bs[i], 1) {
+		switch {
+		case math.IsNaN(u):
+			n[i] = math.NaN()
+		case math.IsInf(u, -1):
+			n[i] = 0
+		case math.IsInf(u, 1):
+			n[i] = math.Inf(1)
+		case math.IsInf(bs[i], 1):
+			//lint:allow zeroalloc N's integrand closures stay on its stack (TestSampleNSZeroAlloc runs a sample through here)
+			n[i] = pre * m.N(u)
+			if np != nil {
+				//lint:allow zeroalloc NPrime's integrand closures stay on its stack, as N's do
+				np[i] = pre * m.NPrime(u)
+			}
+		default:
 			grid++
-			continue
-		}
-		n[i] = m.N(u) // counts itself
-		if np != nil {
-			np[i] = m.NPrime(u)
 		}
 	}
 	if np != nil {
 		grid *= 2
 	}
+	return grid, points
+}
+
+// countSamples records a batch's rule-served quantities as the calls of
+// N they stand for: grid fettoy.integral_evals, each of points
+// fettoy.quad_points.
+func (m *Model) countSamples(grid, points int64) {
 	metrics.integralEvals.Add(grid)
 	m.localIntegrals.Add(grid)
 	metrics.quadPoints.Add(points * grid)
 }
 
-// sampleBand adds one subband's share of q·NS to acc[i] for every
-// sample i with Fermi factor 1/(1 + a_k·bs[i]) and returns the number of
-// nodes it used. The nodes stream through with k as the outer loop, so
-// the rule needs no storage of its own.
-func (m *Model) sampleBand(band bandstruct.Subband, uTop float64, bs, acc []float64) int64 {
-	r := m.thetaRule(band, uTop, 0.5*units.Q) // q·NS = ½·q·N
-	acc = acc[:len(bs)]
-	for k := 0; k < r.nodes; k++ {
-		w, a := r.node(k)
-		fermiAdd(acc, bs, w, a)
-	}
-	return int64(r.nodes)
-}
-
 // thetaRule is one subband's trapezoidal rule in θ after E = Ep·cosh θ,
 // built around a reference Fermi level uTop: the step, the node count
-// and, per node, the weight and the Fermi exponential. SampleNS and
-// sampleN both derive their nodes from it, so the two samplers share
-// one accuracy argument (DESIGN §5).
+// and, per node, the weight and the Fermi exponential. sampleRule, the
+// kernel of SampleNS and sampleN, derives its nodes from it, so the two
+// samplers share one accuracy argument (DESIGN §5).
 type thetaRule struct {
 	ep, e1, uTop, kT float64
 	h, scale         float64 // step and the weight of cosh θ_k

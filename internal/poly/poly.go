@@ -109,20 +109,22 @@ func (p Poly) Mul(q Poly) Poly {
 // evaluating q at x gives p at x+h. Used to move charge fits between the
 // normalised variable u = VSC - EF/q and the raw VSC axis.
 func (p Poly) Shift(h float64) Poly {
-	n := len(p.Coef)
-	if n == 0 {
-		return Poly{}
-	}
-	// Taylor shift by repeated Horner accumulation.
-	c := append([]float64(nil), p.Coef...)
+	q := Poly{Coef: append([]float64(nil), p.Coef...)}
+	ShiftCoef(q.Coef, h)
+	q.trim()
+	return q
+}
+
+// ShiftCoef is Shift in place: it rewrites the coefficients c of p(x),
+// constant term first, into those of p(x + h), by repeated Horner
+// accumulation (a Taylor shift). Trailing zeros stay as they are.
+func ShiftCoef(c []float64, h float64) {
+	n := len(c)
 	for j := 0; j < n-1; j++ {
 		for i := n - 2; i >= j; i-- {
 			c[i] += h * c[i+1]
 		}
 	}
-	q := Poly{Coef: c}
-	q.trim()
-	return q
 }
 
 // String renders the polynomial in conventional ascending-power form.
