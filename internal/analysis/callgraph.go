@@ -8,10 +8,9 @@ import (
 
 // This file is the interprocedural half of the framework: a lightweight
 // intra-package callgraph over the declared functions and methods of
-// one package, plus a per-function fact store analyzers use to memoize
-// verdicts while propagating them along call edges. Both are built
-// from the syntax and type information the loader already produced —
-// no extra passes over the go tool, no x/tools dependency.
+// one package. It is built from the syntax and type information the
+// loader already produced — no extra passes over the go tool, no
+// x/tools dependency.
 //
 // The graph is deliberately conservative and cheap:
 //
@@ -32,7 +31,6 @@ import (
 type CallGraph struct {
 	pkg   *Package
 	nodes map[*types.Func]*FuncNode
-	facts map[*types.Func]map[string]any
 }
 
 // FuncNode is one declared function or method of the package.
@@ -55,7 +53,6 @@ func (pkg *Package) CallGraph() *CallGraph {
 	cg := &CallGraph{
 		pkg:   pkg,
 		nodes: map[*types.Func]*FuncNode{},
-		facts: map[*types.Func]map[string]any{},
 	}
 	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
@@ -104,13 +101,6 @@ func (cg *CallGraph) Nodes() []*FuncNode {
 	return out
 }
 
-// FuncOf resolves a declaration back to its object — the inverse of
-// Node(fn).Decl.
-func (cg *CallGraph) FuncOf(decl *ast.FuncDecl) *types.Func {
-	fn, _ := cg.pkg.Info.Defs[decl.Name].(*types.Func)
-	return fn
-}
-
 // Reachable returns the transitive closure of the given roots along
 // call edges, roots included.
 func (cg *CallGraph) Reachable(roots ...*types.Func) map[*types.Func]bool {
@@ -142,21 +132,4 @@ func (cg *CallGraph) ReachableFromExported() map[*types.Func]bool {
 		}
 	}
 	return cg.Reachable(roots...)
-}
-
-// SetFact records an analyzer-scoped fact about fn. Keys should be
-// prefixed with the analyzer name; facts live as long as the package.
-func (cg *CallGraph) SetFact(fn *types.Func, key string, v any) {
-	m := cg.facts[fn]
-	if m == nil {
-		m = map[string]any{}
-		cg.facts[fn] = m
-	}
-	m[key] = v
-}
-
-// Fact retrieves a fact recorded with SetFact.
-func (cg *CallGraph) Fact(fn *types.Func, key string) (any, bool) {
-	v, ok := cg.facts[fn][key]
-	return v, ok
 }

@@ -267,3 +267,48 @@ func TestDefaultClientReusesConnections(t *testing.T) {
 		t.Fatalf("%d router→replica connections for %d concurrent clients, want <= %d", n, clients, clients+2)
 	}
 }
+
+// TestOverCapJobAnsweredOnce posts bodies over a replica's job-size
+// bounds (workers, samples) through the router to two real replicas:
+// each gets the replica's 400 invalid-request, relayed as is after
+// exactly one replica saw it, and the router retries none of them.
+func TestOverCapJobAnsweredOnce(t *testing.T) {
+	reg := telemetry.Default()
+	wasEnabled := reg.Enabled()
+	reg.SetEnabled(true)
+	t.Cleanup(func() { reg.SetEnabled(wasEnabled) })
+
+	var jobs atomic.Int64
+	var bases []string
+	for range 2 {
+		h := server.New(server.Config{}).Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/jobs" {
+				jobs.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		bases = append(bases, ts.URL)
+	}
+	rt := newRouter(t, Config{Replicas: bases, Backoff: time.Millisecond})
+	retries := reg.Counter(telemetry.KeyClusterRouteRetries)
+
+	for _, body := range []string{
+		`{"kind": "family-sweep", "model": {"family": "model2"}, "gates": [0.5], "drains": [0.1], "workers": 1048576}`,
+		`{"kind": "monte-carlo", "model": {"family": "model2"}, "vg": 0.5, "vd": 0.4, "samples": 1073741824}`,
+	} {
+		jobsBefore, retriesBefore := jobs.Load(), retries.Value()
+		w, _ := postRouter(t, rt, body)
+		var er server.ErrorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusBadRequest || er.Class != "invalid-request" {
+			t.Fatalf("%s: status %d, body %s: want the replica's 400 invalid-request", body, w.Code, w.Body)
+		}
+		if n := jobs.Load() - jobsBefore; n != 1 {
+			t.Fatalf("%s: %d replica requests, want 1", body, n)
+		}
+		if d := retries.Value() - retriesBefore; d != 0 {
+			t.Fatalf("%s: router retried %d times", body, d)
+		}
+	}
+}

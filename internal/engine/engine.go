@@ -44,8 +44,7 @@ const (
 	// model provides the full operating-point capability.
 	IVPoint Kind = iota + 1
 	// FamilySweep evaluates a family of IDS(VDS) curves, one per gate
-	// voltage: Result.Family. Repeat > 1 re-runs the sweep (benchmark
-	// loops); the last family is returned.
+	// voltage: Result.Family.
 	FamilySweep
 	// RMSCompare sweeps Model and a reference (Ref, or the precomputed
 	// RefFamily) on the same grid and computes the paper's per-gate RMS
@@ -99,8 +98,6 @@ type Request struct {
 	// reference model's warm-start chain then runs unbroken along each
 	// row.
 	Workers int
-	// Repeat re-runs a FamilySweep (benchmark loops). 0 means once.
-	Repeat int
 
 	// Device and the fields below parameterise a MonteCarlo study.
 	Device  fettoy.Device
@@ -284,29 +281,17 @@ func runFamily(ctx context.Context, req *Request, res *Result) error {
 	if err := prebuild(ctx, req.Model); err != nil {
 		return err
 	}
-	repeat := req.Repeat
-	if repeat < 1 {
-		repeat = 1
+	if req.Sink != nil {
+		// Rows leave through the sink as they complete and are not
+		// buffered — a million-point sweep at Workers: 1 holds one row
+		// at a time instead of the whole family.
+		return sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, rowEmit(req.Sink, false))
 	}
-	for i := 0; i < repeat; i++ {
-		if req.Sink != nil && i == repeat-1 {
-			// Streaming iteration: rows leave through the sink as they
-			// complete and are not buffered — a million-point sweep at
-			// Workers: 1 holds one row at a time instead of the whole
-			// family. Earlier Repeat iterations (benchmark loops) run
-			// buffered and are discarded.
-			if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, rowEmit(req.Sink, false)); err != nil {
-				return err
-			}
-			res.Family = nil
-			continue
-		}
-		fam := make([]sweep.Curve, 0, len(req.Gates))
-		if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, sweep.Collect(&fam)); err != nil {
-			return err
-		}
-		res.Family = fam
+	fam := make([]sweep.Curve, 0, len(req.Gates))
+	if err := sweep.FamilyParallelTo(ctx, req.Model, req.Gates, req.Drains, req.Workers, sweep.Collect(&fam)); err != nil {
+		return err
 	}
+	res.Family = fam
 	return nil
 }
 

@@ -28,8 +28,7 @@ import (
 //     holds only rows not yet emitted: one row at Workers: 1 (rows are
 //     allocated on their first chunk there), a shrinking tail of the
 //     family otherwise (RMSCompare still buffers both families — the
-//     RMS comparison needs them — and Repeat > 1 streams only the
-//     final iteration).
+//     RMS comparison needs them).
 //   - Emit is called from the job's goroutines (the sweep scheduler
 //     calls it under an internal lock, never concurrently) and blocks the
 //     emitting worker: a slow consumer is backpressure, not a buffer.

@@ -20,22 +20,10 @@ func NewCMatrix(rows, cols int) *CMatrix {
 	return &CMatrix{rows: rows, cols: cols, data: make([]complex128, rows*cols)}
 }
 
-// Rows returns the number of rows.
-func (m *CMatrix) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *CMatrix) Cols() int { return m.cols }
-
 // At returns the element at (i, j).
 func (m *CMatrix) At(i, j int) complex128 {
 	m.check(i, j)
 	return m.data[i*m.cols+j]
-}
-
-// Set assigns the element at (i, j).
-func (m *CMatrix) Set(i, j int, v complex128) {
-	m.check(i, j)
-	m.data[i*m.cols+j] = v
 }
 
 // Add accumulates into the element at (i, j).
@@ -55,23 +43,6 @@ func (m *CMatrix) Zero() {
 	for i := range m.data {
 		m.data[i] = 0
 	}
-}
-
-// MulVec returns m*x.
-func (m *CMatrix) MulVec(x []complex128) []complex128 {
-	if m.cols != len(x) {
-		panic("linalg: MulVec dimension mismatch")
-	}
-	out := make([]complex128, m.rows)
-	for i := 0; i < m.rows; i++ {
-		var s complex128
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		for j, v := range row {
-			s += v * x[j]
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // SolveCLU solves the complex system a*x = b by LU factorisation with

@@ -1,7 +1,7 @@
 // Package linalg provides the dense linear algebra needed by the rest of
-// the library: LU factorisation with partial pivoting (circuit MNA
-// solves), Householder QR (least-squares polynomial fitting) and the
-// vector/matrix plumbing they share.
+// the library: LU factorisation with partial pivoting, real (circuit
+// MNA solves and the constrained charge fit's KKT system) and complex
+// (AC analysis), and the matrix plumbing they share.
 //
 // The package is deliberately small — it implements exactly the
 // operations the device models and the circuit simulator require, with
@@ -26,30 +26,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic("linalg: negative matrix dimension")
 	}
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
-}
-
-// FromRows builds a matrix from row slices; all rows must share a length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0)
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic("linalg: ragged rows")
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
-// Identity returns the n-by-n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
 }
 
 // Rows returns the number of rows.
@@ -145,17 +121,6 @@ func (m *Matrix) MulVec(x []float64) []float64 {
 		out[i] = s
 	}
 	return out
-}
-
-// MaxAbs returns the largest absolute element value (the max norm).
-func (m *Matrix) MaxAbs() float64 {
-	mx := 0.0
-	for _, v := range m.data {
-		if a := math.Abs(v); a > mx {
-			mx = a
-		}
-	}
-	return mx
 }
 
 // String renders the matrix for debugging.

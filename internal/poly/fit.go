@@ -9,30 +9,6 @@ import (
 	"cntfet/internal/linalg"
 )
 
-// Fit returns the degree-deg polynomial least-squares fit to the sample
-// points (xs, ys) using Householder QR on the Vandermonde matrix.
-func Fit(xs, ys []float64, deg int) (Poly, error) {
-	if len(xs) != len(ys) {
-		return Poly{}, fmt.Errorf("poly: Fit sample length mismatch %d vs %d", len(xs), len(ys))
-	}
-	if len(xs) < deg+1 {
-		return Poly{}, fmt.Errorf("poly: %d samples cannot determine degree %d", len(xs), deg)
-	}
-	a := linalg.NewMatrix(len(xs), deg+1)
-	for i, x := range xs {
-		v := 1.0
-		for j := 0; j <= deg; j++ {
-			a.Set(i, j, v)
-			v *= x
-		}
-	}
-	c, _, err := linalg.LeastSquares(a, ys)
-	if err != nil {
-		return Poly{}, err
-	}
-	return Poly{Coef: c}, nil
-}
-
 // PieceSpec describes one piece of a piecewise fit: either a free
 // polynomial of the given degree, or a fixed polynomial excluded from
 // the optimisation (the paper's "zero" region is Fixed = the zero
@@ -42,47 +18,32 @@ type PieceSpec struct {
 	Fixed  *Poly
 }
 
-// FitPiecewise jointly fits a piecewise polynomial to the samples
-// (xs, ys) given interior breakpoints and per-piece specifications,
-// enforcing continuity of derivatives up to order `continuity` at every
-// breakpoint (the paper requires continuity of value and first
-// derivative: continuity = 1).
+// FitPiecewiseWeighted jointly fits a piecewise polynomial to the
+// samples (xs, ys) given interior breakpoints and per-piece
+// specifications, minimising Σ w_i·(p(x_i) − y_i)² subject to
+// continuity at every breakpoint: orders[i] applies at breaks[i], 0 =
+// value only, 1 = value and first derivative. The paper's models use C¹
+// at joins between free polynomials but only C⁰ where the curve enters
+// the zero region — full C¹ against the zero piece would leave Model 1
+// a single degree of freedom. A negative order means 0; orders itself
+// is left as passed.
 //
-// The fit solves an equality-constrained linear least-squares problem
+// The fit solves the equality-constrained linear least-squares problem
 // via the KKT system
 //
 //	| 2·AᵀA  Cᵀ | |c|   |2·Aᵀy|
 //	|  C     0  | |λ| = |  d  |
 //
-// where A is the block Vandermonde design matrix (each sample row only
-// touches the coefficients of the piece containing it) and C encodes
-// the continuity constraints plus the matching conditions against fixed
-// pieces.
-func FitPiecewise(breaks []float64, specs []PieceSpec, xs, ys []float64, continuity int) (Piecewise, error) {
-	orders := make([]int, len(breaks))
-	for i := range orders {
-		orders[i] = continuity
-	}
-	return FitPiecewiseOrders(breaks, specs, xs, ys, orders)
-}
-
-// FitPiecewiseOrders is FitPiecewise with an independent continuity
-// order per breakpoint (orders[i] applies at breaks[i]; 0 = value only,
-// 1 = value and first derivative). The paper's models use C¹ at joins
-// between free polynomials but only C⁰ where the curve enters the zero
-// region — full C¹ against the zero piece would leave Model 1 a single
-// degree of freedom.
-func FitPiecewiseOrders(breaks []float64, specs []PieceSpec, xs, ys []float64, orders []int) (Piecewise, error) {
-	return FitPiecewiseWeighted(breaks, specs, xs, ys, nil, orders)
-}
-
-// FitPiecewiseWeighted is FitPiecewiseOrders with per-sample weights
-// (nil means uniform): it minimises Σ w_i·(p(x_i) − y_i)². Weights let
-// the charge fit trade absolute accuracy in the high-charge region for
-// relative accuracy near the knee, where the subthreshold drain
-// current is exponentially sensitive. Every weight must be finite and
-// non-negative, even on samples a fixed piece covers. A negative
-// continuity order means 0; orders itself is left as passed.
+// where A is the (weighted) block Vandermonde design matrix — each
+// sample row only touches the coefficients of the piece containing it —
+// and C encodes the continuity constraints plus the matching conditions
+// against fixed pieces.
+//
+// Weights (nil means uniform) let the charge fit trade absolute
+// accuracy in the high-charge region for relative accuracy near the
+// knee, where the subthreshold drain current is exponentially
+// sensitive. Every weight must be finite and non-negative, even on
+// samples a fixed piece covers.
 //
 // The KKT system is assembled in one flat row-major workspace and
 // solved in place. The workspace is borrowed from a pool and zeroed

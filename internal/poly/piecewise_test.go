@@ -113,10 +113,11 @@ func TestFitExactPolynomial(t *testing.T) {
 		xs[i] = -1 + 2*float64(i)/29
 		ys[i] = truth.At(xs[i])
 	}
-	p, err := Fit(xs, ys, 3)
+	pw, err := FitPiecewiseWeighted(nil, []PieceSpec{{Degree: 3}}, xs, ys, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := pw.Pieces[0]
 	for i := range truth.Coef {
 		if math.Abs(p.Coef[i]-truth.Coef[i]) > 1e-10 {
 			t.Fatalf("coef %d: %g vs %g", i, p.Coef[i], truth.Coef[i])
@@ -125,10 +126,10 @@ func TestFitExactPolynomial(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit([]float64{1, 2}, []float64{1}, 1); err == nil {
+	if _, err := FitPiecewiseWeighted(nil, []PieceSpec{{Degree: 1}}, []float64{1, 2}, []float64{1}, nil, nil); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
-	if _, err := Fit([]float64{1, 2}, []float64{1, 2}, 5); err == nil {
+	if _, err := FitPiecewiseWeighted(nil, []PieceSpec{{Degree: 5}}, []float64{1, 2}, []float64{1, 2}, nil, nil); err == nil {
 		t.Fatal("underdetermined should fail")
 	}
 }
@@ -143,9 +144,9 @@ func TestFitPiecewiseRecoversC1Model(t *testing.T) {
 		ys = append(ys, truth.At(x))
 	}
 	zero := Poly{}
-	fit, err := FitPiecewise(truth.Breaks,
+	fit, err := FitPiecewiseWeighted(truth.Breaks,
 		[]PieceSpec{{Degree: 1}, {Degree: 2}, {Fixed: &zero}},
-		xs, ys, 1)
+		xs, ys, nil, []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,9 +170,9 @@ func TestFitPiecewiseNoisyStaysC1(t *testing.T) {
 		ys = append(ys, truth.At(x)+1e-4*rng.NormFloat64())
 	}
 	zero := Poly{}
-	fit, err := FitPiecewise(truth.Breaks,
+	fit, err := FitPiecewiseWeighted(truth.Breaks,
 		[]PieceSpec{{Degree: 1}, {Degree: 2}, {Fixed: &zero}},
-		xs, ys, 1)
+		xs, ys, nil, []int{1, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +188,14 @@ func TestFitPiecewiseNoisyStaysC1(t *testing.T) {
 
 func TestFitPiecewiseValidation(t *testing.T) {
 	zero := Poly{}
-	if _, err := FitPiecewise([]float64{0}, []PieceSpec{{Degree: 1}}, nil, nil, 1); err == nil {
+	if _, err := FitPiecewiseWeighted([]float64{0}, []PieceSpec{{Degree: 1}}, nil, nil, nil, []int{1}); err == nil {
 		t.Fatal("spec/break mismatch should fail")
 	}
-	if _, err := FitPiecewise([]float64{1, 0}, []PieceSpec{{Degree: 1}, {Degree: 1}, {Fixed: &zero}}, nil, nil, 1); err == nil {
+	if _, err := FitPiecewiseWeighted([]float64{1, 0}, []PieceSpec{{Degree: 1}, {Degree: 1}, {Fixed: &zero}}, nil, nil, nil, []int{1, 1}); err == nil {
 		t.Fatal("unsorted breaks should fail")
 	}
-	if _, err := FitPiecewise([]float64{0}, []PieceSpec{{Degree: 3}, {Fixed: &zero}},
-		[]float64{-1, -2}, []float64{1, 2}, 1); err == nil {
+	if _, err := FitPiecewiseWeighted([]float64{0}, []PieceSpec{{Degree: 3}, {Fixed: &zero}},
+		[]float64{-1, -2}, []float64{1, 2}, nil, []int{1}); err == nil {
 		t.Fatal("too few samples should fail")
 	}
 }
@@ -203,11 +204,11 @@ func TestFitPiecewiseAllFixed(t *testing.T) {
 	one := New(1)
 	zero := Poly{}
 	// Incompatible fixed pieces must be rejected when continuity is on.
-	if _, err := FitPiecewise([]float64{0}, []PieceSpec{{Fixed: &one}, {Fixed: &zero}}, nil, nil, 0); err == nil {
+	if _, err := FitPiecewiseWeighted([]float64{0}, []PieceSpec{{Fixed: &one}, {Fixed: &zero}}, nil, nil, nil, []int{0}); err == nil {
 		t.Fatal("discontinuous fixed pieces should fail")
 	}
 	// Compatible fixed pieces pass through.
-	pw, err := FitPiecewise([]float64{0}, []PieceSpec{{Fixed: &zero}, {Fixed: &zero}}, nil, nil, 1)
+	pw, err := FitPiecewiseWeighted([]float64{0}, []PieceSpec{{Fixed: &zero}, {Fixed: &zero}}, nil, nil, nil, []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}

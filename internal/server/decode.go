@@ -45,7 +45,7 @@ const maxDepth = 10000
 
 // Wire field names, in the order of the Go struct fields they fill.
 var (
-	jobFields   = []string{"kind", "model", "ref", "ref_family", "vg", "vd", "gates", "drains", "workers", "repeat", "ef_sigma", "diameter_sigma", "samples", "seed", "stream"}
+	jobFields   = []string{"kind", "model", "ref", "ref_family", "vg", "vd", "gates", "drains", "workers", "ef_sigma", "diameter_sigma", "samples", "seed", "stream"}
 	specFields  = []string{"family", "device", "t", "ef"}
 	curveFields = []string{"vg", "vds", "ids"}
 )
@@ -61,7 +61,6 @@ const (
 	fGates
 	fDrains
 	fWorkers
-	fRepeat
 	fEFSigma
 	fDiameterSigma
 	fSamples
@@ -353,8 +352,6 @@ func (d *decoder) job(jr *JobRequest) bool {
 			return array(d, &jr.Drains)
 		case fWorkers:
 			return d.int(&jr.Workers)
-		case fRepeat:
-			return d.int(&jr.Repeat)
 		case fEFSigma:
 			return d.float(&jr.EFSigma)
 		case fDiameterSigma:

@@ -229,7 +229,6 @@ func appendCoalesceKey(b []byte, jr *JobRequest, model, ref specID) []byte {
 	b = appendFloats(b, jr.Gates)
 	b = appendFloats(b, jr.Drains)
 	b = binary.AppendVarint(b, int64(jr.Workers))
-	b = binary.AppendVarint(b, int64(jr.Repeat))
 	b = appendOmittable(b, jr.EFSigma)
 	b = appendOmittable(b, jr.DiameterSigma)
 	b = binary.AppendVarint(b, int64(jr.Samples))

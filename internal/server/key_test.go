@@ -111,7 +111,6 @@ type canonicalJob struct {
 	Gates     []float64 `json:"gates,omitempty"`
 	Drains    []float64 `json:"drains,omitempty"`
 	Workers   int       `json:"workers,omitempty"`
-	Repeat    int       `json:"repeat,omitempty"`
 	EFSigma   float64   `json:"ef_sigma,omitempty"`
 	DiamSigma float64   `json:"diameter_sigma,omitempty"`
 	Samples   int       `json:"samples,omitempty"`
@@ -128,7 +127,6 @@ func canonicalize(jr JobRequest) canonicalJob {
 		Gates:     jr.Gates,
 		Drains:    jr.Drains,
 		Workers:   jr.Workers,
-		Repeat:    jr.Repeat,
 		EFSigma:   jr.EFSigma,
 		DiamSigma: jr.DiameterSigma,
 		Samples:   jr.Samples,
@@ -158,8 +156,8 @@ func FuzzCoalesceKey(f *testing.F) {
 		{`{"kind": "a/T=1/EF=2"}`, `{"kind": "a/T=1/EF=2", "model": {"family": "invalid", "device": "a", "t": 1, "ef": 2}}`},
 		{`{"kind": "monte-carlo", "model": {"family": "model9", "t": -4}, "samples": 10, "seed": -1}`,
 			`{"kind": "monte-carlo", "model": {"family": "model9", "t": -4, "ef": -0.32}, "samples": 10, "seed": -1, "stream": true}`},
-		{`{"kind": "iv-point", "model": {"device": "javey"}, "workers": 1, "repeat": 2, "ef_sigma": 0.1, "diameter_sigma": -0}`,
-			`{"kind": "iv-point", "model": {"device": "javey", "t": 300, "ef": -0.05}, "workers": 1, "repeat": 2, "ef_sigma": 0.1}`},
+		{`{"kind": "iv-point", "model": {"device": "javey"}, "workers": 1, "ef_sigma": 0.1, "diameter_sigma": -0}`,
+			`{"kind": "iv-point", "model": {"device": "javey", "t": 300, "ef": -0.05}, "workers": 1, "ef_sigma": 0.1}`},
 		{`{"kind": "rms-compare", "model": {"family": "reference", "ef": -0}, "ref": {"ef": -0}}`,
 			`{"kind": "rms-compare", "model": {"family": "reference", "ef": 0}, "ref": {"ef": 0}}`},
 	} {

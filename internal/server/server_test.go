@@ -144,6 +144,7 @@ func TestBadRequests(t *testing.T) {
 		"both refs":        {`{"kind": "rms-compare", "model": {"family": "model2"}, "ref": {"family": "model1"}, "ref_family": [], "gates": [0.5], "drains": [0.1]}`, http.StatusBadRequest},
 		"empty ref_family": {`{"kind": "rms-compare", "model": {"family": "model2"}, "ref_family": [], "gates": [0.5], "drains": [0.1]}`, http.StatusBadRequest},
 		"zero samples":     {`{"kind": "monte-carlo", "model": {"family": "model2"}}`, http.StatusBadRequest},
+		"repeat field":     {`{"kind": "family-sweep", "model": {"family": "model2"}, "gates": [0.5], "drains": [0.1], "repeat": 2}`, http.StatusBadRequest},
 	} {
 		t.Run(name, func(t *testing.T) {
 			w := post(t, h, tc.body)
@@ -174,6 +175,50 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("status %d, want 413: %s", w.Code, w.Body)
 		}
 	})
+}
+
+// TestJobSizeBounds: a negative workers, a workers above maxWorkers
+// and a samples above maxSamples answer 400 invalid-request from
+// toEngine, before the model resolves or the engine runs, so no sweep
+// goroutine or sample buffer is ever sized from them. Values at the
+// bounds still pass, and 0 workers still means GOMAXPROCS.
+func TestJobSizeBounds(t *testing.T) {
+	var solves atomic.Int64
+	h := New(Config{Resolver: fakeResolver{solverFunc(func(fettoy.Bias) (float64, error) {
+		solves.Add(1)
+		return 1, nil
+	})}}).Handler()
+	sweep := func(workers int) string {
+		return fmt.Sprintf(`{"kind": "family-sweep", "model": {"family": "model2"}, "gates": [0.5], "drains": [0.1, 0.2], "workers": %d}`, workers)
+	}
+	for name, body := range map[string]string{
+		"negative workers":      sweep(-1),
+		"workers over the cap":  sweep(maxWorkers + 1),
+		"streamed over the cap": strings.Replace(sweep(maxWorkers+1), `"kind"`, `"stream": true, "kind"`, 1),
+		"samples over the cap":  fmt.Sprintf(`{"kind": "monte-carlo", "model": {"family": "model2"}, "samples": %d}`, maxSamples+1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			w := post(t, h, body)
+			var er ErrorResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || w.Code != http.StatusBadRequest || er.Class != "invalid-request" {
+				t.Fatalf("status %d, body %s: want 400 invalid-request", w.Code, w.Body)
+			}
+			if n := solves.Load(); n != 0 {
+				t.Fatalf("%d solves ran for a rejected body", n)
+			}
+		})
+	}
+
+	for _, workers := range []int{0, 1, maxWorkers} {
+		if got := decodeJob(t, post(t, h, sweep(workers))); len(got.Family) != 1 {
+			t.Fatalf("workers %d: %d curves, want 1", workers, len(got.Family))
+		}
+	}
+	jr := JobRequest{Kind: "monte-carlo", Model: &ModelSpec{Family: FamilyModel2}, Samples: maxSamples}
+	req, _, err := jr.toEngine(context.Background(), nil, identify(jr.Model), identify(jr.Ref))
+	if err != nil || req.Samples != maxSamples {
+		t.Fatalf("samples at the cap: %+v, %v", req.Samples, err)
+	}
 }
 
 // blockingSolver is a test model whose solves wait on gate signals:

@@ -128,13 +128,11 @@ type JobRequest struct {
 	Drains []float64 `json:"drains,omitempty"`
 
 	// Workers steers the sweep scheduler (0 = GOMAXPROCS, 1 = whole
-	// rows on one goroutine); Repeat re-runs a family-sweep (benchmark
-	// loops).
+	// rows on one goroutine, at most maxWorkers).
 	Workers int `json:"workers,omitempty"`
-	Repeat  int `json:"repeat,omitempty"`
 
 	// Monte Carlo study shape: per-device dispersion (one standard
-	// deviation each), sample count and RNG seed.
+	// deviation each), sample count (at most maxSamples) and RNG seed.
 	EFSigma       float64 `json:"ef_sigma,omitempty"`
 	DiameterSigma float64 `json:"diameter_sigma,omitempty"`
 	Samples       int     `json:"samples,omitempty"`
@@ -171,6 +169,16 @@ type resolveMeta struct {
 // formatted only when a span or the job log reads it.
 func (m resolveMeta) modelKey() string { return m.model.String() }
 
+// maxWorkers and maxSamples bound the job sizes a client sets: a
+// sweep starts workers−1 goroutines and grows a workers-long scratch,
+// and a Monte Carlo study allocates its samples up front, so one small
+// body could otherwise exhaust a replica's memory. They are constants,
+// so every replica gives the same answer.
+const (
+	maxWorkers = 256
+	maxSamples = 1 << 20
+)
+
 // toEngine resolves the wire request into an engine.Request, looking
 // models up through the resolver under the job's context. model and ref
 // are jr.Model and jr.Ref, identified. Every error it returns is a
@@ -189,13 +197,18 @@ func (jr JobRequest) toEngine(ctx context.Context, res Resolver, model, ref spec
 	if jr.Model == nil {
 		return engine.Request{}, meta, fmt.Errorf("%s needs a model", jr.Kind)
 	}
+	if jr.Workers < 0 || jr.Workers > maxWorkers {
+		return engine.Request{}, meta, fmt.Errorf("workers %d outside [0, %d] (0 means GOMAXPROCS)", jr.Workers, maxWorkers)
+	}
+	if jr.Samples > maxSamples {
+		return engine.Request{}, meta, fmt.Errorf("samples %d above the limit %d", jr.Samples, maxSamples)
+	}
 	req := engine.Request{
 		Kind:    kind,
 		Bias:    fettoy.Bias{VG: jr.VG, VD: jr.VD},
 		Gates:   jr.Gates,
 		Drains:  jr.Drains,
 		Workers: jr.Workers,
-		Repeat:  jr.Repeat,
 		Spread:  variation.Spread{EF: jr.EFSigma, DiameterRel: jr.DiameterSigma},
 		Samples: jr.Samples,
 		Seed:    jr.Seed,
